@@ -21,30 +21,18 @@ layout::Rect WallSpec::tile_rect(std::size_t index) const {
 
 namespace {
 
-// Wire tags. kTagCommands drives the trusting fast path (one stream per
-// node, node renders everything it owns, no recovery). kTagWork/kTagShutdown
-// drive the fault-tolerant work loop: a work message names explicit tiles so
-// the master can re-send or re-assign any subset; shutdown is control
-// traffic and is auto-exempted from fault injection so termination stays
-// bounded even under 100% message loss on data tags.
-constexpr int kTagCommands = 1;
+using Clock = mpx::Comm::Clock;
+
+// Wire tags. A work message names explicit tiles, so the master can re-send
+// or re-assign any subset; shutdown is control traffic and is auto-exempted
+// from fault injection so termination stays bounded even under 100% message
+// loss on data tags.
 constexpr int kTagPixels = 2;
-constexpr int kTagStats = 3;
 constexpr int kTagWork = 4;
 constexpr int kTagShutdown = 5;
 
-/// Commands whose bounds intersect `region`, in stream order.
-CommandList cull_for_region(const CommandList& commands,
-                            const layout::Rect& region) {
-  CommandList kept;
-  for (const RenderCommand& command : commands) {
-    if (layout::overlaps(command.bounds(), region)) kept.push_back(command);
-  }
-  return kept;
-}
-
 /// Commands needed by any tile of `tiles`, in stream order (the "command
-/// substream" a retry or reassignment ships).
+/// substream" a point-to-point, retry or reassignment message ships).
 CommandList cull_for_tiles(const CommandList& commands, const WallSpec& spec,
                            const std::vector<std::size_t>& tiles) {
   std::vector<layout::Rect> rects;
@@ -74,214 +62,141 @@ std::vector<std::size_t> tiles_of_node(std::size_t node,
   return tiles;
 }
 
-struct NodeReport {
-  double render_seconds = 0.0;
-  std::uint64_t executed = 0;
+struct TileRaster {
+  render::Framebuffer pixels;
+  std::uint64_t executed = 0;  ///< commands that touched the tile
+  double seconds = 0.0;        ///< raster time
 };
 
 /// Rasterizes one tile of the command stream (deterministic — this is what
 /// makes every recovery rung pixel-identical: any node, or the master, can
 /// re-render any tile and produce the same bytes).
-render::Framebuffer raster_tile(const CommandList& commands,
-                                const layout::Rect& rect,
-                                std::uint64_t* executed) {
-  render::Framebuffer tile_fb(static_cast<std::size_t>(rect.width),
-                              static_cast<std::size_t>(rect.height));
-  const std::size_t count =
-      replay_commands(tile_fb, commands, rect.x, rect.y);
-  if (executed != nullptr) *executed += count;
-  return tile_fb;
+TileRaster raster_tile(const CommandList& commands, const layout::Rect& rect) {
+  Timer timer;
+  TileRaster raster;
+  raster.pixels = render::Framebuffer(static_cast<std::size_t>(rect.width),
+                                      static_cast<std::size_t>(rect.height));
+  raster.executed = replay_commands(raster.pixels, commands, rect.x, rect.y);
+  raster.seconds = timer.seconds();
+  return raster;
 }
 
-/// Pixel payload: the tile index packed into the first Rgb8 (16-bit), then
-/// the tile's pixels row-major.
-std::vector<render::Rgb8> pack_tile_pixels(std::size_t tile,
-                                           const render::Framebuffer& fb) {
-  std::vector<render::Rgb8> pixels;
-  pixels.reserve(fb.pixel_count() + 1);
-  pixels.push_back(render::Rgb8{static_cast<std::uint8_t>(tile & 0xff),
-                                static_cast<std::uint8_t>((tile >> 8) & 0xff),
-                                0});
-  pixels.insert(pixels.end(), fb.pixels().begin(), fb.pixels().end());
-  return pixels;
+/// `span` from now, or no deadline at all when the frame has none
+/// (tile_deadline == 0: nothing can be lost, so nothing is waited out).
+std::optional<Clock::time_point> deadline_after(const WallOptions& options,
+                                                Clock::duration span) {
+  if (options.tile_deadline.count() == 0) return std::nullopt;
+  return Clock::now() + span;
 }
 
-// ---------------------------------------------------------------------------
-// Trusting fast path (tile_deadline == 0): the pre-robustness protocol,
-// byte-for-byte. No deadlines, no recovery — a lost node blocks the frame.
-
-void run_trusting_frame(const CommandList& commands, const WallSpec& spec,
-                        Distribution distribution, std::size_t node_count,
-                        FrameResult& result) {
-  const int ranks = static_cast<int>(node_count) + 1;
-  mpx::run_group(ranks, [&](mpx::Comm& comm) {
-    if (comm.rank() == 0) {
-      // --- master: distribute -------------------------------------------
-      std::size_t bytes = 0;
-      if (distribution == Distribution::kBroadcast) {
-        mpx::PayloadWriter writer;
-        write_commands(writer, commands);
-        auto payload = writer.take();
-        bytes = payload.size() * node_count;
-        for (int node = 1; node < ranks; ++node) {
-          comm.send(node, kTagCommands, payload);  // copy per node
-        }
-      } else {
-        for (int node = 1; node < ranks; ++node) {
-          // Union region of this node's tiles; ship only what it needs.
-          CommandList node_commands;
-          for (const std::size_t tile :
-               tiles_of_node(static_cast<std::size_t>(node - 1), node_count,
-                             spec.tile_count())) {
-            const auto culled =
-                cull_for_region(commands, spec.tile_rect(tile));
-            node_commands.insert(node_commands.end(), culled.begin(),
-                                 culled.end());
-          }
-          mpx::PayloadWriter writer;
-          write_commands(writer, node_commands);
-          auto payload = writer.take();
-          bytes += payload.size();
-          comm.send(node, kTagCommands, std::move(payload));
-        }
-      }
-      result.stats.bytes_distributed = bytes;
-
-      // --- master: composite gathered tiles ------------------------------
-      for (std::size_t tile = 0; tile < spec.tile_count(); ++tile) {
-        const auto pixels = comm.recv_vector<render::Rgb8>(mpx::kAnySource,
-                                                           kTagPixels);
-        // First element encodes the tile index (avoids a second message).
-        FV_ASSERT(!pixels.empty(), "tile pixel message is empty");
-        const auto tile_index =
-            static_cast<std::size_t>(pixels.front().r) +
-            (static_cast<std::size_t>(pixels.front().g) << 8);
-        const layout::Rect rect = spec.tile_rect(tile_index);
-        render::Framebuffer tile_fb(static_cast<std::size_t>(rect.width),
-                                    static_cast<std::size_t>(rect.height));
-        FV_ASSERT(pixels.size() == tile_fb.pixel_count() + 1,
-                  "tile pixel payload has wrong size");
-        for (std::size_t i = 0; i < tile_fb.pixel_count(); ++i) {
-          tile_fb.set(i % tile_fb.width(), i / tile_fb.width(),
-                      pixels[i + 1]);
-        }
-        result.frame.blit(tile_fb, rect.x, rect.y);
-      }
-      // Per-node reports.
-      for (int node = 1; node < ranks; ++node) {
-        const auto report = comm.recv_vector<double>(node, kTagStats);
-        FV_ASSERT(report.size() == 2, "bad node report");
-        result.stats.max_node_render_seconds =
-            std::max(result.stats.max_node_render_seconds, report[0]);
-        result.stats.commands_executed +=
-            static_cast<std::size_t>(report[1]);
-      }
-    } else {
-      // --- render node ----------------------------------------------------
-      mpx::Message message = comm.recv(0, kTagCommands);
-      mpx::PayloadReader reader(message.payload);
-      const CommandList node_commands = read_commands(reader);
-
-      NodeReport report;
-      Timer render_timer;
-      for (const std::size_t tile :
-           tiles_of_node(static_cast<std::size_t>(comm.rank() - 1),
-                         node_count, spec.tile_count())) {
-        const layout::Rect rect = spec.tile_rect(tile);
-        render::Framebuffer tile_fb =
-            raster_tile(node_commands, rect, &report.executed);
-        comm.send_vector<render::Rgb8>(0, kTagPixels,
-                                       pack_tile_pixels(tile, tile_fb));
-      }
-      report.render_seconds = render_timer.seconds();
-      const std::vector<double> packed{
-          report.render_seconds, static_cast<double>(report.executed)};
-      comm.send_vector<double>(0, kTagStats, packed);
-    }
-  });
+/// Next message from `source` with `tag`: a blocking receive without a
+/// deadline, otherwise nullopt once `until` passes.
+std::optional<mpx::Message> receive(mpx::Comm& comm,
+                                    std::optional<Clock::time_point> until,
+                                    int source, int tag) {
+  if (!until.has_value()) return comm.recv(source, tag);
+  return comm.try_recv_until(*until, source, tag);
 }
 
-// ---------------------------------------------------------------------------
-// Fault-tolerant path (tile_deadline > 0): explicit work messages, bounded
-// waits, and the degradation ladder.
-
-/// Work message: [tile count, tile ids..., command stream].
-std::vector<std::byte> pack_work(const std::vector<std::size_t>& tiles,
-                                 const CommandList& commands) {
-  mpx::PayloadWriter writer;
-  writer.write<std::uint64_t>(tiles.size());
-  for (const std::size_t tile : tiles) {
-    writer.write<std::uint64_t>(static_cast<std::uint64_t>(tile));
-  }
-  write_commands(writer, commands);
-  return writer.take();
-}
-
-void run_fault_tolerant_master(mpx::Comm& comm, const CommandList& commands,
-                               const WallSpec& spec,
-                               const WallOptions& options,
-                               std::size_t node_count, FrameResult& result) {
-  using Clock = mpx::Comm::Clock;
+void run_master(mpx::Comm& comm, const CommandList& commands,
+                const WallSpec& spec, const WallOptions& options,
+                std::size_t node_count, FrameResult& result) {
   const std::size_t tile_count = spec.tile_count();
   const int ranks = static_cast<int>(node_count) + 1;
 
+  // Work message: [command stream][tile ids]. A non-empty `stream` is the
+  // serialized full frame (nodes cull per tile); otherwise the message
+  // carries only the substream the tiles need.
   const auto send_work = [&](int node, const std::vector<std::size_t>& tiles,
-                             bool full_stream) {
-    const CommandList subset =
-        full_stream ? CommandList{} : cull_for_tiles(commands, spec, tiles);
-    auto payload = pack_work(tiles, full_stream ? commands : subset);
+                             std::span<const std::byte> stream) {
+    mpx::PayloadWriter ids;
+    ids.write<std::uint64_t>(tiles.size());
+    for (const std::size_t tile : tiles) {
+      ids.write<std::uint64_t>(static_cast<std::uint64_t>(tile));
+    }
+    const std::vector<std::byte> tail = ids.take();
+    std::vector<std::byte> payload;
+    if (!stream.empty()) {
+      payload.reserve(stream.size() + tail.size());
+      payload.assign(stream.begin(), stream.end());
+    } else {
+      mpx::PayloadWriter writer;
+      write_commands(writer, cull_for_tiles(commands, spec, tiles));
+      payload = writer.take();
+    }
+    payload.insert(payload.end(), tail.begin(), tail.end());
     result.stats.bytes_distributed += payload.size();
     comm.send(node, kTagWork, std::move(payload));
   };
 
-  // Initial distribution: the legacy round-robin ownership. Broadcast ships
-  // the full stream (nodes cull per tile); point-to-point ships each node
-  // only the substream its tiles need.
-  for (int node = 1; node < ranks; ++node) {
-    send_work(node,
-              tiles_of_node(static_cast<std::size_t>(node - 1), node_count,
-                            tile_count),
-              options.distribution == Distribution::kBroadcast);
+  // Broadcast serializes the frame once and hands every node a copy. The
+  // stream lives only for this block: held to the end of the frame, the
+  // allocator returns its pages on free and the next frame's serialization
+  // faults them back in (fig3's 2-tile frame ran about 2 ms slower that way
+  // on a 4-core x86 VM).
+  {
+    std::vector<std::byte> stream;
+    if (options.distribution == Distribution::kBroadcast) {
+      mpx::PayloadWriter writer;
+      write_commands(writer, commands);
+      stream = writer.take();
+    }
+    for (int node = 1; node < ranks; ++node) {
+      send_work(node,
+                tiles_of_node(static_cast<std::size_t>(node - 1), node_count,
+                              tile_count),
+                stream);
+    }
   }
 
   std::vector<char> done(tile_count, 0);
   std::vector<char> alive(static_cast<std::size_t>(ranks), 0);
+  std::vector<double> raster_seconds(static_cast<std::size_t>(ranks), 0.0);
   std::size_t remaining = tile_count;
 
-  // Drains pixel messages until every tile landed or the window closes.
-  // Corrupt messages are dropped (their tiles stay pending — the ladder
-  // recovers them); duplicates are suppressed by the mailbox and late
-  // arrivals for already-done tiles are ignored here.
-  const auto collect_until = [&](Clock::time_point window) {
+  // Stats count composited tiles only, so they are exact on every frame.
+  const auto mark_done = [&](std::size_t tile, int source,
+                             std::uint64_t executed, double seconds) {
+    done[tile] = 1;
+    --remaining;
+    result.stats.commands_executed += static_cast<std::size_t>(executed);
+    raster_seconds[static_cast<std::size_t>(source)] += seconds;
+  };
+
+  // Drains pixel messages until every tile landed or the window closes
+  // (without a deadline the first call drains them all, so no later rung
+  // fires). Corrupt messages are dropped (their tiles stay pending — the
+  // ladder recovers them); duplicates are suppressed by the mailbox and late
+  // re-renders of an already-composited tile are ignored here.
+  const auto collect = [&](std::optional<Clock::time_point> until) {
     while (remaining > 0) {
       std::optional<mpx::Message> message;
       try {
-        message = comm.try_recv_until(window, mpx::kAnySource, kTagPixels);
+        message = receive(comm, until, mpx::kAnySource, kTagPixels);
       } catch (const CorruptMessageError&) {
         ++result.stats.corrupt_messages;
         continue;
       }
       if (!message.has_value()) return;
       alive[static_cast<std::size_t>(message->source)] = 1;
+      // Pixel message: [tile, executed, raster seconds, pixels].
       mpx::PayloadReader reader(message->payload);
+      const auto tile = static_cast<std::size_t>(reader.read<std::uint64_t>());
+      const auto executed = reader.read<std::uint64_t>();
+      const auto seconds = reader.read<double>();
       const auto pixels = reader.read_vector<render::Rgb8>();
-      FV_ASSERT(!pixels.empty(), "tile pixel message is empty");
-      const auto tile_index =
-          static_cast<std::size_t>(pixels.front().r) +
-          (static_cast<std::size_t>(pixels.front().g) << 8);
-      FV_ASSERT(tile_index < tile_count, "tile index out of range");
-      if (done[tile_index]) continue;  // re-render of a recovered tile
-      const layout::Rect rect = spec.tile_rect(tile_index);
-      render::Framebuffer tile_fb(static_cast<std::size_t>(rect.width),
-                                  static_cast<std::size_t>(rect.height));
-      FV_ASSERT(pixels.size() == tile_fb.pixel_count() + 1,
+      FV_ASSERT(tile < tile_count, "tile index out of range");
+      if (done[tile]) continue;
+      const layout::Rect rect = spec.tile_rect(tile);
+      const auto width = static_cast<std::size_t>(rect.width);
+      FV_ASSERT(pixels.size() == width * static_cast<std::size_t>(rect.height),
                 "tile pixel payload has wrong size");
-      for (std::size_t i = 0; i < tile_fb.pixel_count(); ++i) {
-        tile_fb.set(i % tile_fb.width(), i / tile_fb.width(), pixels[i + 1]);
+      for (std::size_t i = 0; i < pixels.size(); ++i) {
+        result.frame.set(static_cast<std::size_t>(rect.x) + i % width,
+                         static_cast<std::size_t>(rect.y) + i / width,
+                         pixels[i]);
       }
-      result.frame.blit(tile_fb, rect.x, rect.y);
-      done[tile_index] = 1;
-      --remaining;
+      mark_done(tile, message->source, executed, seconds);
     }
   };
 
@@ -294,7 +209,7 @@ void run_fault_tolerant_master(mpx::Comm& comm, const CommandList& commands,
   };
 
   // Rung 1: the healthy window.
-  collect_until(Clock::now() + options.tile_deadline);
+  collect(deadline_after(options, options.tile_deadline));
 
   // Rung 2: one bounded retry — resend each missing tile's command
   // substream to its owner node after a backoff (a slow node gets a second
@@ -310,9 +225,9 @@ void run_fault_tolerant_master(mpx::Comm& comm, const CommandList& commands,
     }
     for (int node = 1; node < ranks; ++node) {
       const auto& tiles = by_owner[static_cast<std::size_t>(node)];
-      if (!tiles.empty()) send_work(node, tiles, false);
+      if (!tiles.empty()) send_work(node, tiles, {});
     }
-    collect_until(Clock::now() + options.tile_deadline);
+    collect(deadline_after(options, options.tile_deadline));
   }
 
   // Rung 3: reassign orphaned tiles to nodes that have proven alive (they
@@ -332,10 +247,10 @@ void run_fault_tolerant_master(mpx::Comm& comm, const CommandList& commands,
       }
       for (std::size_t s = 0; s < survivors.size(); ++s) {
         if (!by_survivor[s].empty()) {
-          send_work(survivors[s], by_survivor[s], false);
+          send_work(survivors[s], by_survivor[s], {});
         }
       }
-      collect_until(Clock::now() + options.tile_deadline);
+      collect(deadline_after(options, options.tile_deadline));
     }
   }
 
@@ -346,51 +261,31 @@ void run_fault_tolerant_master(mpx::Comm& comm, const CommandList& commands,
     result.stats.degraded = true;
     for (const std::size_t tile : pending_tiles()) {
       const layout::Rect rect = spec.tile_rect(tile);
-      std::uint64_t executed = 0;
-      const render::Framebuffer tile_fb =
-          raster_tile(cull_for_region(commands, rect), rect, &executed);
-      result.frame.blit(tile_fb, rect.x, rect.y);
-      result.stats.commands_executed += static_cast<std::size_t>(executed);
+      const TileRaster raster =
+          raster_tile(cull_for_tiles(commands, spec, {tile}), rect);
+      result.frame.blit(raster.pixels, rect.x, rect.y);
+      mark_done(tile, comm.rank(), raster.executed, raster.seconds);
       ++result.stats.master_rastered_tiles;
-      done[tile] = 1;
-      --remaining;
     }
   }
+
+  result.stats.max_node_render_seconds =
+      *std::max_element(raster_seconds.begin(), raster_seconds.end());
 
   // Orderly shutdown (the control tag is fault-exempt, so this always
   // arrives; the node-side watchdog is only a backstop for a dead master).
   for (int node = 1; node < ranks; ++node) {
     comm.send(node, kTagShutdown, {});
   }
-
-  // Best-effort node-report drain: reports ride the faulty data tags, so
-  // under injection these counters may undercount — they are diagnostics,
-  // never correctness.
-  for (;;) {
-    std::optional<mpx::Message> message;
-    try {
-      message = comm.try_recv(mpx::kAnySource, kTagStats);
-    } catch (const CorruptMessageError&) {
-      ++result.stats.corrupt_messages;
-      continue;
-    }
-    if (!message.has_value()) break;
-    mpx::PayloadReader reader(message->payload);
-    const auto report = reader.read_vector<double>();
-    if (report.size() != 2) continue;
-    result.stats.max_node_render_seconds =
-        std::max(result.stats.max_node_render_seconds, report[0]);
-    result.stats.commands_executed += static_cast<std::size_t>(report[1]);
-  }
 }
 
-void run_fault_tolerant_node(mpx::Comm& comm, const WallSpec& spec,
-                             const WallOptions& options) {
-  using Clock = mpx::Comm::Clock;
+void run_node(mpx::Comm& comm, const WallSpec& spec,
+              const WallOptions& options) {
   // Idle watchdog: if the master goes silent this long, assume the frame is
   // over (e.g. the shutdown message itself was lost to fault injection) and
   // exit — a node can never hang the group. Derived generously from the
-  // master's ladder span: 4 windows + backoff + slack.
+  // master's ladder span: 4 windows + backoff + slack. Without a deadline
+  // the node waits for shutdown unbounded, like the master waits for tiles.
   const auto watchdog =
       options.node_watchdog.count() > 0
           ? options.node_watchdog
@@ -399,7 +294,8 @@ void run_fault_tolerant_node(mpx::Comm& comm, const WallSpec& spec,
   for (;;) {
     std::optional<mpx::Message> message;
     try {
-      message = comm.try_recv_until(Clock::now() + watchdog, 0, mpx::kAnyTag);
+      message =
+          receive(comm, deadline_after(options, watchdog), 0, mpx::kAnyTag);
     } catch (const CorruptMessageError&) {
       continue;  // a corrupt request is recovered by the master's ladder
     }
@@ -407,26 +303,19 @@ void run_fault_tolerant_node(mpx::Comm& comm, const WallSpec& spec,
     if (message->tag != kTagWork) continue;
 
     mpx::PayloadReader reader(message->payload);
-    const auto count = reader.read<std::uint64_t>();
-    std::vector<std::size_t> tiles(static_cast<std::size_t>(count));
-    for (auto& tile : tiles) {
-      tile = static_cast<std::size_t>(reader.read<std::uint64_t>());
-    }
     const CommandList node_commands = read_commands(reader);
-
-    NodeReport report;
-    Timer render_timer;
-    for (const std::size_t tile : tiles) {
-      const layout::Rect rect = spec.tile_rect(tile);
-      const render::Framebuffer tile_fb =
-          raster_tile(node_commands, rect, &report.executed);
-      comm.send_vector<render::Rgb8>(0, kTagPixels,
-                                     pack_tile_pixels(tile, tile_fb));
+    const auto tile_ids = reader.read<std::uint64_t>();
+    for (std::uint64_t i = 0; i < tile_ids; ++i) {
+      const auto tile = reader.read<std::uint64_t>();
+      const TileRaster raster = raster_tile(
+          node_commands, spec.tile_rect(static_cast<std::size_t>(tile)));
+      mpx::PayloadWriter writer;
+      writer.write<std::uint64_t>(tile);
+      writer.write<std::uint64_t>(raster.executed);
+      writer.write<double>(raster.seconds);
+      writer.write_span(std::span<const render::Rgb8>(raster.pixels.pixels()));
+      comm.send(0, kTagPixels, writer.take());
     }
-    report.render_seconds = render_timer.seconds();
-    const std::vector<double> packed{
-        report.render_seconds, static_cast<double>(report.executed)};
-    comm.send_vector<double>(0, kTagStats, packed);
   }
 }
 
@@ -456,10 +345,9 @@ FrameResult render_wall_frame(const CommandList& commands,
   if (node_count == 0) node_count = spec.tile_count();
   node_count = std::min(node_count, spec.tile_count());
 
-  const bool fault_tolerant = options.tile_deadline.count() > 0;
-  FV_REQUIRE(!options.faults.any() || fault_tolerant,
-             "fault injection requires a tile deadline: the trusting path "
-             "cannot recover a lost message");
+  FV_REQUIRE(!options.faults.any() || options.tile_deadline.count() > 0,
+             "fault injection requires a tile deadline: without one every "
+             "wait is unbounded and a lost message would hang the frame");
   FV_REQUIRE(options.faults.crash_rank != 0,
              "rank 0 is the wall master and must survive the frame");
 
@@ -472,25 +360,18 @@ FrameResult render_wall_frame(const CommandList& commands,
   Timer frame_timer;
   // Rank 0 = master (holds the command stream, composites); ranks 1..N are
   // the per-tile cluster nodes.
-  const int ranks = static_cast<int>(node_count) + 1;
-  if (!fault_tolerant) {
-    run_trusting_frame(commands, spec, options.distribution, node_count,
-                       result);
-  } else {
-    mpx::FaultSpec faults = options.faults;
-    faults.exempt_tags.push_back(kTagShutdown);
-    mpx::run_group(
-        ranks,
-        [&](mpx::Comm& comm) {
-          if (comm.rank() == 0) {
-            run_fault_tolerant_master(comm, commands, spec, options,
-                                      node_count, result);
-          } else {
-            run_fault_tolerant_node(comm, spec, options);
-          }
-        },
-        faults);
-  }
+  mpx::FaultSpec faults = options.faults;
+  faults.exempt_tags.push_back(kTagShutdown);
+  mpx::run_group(
+      static_cast<int>(node_count) + 1,
+      [&](mpx::Comm& comm) {
+        if (comm.rank() == 0) {
+          run_master(comm, commands, spec, options, node_count, result);
+        } else {
+          run_node(comm, spec, options);
+        }
+      },
+      faults);
   result.stats.total_seconds = frame_timer.seconds();
   return result;
 }

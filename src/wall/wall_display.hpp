@@ -49,21 +49,23 @@ enum class Distribution {
 
 /// Knobs for one wall frame, including the fault-tolerance ladder.
 ///
-/// With tile_deadline == 0 (the default) the frame runs the trusting fast
-/// path: every node is assumed alive and every message intact, and a node
-/// failure blocks forever — byte-for-byte the pre-robustness protocol, with
-/// zero added cost. With tile_deadline > 0 the master runs the degradation
-/// ladder instead (see src/wall/README.md): wait one deadline window for
-/// tile results, then resend the missing tiles' command substreams to their
-/// owner nodes (one bounded retry with backoff), then reassign still-missing
-/// tiles to nodes that have proven alive, and finally rasterize whatever
-/// remains master-side. Every rung re-renders the same deterministic
-/// commands, so a degraded frame stays pixel-identical to render_reference.
+/// Every frame runs one protocol (see src/wall/README.md): the master sends
+/// each node a work message naming its tiles, nodes answer with one pixel
+/// message per tile, and the master composites. tile_deadline only bounds
+/// the waits. With tile_deadline == 0 (the default) every wait is unbounded,
+/// so the frame simply blocks until all tiles arrive. With tile_deadline > 0
+/// the master walks the degradation ladder when tiles are missing: wait one
+/// deadline window for tile results, then resend the missing tiles' command
+/// substreams to their owner nodes (one bounded retry with backoff), then
+/// reassign still-missing tiles to nodes that have proven alive, and finally
+/// rasterize whatever remains master-side. Every rung re-renders the same
+/// deterministic commands, so a degraded frame stays pixel-identical to
+/// render_reference.
 struct WallOptions {
   Distribution distribution = Distribution::kBroadcast;
   /// Cluster nodes (mpx ranks beyond the master); 0 = one per tile.
   std::size_t node_count = 0;
-  /// Master-side wait per ladder rung; 0 disables fault tolerance.
+  /// Master-side wait per ladder rung; 0 = unbounded waits (no recovery).
   std::chrono::milliseconds tile_deadline{0};
   /// Pause before the retry rung (gives a merely-slow node a chance).
   std::chrono::milliseconds retry_backoff{5};
@@ -79,14 +81,16 @@ struct WallOptions {
 
 struct FrameStats {
   double total_seconds = 0.0;          ///< wall-clock for the whole frame
-  double max_node_render_seconds = 0.0;///< slowest node's raster time
+  /// Largest per-source sum of tile raster time over composited tiles
+  /// (raster only: command decode, pixel packing and sends are excluded).
+  double max_node_render_seconds = 0.0;
   std::size_t commands_total = 0;      ///< commands in the stream
-  std::size_t commands_executed = 0;   ///< sum over tiles after culling
+  std::size_t commands_executed = 0;   ///< sum over composited tiles
   std::size_t bytes_distributed = 0;   ///< payload bytes shipped to nodes
   std::size_t pixels = 0;              ///< pixels in the assembled frame
 
-  // Degradation accounting (fault-tolerant mode only; all zero on the
-  // trusting fast path and on a healthy deadline-mode frame).
+  // Degradation accounting (all zero on a frame without a deadline and on
+  // a healthy deadline-mode frame).
   std::size_t retries = 0;             ///< tiles resent to their owner node
   std::size_t reassigned_tiles = 0;    ///< tiles moved to a surviving node
   std::size_t master_rastered_tiles = 0;  ///< tiles rendered by the master
@@ -113,7 +117,8 @@ FrameResult render_wall_frame(const CommandList& commands,
 
 /// Full-options variant: deadlines, bounded retries, reassignment, and
 /// master-side fallback raster (plus deterministic fault injection for
-/// tests). The no-deadline default is exactly the legacy trusting path.
+/// tests). Both overloads run the same protocol; the no-deadline default
+/// only makes every wait unbounded.
 FrameResult render_wall_frame(const CommandList& commands,
                               const WallSpec& spec,
                               const WallOptions& options);

@@ -1,4 +1,4 @@
-// Tests for hierarchical clustering, distances, tree cuts and k-means.
+// Tests for hierarchical clustering, distances and tree cuts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 
 #include "cluster/distance.hpp"
 #include "cluster/hclust.hpp"
-#include "cluster/kmeans.hpp"
 #include "expr/synth.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
@@ -351,34 +350,5 @@ TEST_P(CutKPropertyTest, PartitionWithExactlyK) {
 
 INSTANTIATE_TEST_SUITE_P(KSweep, CutKPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 16));
-
-TEST(KMeansTest, SeparatesPlantedBlobs) {
-  const auto m = two_blob_matrix(12, 10, 23);
-  fv::Rng rng(1);
-  const auto result = cl::kmeans_rows(m, 2, rng);
-  ASSERT_EQ(result.assignment.size(), m.rows());
-  // All rows of one blob share a label, and the blobs differ.
-  for (std::size_t r = 1; r < 12; ++r) {
-    EXPECT_EQ(result.assignment[r], result.assignment[0]);
-  }
-  for (std::size_t r = 13; r < 24; ++r) {
-    EXPECT_EQ(result.assignment[r], result.assignment[12]);
-  }
-  EXPECT_NE(result.assignment[0], result.assignment[12]);
-}
-
-TEST(KMeansTest, KEqualsRowsGivesZeroInertia) {
-  const auto m = two_blob_matrix(3, 6, 25);
-  fv::Rng rng(2);
-  const auto result = cl::kmeans_rows(m, m.rows(), rng);
-  EXPECT_NEAR(result.inertia, 0.0, 1e-6);
-}
-
-TEST(KMeansTest, InvalidKThrows) {
-  const auto m = two_blob_matrix(3, 6, 27);
-  fv::Rng rng(3);
-  EXPECT_THROW(cl::kmeans_rows(m, 0, rng), fv::InvalidArgument);
-  EXPECT_THROW(cl::kmeans_rows(m, m.rows() + 1, rng), fv::InvalidArgument);
-}
 
 }  // namespace

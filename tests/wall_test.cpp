@@ -202,6 +202,23 @@ TEST(WallFrameTest, CullingSkipsOffTileCommands) {
   EXPECT_EQ(result.stats.commands_executed, 2u);
 }
 
+TEST(WallFrameTest, TileIdsBeyondSixteenBitsCompositeInPlace) {
+  // 65,792 one-pixel tiles: tile 65,536 must land at (1, 255), not over
+  // tile 0.
+  const wl::WallSpec spec{257, 256, 1, 1};
+  wl::RecordingCanvas canvas;
+  canvas.fill_rect(0, 0, 257, 256, rd::colors::kBlue);
+  canvas.fill_rect(0, 200, 257, 56, rd::colors::kRed);
+  canvas.fill_rect(1, 255, 3, 1, rd::colors::kGreen);
+  canvas.fill_rect(100, 50, 20, 30, rd::colors::kWhite);
+  const auto commands = canvas.take();
+  const auto reference = wl::render_reference(commands, spec.total_width(),
+                                              spec.total_height());
+  const auto result = wl::render_wall_frame(
+      commands, spec, wl::Distribution::kBroadcast, 2);
+  EXPECT_EQ(result.frame, reference);
+}
+
 // Property sweep: wall == reference across tile grids and node counts.
 class WallEquivalencePropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -244,6 +261,15 @@ TEST(WallFaultToleranceTest, HealthyDeadlineFrameStaysExactAndUndegraded) {
   EXPECT_EQ(result.stats.retries, 0u);
   EXPECT_EQ(result.stats.reassigned_tiles, 0u);
   EXPECT_EQ(result.stats.master_rastered_tiles, 0u);
+
+  // Stats ride with the pixels, so a healthy deadline frame is as exact as
+  // one without a deadline: same protocol, same bytes, same counts.
+  wl::WallOptions unbounded = options;
+  unbounded.tile_deadline = std::chrono::milliseconds(0);
+  const auto baseline = wl::render_wall_frame(commands, spec, unbounded);
+  EXPECT_EQ(baseline.frame, result.frame);
+  EXPECT_EQ(baseline.stats.commands_executed, result.stats.commands_executed);
+  EXPECT_EQ(baseline.stats.bytes_distributed, result.stats.bytes_distributed);
 }
 
 TEST(WallFaultToleranceTest, CrashedNodeTilesAreRecovered) {
