@@ -77,7 +77,7 @@ ex::ExpressionMatrix module_block_matrix() {
 }
 
 /// The shared world every benchmark uses: one artifact store holding the
-/// n=4000 engine, opened BORROWED-MAPPED (open_or_build_engine_mapped), so
+/// n=4000 engine, opened BORROWED-MAPPED (open_or_build_engine), so
 /// all services, sessions and client threads read one shared mapping.
 struct BenchWorld {
   std::string root;
@@ -111,7 +111,7 @@ struct BenchWorld {
 
     store = std::make_unique<st::ArtifactStore>(root + "/store");
     auto engine = std::make_shared<fv::sim::SimilarityEngine>(
-        st::open_or_build_engine_mapped(
+        st::open_or_build_engine(
             *store, input_key, [&] { return (*datasets)[0].values(); },
             fv::sim::Metric::kPearson));
     // SPELL is deliberately absent: the bench workload is cluster/topk.

@@ -4,7 +4,7 @@
 // with missing cells zeroed + the presence bitmask), so consumers that
 // need the original matrix — kNN imputation's fill loop, exports, tests —
 // can reconstruct it from the engine alone. The interesting case is a
-// borrowed-mapped engine (store::open_engine_mapped): the rows then come
+// borrowed-mapped engine (store::open_or_build_engine): the rows then come
 // straight off the artifact mapping, meaning a warm process can serve
 // compendium values without ever materializing a second heap copy of the
 // matrix, and without re-parsing a single input file.

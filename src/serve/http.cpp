@@ -52,28 +52,103 @@ std::string lower(std::string_view s) {
   return out;
 }
 
-/// Reads until the buffer holds a complete request (headers + declared
-/// body) or the peer closes. Returns false on overflow of `max_bytes`.
-bool read_request(int fd, std::size_t max_bytes, std::string& buffer) {
+/// Parses the request line and header lines of `raw` into `request` —
+/// `head_end` is the offset of the "\r\n\r\n" closing the header block —
+/// and returns the body length its Content-Length header declares (0 when
+/// absent). Header names are matched whole, per line, so a header VALUE
+/// that happens to contain "content-length:" declares nothing.
+std::size_t parse_head(std::string_view raw, std::size_t head_end,
+                       HttpRequest& request) {
+  const std::size_t line_end = raw.find("\r\n");
+  if (line_end == std::string_view::npos) {
+    throw ParseError("http: missing request line");
+  }
+  const std::string_view line = raw.substr(0, line_end);
+  const std::size_t sp1 = line.find(' ');
+  const std::size_t sp2 = line.rfind(' ');
+  if (sp1 == std::string_view::npos || sp2 == sp1) {
+    throw ParseError("http: malformed request line");
+  }
+  request.method = std::string(line.substr(0, sp1));
+  std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::string_view version = line.substr(sp2 + 1);
+  if (version.substr(0, 5) != "HTTP/") {
+    throw ParseError("http: bad protocol version");
+  }
+  const std::size_t qmark = target.find('?');
+  if (qmark != std::string_view::npos) {
+    std::string_view qs = target.substr(qmark + 1);
+    while (!qs.empty()) {
+      const std::size_t amp = qs.find('&');
+      const std::string_view pair = qs.substr(0, amp);
+      const std::size_t eq = pair.find('=');
+      if (eq == std::string_view::npos) {
+        request.query[url_decode(pair)] = "";
+      } else {
+        request.query[url_decode(pair.substr(0, eq))] =
+            url_decode(pair.substr(eq + 1));
+      }
+      if (amp == std::string_view::npos) break;
+      qs.remove_prefix(amp + 1);
+    }
+    target = target.substr(0, qmark);
+  }
+  request.path = url_decode(target);
+  if (request.path.empty() || request.path[0] != '/') {
+    throw ParseError("http: target must be an absolute path");
+  }
+
+  std::size_t cursor = line_end + 2;
+  while (cursor < head_end) {
+    const std::size_t eol = raw.find("\r\n", cursor);
+    const std::string_view header = raw.substr(cursor, eol - cursor);
+    const std::size_t colon = header.find(':');
+    if (colon == std::string_view::npos) {
+      throw ParseError("http: malformed header line");
+    }
+    std::string_view value = header.substr(colon + 1);
+    while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
+      value.remove_prefix(1);
+    }
+    request.headers[lower(header.substr(0, colon))] = std::string(value);
+    cursor = eol + 2;
+  }
+
+  const auto it = request.headers.find("content-length");
+  if (it == request.headers.end()) return 0;
+  char* end = nullptr;
+  const auto content_length =
+      static_cast<std::size_t>(std::strtoull(it->second.c_str(), &end, 10));
+  if (end == it->second.c_str()) throw ParseError("http: bad Content-Length");
+  return content_length;
+}
+
+/// Reads until the buffer holds a complete request (head + declared body)
+/// and parses it into `request` — the head exactly once, as soon as its
+/// terminator arrives, since its Content-Length says how much body to wait
+/// for. Returns false on overflow of `max_bytes` or when the peer closes
+/// early; throws ParseError on a malformed head.
+bool read_request(int fd, std::size_t max_bytes, std::string& buffer,
+                  HttpRequest& request) {
   char chunk[4096];
-  std::size_t need = std::string::npos;  ///< total bytes once known
+  std::size_t body_begin = std::string::npos;  ///< known once head parsed
+  std::size_t body_bytes = 0;
   while (buffer.size() < max_bytes) {
-    if (need == std::string::npos) {
-      const std::size_t header_end = buffer.find("\r\n\r\n");
-      if (header_end != std::string::npos) {
-        std::size_t content_length = 0;
-        const std::string lowered = lower(buffer.substr(0, header_end));
-        const std::size_t cl = lowered.find("content-length:");
-        if (cl != std::string::npos) {
-          content_length = static_cast<std::size_t>(
-              std::strtoull(lowered.c_str() + cl + 15, nullptr, 10));
-        }
-        need = header_end + 4 + content_length;
+    if (body_begin == std::string::npos) {
+      const std::size_t head_end = buffer.find("\r\n\r\n");
+      if (head_end != std::string::npos) {
+        body_bytes = parse_head(buffer, head_end, request);
+        body_begin = head_end + 4;
+        if (body_bytes >= max_bytes) return false;  // can never fit
       }
     }
-    if (need != std::string::npos && buffer.size() >= need) return true;
+    if (body_begin != std::string::npos &&
+        buffer.size() >= body_begin + body_bytes) {
+      request.body = buffer.substr(body_begin, body_bytes);
+      return true;
+    }
     const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-    if (got == 0) return need != std::string::npos && buffer.size() >= need;
+    if (got == 0) return false;
     if (got < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -118,77 +193,13 @@ const char* http_status_reason(int status) {
 
 HttpRequest parse_http_request(std::string_view raw, std::size_t max_bytes) {
   if (raw.size() > max_bytes) throw ParseError("http: request too large");
-  const std::size_t line_end = raw.find("\r\n");
-  if (line_end == std::string_view::npos) {
-    throw ParseError("http: missing request line");
-  }
-  const std::string_view line = raw.substr(0, line_end);
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 = line.rfind(' ');
-  if (sp1 == std::string_view::npos || sp2 == sp1) {
-    throw ParseError("http: malformed request line");
-  }
-  HttpRequest request;
-  request.method = std::string(line.substr(0, sp1));
-  std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::string_view version = line.substr(sp2 + 1);
-  if (version.substr(0, 5) != "HTTP/") {
-    throw ParseError("http: bad protocol version");
-  }
-  const std::size_t qmark = target.find('?');
-  if (qmark != std::string_view::npos) {
-    std::string_view qs = target.substr(qmark + 1);
-    while (!qs.empty()) {
-      const std::size_t amp = qs.find('&');
-      const std::string_view pair = qs.substr(0, amp);
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        request.query[url_decode(pair)] = "";
-      } else {
-        request.query[url_decode(pair.substr(0, eq))] =
-            url_decode(pair.substr(eq + 1));
-      }
-      if (amp == std::string_view::npos) break;
-      qs.remove_prefix(amp + 1);
-    }
-    target = target.substr(0, qmark);
-  }
-  request.path = url_decode(target);
-  if (request.path.empty() || request.path[0] != '/') {
-    throw ParseError("http: target must be an absolute path");
-  }
-
-  std::size_t cursor = line_end + 2;
-  const std::size_t headers_end = raw.find("\r\n\r\n", line_end);
-  if (headers_end == std::string_view::npos) {
+  const std::size_t head_end = raw.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) {
     throw ParseError("http: missing header terminator");
   }
-  while (cursor < headers_end) {
-    const std::size_t eol = raw.find("\r\n", cursor);
-    const std::string_view header = raw.substr(cursor, eol - cursor);
-    const std::size_t colon = header.find(':');
-    if (colon == std::string_view::npos) {
-      throw ParseError("http: malformed header line");
-    }
-    std::string_view value = header.substr(colon + 1);
-    while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
-      value.remove_prefix(1);
-    }
-    request.headers[lower(header.substr(0, colon))] = std::string(value);
-    cursor = eol + 2;
-  }
-
-  std::size_t content_length = 0;
-  if (const auto it = request.headers.find("content-length");
-      it != request.headers.end()) {
-    char* end = nullptr;
-    content_length =
-        static_cast<std::size_t>(std::strtoull(it->second.c_str(), &end, 10));
-    if (end == it->second.c_str()) {
-      throw ParseError("http: bad Content-Length");
-    }
-  }
-  const std::string_view body = raw.substr(headers_end + 4);
+  HttpRequest request;
+  const std::size_t content_length = parse_head(raw, head_end, request);
+  const std::string_view body = raw.substr(head_end + 4);
   if (body.size() < content_length) {
     throw ParseError("http: body shorter than Content-Length");
   }
@@ -281,18 +292,17 @@ void HttpServer::listener_loop() {
 
 void HttpServer::serve_connection(int fd) {
   std::string buffer;
+  HttpRequest request;
   HttpResponse response;
-  if (!read_request(fd, options_.max_request_bytes, buffer)) {
-    response.status = 413;
-    JsonValue error = JsonValue::object();
-    error["error"] = "request too large or truncated";
-    response.body = error.dump();
-    write_all(fd, format_http_response(response));
-    return;
-  }
   try {
-    const HttpRequest request =
-        parse_http_request(buffer, options_.max_request_bytes);
+    if (!read_request(fd, options_.max_request_bytes, buffer, request)) {
+      response.status = 413;
+      JsonValue error = JsonValue::object();
+      error["error"] = "request too large or truncated";
+      response.body = error.dump();
+      write_all(fd, format_http_response(response));
+      return;
+    }
     response = handler_(request);
   } catch (const ParseError& error) {
     response.status = 400;

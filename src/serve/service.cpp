@@ -149,7 +149,7 @@ SharedCompendium open_shared_compendium(
     std::shared_ptr<const std::vector<expr::Dataset>> datasets,
     sim::Metric metric, par::ThreadPool& pool) {
   auto engine =
-      std::make_shared<sim::SimilarityEngine>(store::open_or_build_engine_mapped(
+      std::make_shared<sim::SimilarityEngine>(store::open_or_build_engine(
           store, input_key, load_matrix, metric));
   std::shared_ptr<const spell::SpellSearch> spell;
   if (datasets != nullptr) {
@@ -594,31 +594,20 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
   int error_status = 500;
   bool was_cached = false;
   try {
-    // Persistent warm path first: a restarted server finds the blob a
-    // previous process committed and serves its exact bytes.
+    const auto compute = [&]() { return compute_job(job->type, job->params); };
     if (options_.store != nullptr) {
-      if (std::optional<std::string> blob =
-              store::load_blob(*options_.store, job->cache_key)) {
-        result = std::make_shared<const std::string>(*std::move(blob));
-        stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        was_cached = true;
-      }
+      // A restarted server serves the blob a previous process committed,
+      // byte for byte. StoreCrashed flies through the ladder to the catch
+      // below: a death mid-commit fails the job and leaves fsck the store.
+      store::OpenStats open_stats;
+      result = std::make_shared<const std::string>(store::open_or_compute_blob(
+          *options_.store, job->cache_key, compute, &open_stats));
+      was_cached = open_stats.warm;
+    } else {
+      result = std::make_shared<const std::string>(compute());
     }
-    if (result == nullptr) {
-      result = std::make_shared<const std::string>(
-          compute_job(job->type, job->params));
-      stats_.computes.fetch_add(1, std::memory_order_relaxed);
-      if (options_.store != nullptr) {
-        // Best-effort persist, exactly like load_or_compute's cold path: an
-        // IoError (disk full, unwritable dir) degrades to memory-only
-        // caching. StoreCrashed is NOT caught here — a simulated process
-        // death mid-commit must fail the job and leave the store for fsck.
-        try {
-          store::put_blob(*options_.store, job->cache_key, *result);
-        } catch (const IoError&) {
-        }
-      }
-    }
+    (was_cached ? stats_.cache_hits : stats_.computes)
+        .fetch_add(1, std::memory_order_relaxed);
   } catch (const Error& e) {
     error = e.what();
     error_status = error_http_status(e);

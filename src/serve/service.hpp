@@ -80,9 +80,9 @@ SharedCompendium make_shared_compendium(
     std::shared_ptr<const spell::SpellSearch> spell = nullptr);
 
 /// Opens the compendium through the artifact store: the engine via
-/// open_or_build_engine_mapped (zero-copy shared mapping on every path
-/// where a trustworthy artifact exists), the SPELL banks via
-/// open_or_build_spell when `datasets` is given. `input_key` and
+/// open_or_build_engine (zero-copy shared mapping on every path where a
+/// trustworthy artifact exists), the SPELL banks via open_or_build_spell
+/// when `datasets` is given (borrowed on warm opens). `input_key` and
 /// `load_matrix` are as in open_or_build_engine.
 SharedCompendium open_shared_compendium(
     store::ArtifactStore& store, store::ArtifactKey input_key,

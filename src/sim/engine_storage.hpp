@@ -1,25 +1,26 @@
 // Engine storage abstraction: owned-heap versus borrowed-mapped state.
 //
 // Every precomputed array the similarity spine reads (normalized rows,
-// filled rows, missing bitmasks, segment norms, LSH signature banks) used
-// to be a std::vector baked into its owner, which meant the only way to
-// open a persisted engine was to copy the whole artifact back into
-// anonymous heap — n stayed RAM-bound even though the artifact store
-// already held the exact bytes on disk. ArrayRef<T> makes the storage mode
-// a property of each array instead of the class: an OWNED ArrayRef is a
-// std::vector with the usual mutating surface, a BORROWED one is a
-// read-only span into a long-lived mapping (store::open_engine_mapped).
-// Read paths (.data() const / operator[] const / span()) are identical in
-// both modes — the tile kernels, top-k, pruned and LSH paths compile
-// unchanged and produce bit-identical results either way. Mutations are
-// owned-only by contract and fail loudly on a borrowed array.
+// filled rows, missing bitmasks, segment norms, LSH signature banks) is an
+// ArrayRef<T>, which makes the storage mode a property of each array
+// instead of the class. An OWNED ArrayRef is a std::vector with the usual
+// mutating surface — what SimilarityEngine::build and the LSH build fill.
+// A BORROWED one is a read-only span into a long-lived mapping — what the
+// artifact store's codecs restore (store/cached.hpp): every persisted
+// engine, LSH index and SPELL dot bank is decoded by borrowing, never by
+// copying back into anonymous heap, so n is not RAM-bound even though the
+// store holds the exact bytes on disk. Read paths (.data() const /
+// operator[] const / span()) are identical in both modes — the tile
+// kernels, top-k, pruned and LSH paths compile unchanged and produce
+// bit-identical results either way. Mutations are owned-only by contract
+// and fail loudly on a borrowed array.
 //
 // EngineStoragePin is the lifetime + residency contract of borrowed mode:
 // whoever lends the spans (the artifact reader in store/cached.cpp) hands
 // the engine a pin that (a) keeps the mapping alive at least as long as
 // the engine, (b) can drop clean file-backed pages the streaming tile
 // driver is done with (release_pages -> madvise(MADV_DONTNEED)), and
-// (c) re-validates the backing file before compute phases touch unfaulted
+// (c) re-validates the backing file before read phases touch unfaulted
 // pages (check_backing -> fv::CorruptArtifactError on a shrunk file,
 // instead of a mid-compute SIGBUS). Owned engines carry no pin and every
 // hook is a no-op.
@@ -35,7 +36,7 @@ namespace fv::sim {
 
 /// Which storage mode an engine's (or LSH index's) state arrays use.
 enum class EngineStorage {
-  kOwnedHeap,       ///< std::vector-backed; built or codec-copied state
+  kOwnedHeap,       ///< std::vector-backed; freshly built state
   kBorrowedMapped,  ///< read-only spans into a pinned artifact mapping
 };
 
@@ -130,13 +131,6 @@ class ArrayRef {
   void push_back(const T& value) {
     require_owned();
     owned_.push_back(value);
-  }
-  /// Takes ownership of `values` (the codec's heap-restore path).
-  ArrayRef& operator=(std::vector<T>&& values) {
-    view_ = nullptr;
-    view_size_ = 0;
-    owned_ = std::move(values);
-    return *this;
   }
 
  private:

@@ -86,9 +86,9 @@ class LshIndex {
   std::size_t slice_bits() const noexcept { return slice_bits_; }
 
   /// Where the signature bank and bucket tables live: kOwnedHeap for built
-  /// or codec-copied indexes, kBorrowedMapped for indexes served as spans
-  /// into a pinned artifact mapping (store::open_lsh_mapped). Candidate
-  /// generation is identical in both modes.
+  /// indexes, kBorrowedMapped for indexes restored from the artifact store
+  /// (store::LshCodec::load) as spans into a pinned artifact mapping.
+  /// Candidate generation is identical in both modes.
   EngineStorage storage() const noexcept {
     return pin_ == nullptr ? EngineStorage::kOwnedHeap
                            : EngineStorage::kBorrowedMapped;
@@ -126,8 +126,17 @@ class LshIndex {
   /// default constructor + direct field access; a warm reopen must never
   /// re-project n × bits hyperplanes (that build cost is what it saves).
   friend class fv::store::LshCodec;
+  /// top_k_neighbors re-validates a prebuilt index's backing before its
+  /// candidate sweep walks the borrowed tables.
+  friend class SimilarityEngine;
 
   LshIndex() = default;
+
+  /// No-op on built indexes; on borrowed ones throws
+  /// fv::CorruptArtifactError if the artifact shrank under the mapping.
+  void check_backing() const {
+    if (pin_ != nullptr) pin_->check_backing();
+  }
 
   /// One bucket table: profile ids sorted by (slice key, id); a bucket is
   /// a run of equal keys, looked up by binary search. Sorted storage keeps
@@ -153,7 +162,7 @@ class LshIndex {
   /// Per (row, table): the probes−1 slice-bit indices with the smallest
   /// projection margin, in flip order. Empty when probes == 1.
   ArrayRef<std::uint16_t> probe_bits_;
-  /// Set only on borrowed-mapped indexes (store::open_lsh_mapped): keeps
+  /// Set only on borrowed-mapped indexes (store::LshCodec::load): keeps
   /// the artifact mapping alive as long as this index.
   std::shared_ptr<const EngineStoragePin> pin_;
 };

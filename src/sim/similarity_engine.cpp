@@ -857,6 +857,8 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     FV_REQUIRE(lsh_index == nullptr || lsh_index->size() == n,
                "prebuilt LSH index covers a different profile count than "
                "this engine");
+    // A borrowed prebuilt index walks its own mapping: same guard.
+    if (lsh_index != nullptr) lsh_index->check_backing();
     std::optional<LshIndex> built;
     if (lsh_index == nullptr) built.emplace(*this, lsh, pool);
     const LshIndex& index = lsh_index != nullptr ? *lsh_index : *built;
@@ -1140,6 +1142,7 @@ void SimilarityEngine::dot_all(std::span<const float> query,
              "dot_all() requires a Pearson-family metric");
   FV_REQUIRE(query.size() == stride_, "query must have stride() entries");
   FV_REQUIRE(out.size() == count_, "output must have size() entries");
+  check_backing();
   for (std::size_t i = 0; i < count_; ++i) {
     out[i] = dot_padded(normalized_.data() + i * stride_, query.data(),
                         stride_);

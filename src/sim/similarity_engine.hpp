@@ -28,6 +28,10 @@ namespace fv::store {
 class EngineCodec;  // store/cached.hpp — persists engine state verbatim
 }  // namespace fv::store
 
+namespace fv::spell {
+class SpellSearch;  // spell/spell.hpp — scores queries against dot banks
+}  // namespace fv::spell
+
 namespace fv::sim {
 
 class LshIndex;  // sim/lsh.hpp — kApprox candidate generator
@@ -216,10 +220,10 @@ class SimilarityEngine {
   std::size_t stride() const noexcept { return stride_; }
   Metric metric() const noexcept { return metric_; }
 
-  /// Where this engine's state arrays live: kOwnedHeap for built or
-  /// codec-copied engines, kBorrowedMapped for engines whose arrays are
-  /// read-only spans into a pinned artifact mapping
-  /// (store::open_engine_mapped). Every query and tile path produces
+  /// Where this engine's state arrays live: kOwnedHeap for freshly built
+  /// engines, kBorrowedMapped for engines restored from the artifact store
+  /// (store::EngineCodec::load), whose arrays are read-only spans into a
+  /// pinned artifact mapping. Every query and tile path produces
   /// bit-identical results in both modes — this only reports residency.
   EngineStorage storage() const noexcept {
     return pin_ == nullptr ? EngineStorage::kOwnedHeap
@@ -334,7 +338,8 @@ class SimilarityEngine {
   /// engine (it must have size() == size()) that the kApprox path reuses
   /// instead of building one — the artifact store hands warm-reopened
   /// indexes in through here, skipping the O(n·bits) signature build that
-  /// dominates approximate top-k. Ignored by the exact strategies.
+  /// dominates approximate top-k. Ignored by the exact strategies. A
+  /// borrowed index's backing is checked like the engine's own.
   NeighborTable top_k_neighbors(std::size_t k, par::ThreadPool& pool,
                                 std::size_t min_common = 0,
                                 TopKStrategy strategy = TopKStrategy::kAuto,
@@ -386,7 +391,9 @@ class SimilarityEngine {
   /// one-vs-all kernel behind SPELL scoring. `query` must have stride()
   /// entries (zero-padded past length()). Pearson-family metrics only:
   /// a Spearman bank has no normalized rows for profiles with missing
-  /// cells, so a dot there would silently score them 0.
+  /// cells, so a dot there would silently score them 0. On a borrowed
+  /// engine whose artifact shrank after open, throws
+  /// fv::CorruptArtifactError before reading a row.
   void dot_all(std::span<const float> query, std::span<double> out) const;
 
  private:
@@ -394,6 +401,9 @@ class SimilarityEngine {
   /// every private field verbatim — serialization stays out of this class,
   /// state stays out of the public API.
   friend class fv::store::EngineCodec;
+  /// SPELL reads a few query rows to build its centroid before dot_all,
+  /// so it runs the same backing check first (check_backing below).
+  friend class fv::spell::SpellSearch;
 
   Metric metric_ = Metric::kPearson;
   Precompute precompute_ = Precompute::kAllPairs;
@@ -403,10 +413,9 @@ class SimilarityEngine {
   std::size_t stride_ = 0;
   std::size_t mask_words_ = 0;
   /// Engine state arrays are ArrayRef (sim/engine_storage.hpp): owned
-  /// std::vectors on built/codec-copied engines, read-only spans into the
-  /// artifact mapping held alive by pin_ on borrowed-mapped ones. All read
-  /// paths below are mode-blind; only build() and the codec mutate, and
-  /// only in owned mode.
+  /// std::vectors on built engines, read-only spans into the artifact
+  /// mapping held alive by pin_ on restored ones. All read paths below are
+  /// mode-blind; only build() mutates, and only in owned mode.
   ///
   /// count x stride with NaNs preserved; only the Spearman masked fallback
   /// needs original missing markers, so this stays empty otherwise (every

@@ -126,6 +126,9 @@ SpellResult SpellSearch::search(const std::vector<std::string>& query,
 
   std::vector<DatasetContribution> contributions(datasets.size());
   par::parallel_for(pool, 0, datasets.size(), 1, [&](std::size_t d) {
+    // A bank restored from the artifact store borrows its rows from the
+    // mapping: prove the file is intact before the centroid reads them.
+    engines_[d].check_backing();
     contributions[d] = score_dataset(datasets[d], engines_[d], query);
   });
 

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -159,8 +160,8 @@ enum class PageResidency {
   /// Map on demand and checksum in bounded chunks, releasing each chunk's
   /// pages after hashing: validation is still complete (every payload
   /// byte is hashed before any section is served) but peak residency is
-  /// one chunk, not the artifact. The open mode behind out-of-core
-  /// borrowed-mapped engines (store::open_engine_mapped).
+  /// one chunk, not the artifact. The open mode behind every decoder
+  /// that borrows (engine, LSH and SPELL codecs in store/cached.hpp).
   kOnDemand,
 };
 
@@ -218,8 +219,8 @@ class ArtifactReader {
   /// Re-validates the mapping's backing file: throws CorruptArtifactError
   /// if the file shrank after open (a foreign truncate), in which case a
   /// read of any span past the new EOF would be SIGBUS, not an exception.
-  /// Borrowed-mapped engines call this through their EngineStoragePin
-  /// before every compute phase that walks unfaulted pages.
+  /// Borrowed-mapped engines and LSH indexes call this through their
+  /// EngineStoragePin before every read phase that walks unfaulted pages.
   void check_backing() const {
     if (file_.disk_size() < file_.size()) {
       throw CorruptArtifactError(
@@ -347,10 +348,12 @@ struct OpenStats {
   bool persisted = false;  ///< the computed value was committed
 };
 
-/// The recompute-or-repair degradation ladder shared by every cached
-/// consumer:
+/// The recompute-or-repair degradation ladder — the ONLY one: every cached
+/// consumer, the engine open and the serving layer's result blobs go
+/// through it.
 ///
-///   1. try the artifact — valid  -> serve it (warm, milliseconds);
+///   1. open the artifact and hand the shared reader to `load` — valid ->
+///      serve it (warm, milliseconds);
 ///   2. corrupt          -> quarantine, log, fall through;
 ///      stale            -> remove, log, fall through;
 ///      unreadable       -> log, fall through;
@@ -359,19 +362,32 @@ struct OpenStats {
 ///   4. re-persist best-effort (self-healing; a failed commit only costs
 ///      the next process the same recompute, never correctness).
 ///
+/// The open's page residency follows from `kind`: engine and LSH artifacts
+/// (engine, LSH and SPELL codecs) are decoded by borrowing spans for the
+/// value's lifetime, so they open kOnDemand; every other kind is copied
+/// out, so it opens kPrefault. `load` may throw CorruptArtifactError for
+/// structural damage the checksums cannot see (a codec/meta mismatch);
+/// that takes the corrupt rung too.
+///
 /// StoreCrashed propagates untouched: a simulated dead process must not
 /// recover itself. Everything else ends in a correct value or a typed
 /// fv::Error from the compute itself — never silently wrong data.
 template <typename T>
-T load_or_compute(ArtifactStore& store, ArtifactKind kind, ArtifactKey key,
-                  const std::function<T(const ArtifactReader&)>& load,
-                  const std::function<T()>& compute,
-                  const std::function<void(ArtifactWriter&, const T&)>& save,
-                  OpenStats* open_stats = nullptr) {
+T load_or_compute(
+    ArtifactStore& store, ArtifactKind kind, ArtifactKey key,
+    const std::function<T(std::shared_ptr<const ArtifactReader>)>& load,
+    const std::function<T()>& compute,
+    const std::function<void(ArtifactWriter&, const T&)>& save,
+    OpenStats* open_stats = nullptr) {
+  const PageResidency residency =
+      kind == ArtifactKind::kEngine || kind == ArtifactKind::kLshIndex
+          ? PageResidency::kOnDemand
+          : PageResidency::kPrefault;
   bool recovered = false;
   try {
-    if (auto reader = store.open(kind, key)) {
-      T value = load(*reader);
+    if (auto reader = store.open(kind, key, residency)) {
+      T value =
+          load(std::make_shared<const ArtifactReader>(std::move(*reader)));
       store.stats().warm_opens.fetch_add(1, std::memory_order_relaxed);
       if (open_stats != nullptr) open_stats->warm = true;
       return value;

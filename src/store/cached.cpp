@@ -232,50 +232,7 @@ void EngineCodec::save(ArtifactWriter& writer,
   writer.section(engine.seg_norms_.span());
 }
 
-sim::SimilarityEngine EngineCodec::load(const ArtifactReader& reader,
-                                        std::size_t& section) {
-  const auto meta = reader.scalar<EngineMeta>(section++);
-  sim::SimilarityEngine engine;
-  engine.metric_ = static_cast<sim::Metric>(meta.metric);
-  engine.precompute_ = static_cast<sim::Precompute>(meta.precompute);
-  engine.float_kernel_ = meta.float_kernel != 0;
-  engine.prune_slack_ = meta.prune_slack;
-  engine.count_ = static_cast<std::size_t>(meta.count);
-  engine.length_ = static_cast<std::size_t>(meta.length);
-  engine.stride_ = static_cast<std::size_t>(meta.stride);
-  engine.mask_words_ = static_cast<std::size_t>(meta.mask_words);
-  engine.seg_count_ = static_cast<std::size_t>(meta.seg_count);
-  engine.raw_ = reader.vector<float>(section++);
-  engine.filled_ = reader.vector<float>(section++);
-  engine.normalized_ = reader.vector<float>(section++);
-  engine.mask_ = reader.vector<std::uint64_t>(section++);
-  engine.present_ = reader.vector<std::uint32_t>(section++);
-  engine.has_missing_ = reader.vector<std::uint8_t>(section++);
-  engine.degenerate_ = reader.vector<std::uint8_t>(section++);
-  engine.zscale_ = reader.vector<float>(section++);
-  engine.missing_idx_ = reader.vector<std::uint32_t>(section++);
-  engine.missing_begin_ = reader.vector<std::uint32_t>(section++);
-  engine.own_sum_ = reader.vector<double>(section++);
-  engine.own_sumsq_ = reader.vector<double>(section++);
-  engine.seg_norms_ = reader.vector<float>(section++);
-  // The vectors whose sizes are fully determined by the meta are checked
-  // here; checksums catch bit damage, this catches a codec/meta mismatch.
-  // kDotBank engines legitimately persist empty pairwise-only state
-  // (filled rows, masks) — see SimilarityEngine::build.
-  const bool all_pairs =
-      engine.precompute_ == sim::Precompute::kAllPairs;
-  check_section_size(reader, section - 12, engine.filled_.size(),
-                     all_pairs ? engine.count_ * engine.stride_ : 0,
-                     "filled rows");
-  check_section_size(reader, section - 10, engine.mask_.size(),
-                     all_pairs ? engine.count_ * engine.mask_words_ : 0,
-                     "missing masks");
-  check_section_size(reader, section - 9, engine.present_.size(),
-                     engine.count_, "present counts");
-  return engine;
-}
-
-sim::SimilarityEngine EngineCodec::load_mapped(
+sim::SimilarityEngine EngineCodec::load(
     std::shared_ptr<const ArtifactReader> reader, std::size_t& section) {
   const auto meta = reader->scalar<EngineMeta>(section++);
   sim::SimilarityEngine engine;
@@ -288,10 +245,10 @@ sim::SimilarityEngine EngineCodec::load_mapped(
   engine.stride_ = static_cast<std::size_t>(meta.stride);
   engine.mask_words_ = static_cast<std::size_t>(meta.mask_words);
   engine.seg_count_ = static_cast<std::size_t>(meta.seg_count);
-  // Same sections, same order as load() — borrowed instead of copied. The
-  // spans point into the reader's mapping, which the pin below keeps alive
-  // for the engine's whole lifetime (and any engine copied/moved from it:
-  // shared_ptr semantics).
+  // Every state array is borrowed, not copied: the spans point into the
+  // reader's mapping, which the pin below keeps alive for the engine's
+  // whole lifetime (and any engine copied/moved from it: shared_ptr
+  // semantics).
   engine.raw_.borrow(reader->section<float>(section++));
   engine.filled_.borrow(reader->section<float>(section++));
   engine.normalized_.borrow(reader->section<float>(section++));
@@ -305,6 +262,10 @@ sim::SimilarityEngine EngineCodec::load_mapped(
   engine.own_sum_.borrow(reader->section<double>(section++));
   engine.own_sumsq_.borrow(reader->section<double>(section++));
   engine.seg_norms_.borrow(reader->section<float>(section++));
+  // The arrays whose sizes are fully determined by the meta are checked
+  // here; checksums catch bit damage, this catches a codec/meta mismatch.
+  // kDotBank engines legitimately persist empty pairwise-only state
+  // (filled rows, masks) — see SimilarityEngine::build.
   const bool all_pairs =
       engine.precompute_ == sim::Precompute::kAllPairs;
   check_section_size(*reader, section - 12, engine.filled_.size(),
@@ -346,40 +307,8 @@ void LshCodec::save(ArtifactWriter& writer, const sim::LshIndex& index) {
   writer.section(index.probe_bits_.span());
 }
 
-sim::LshIndex LshCodec::load(const ArtifactReader& reader,
+sim::LshIndex LshCodec::load(std::shared_ptr<const ArtifactReader> reader,
                              std::size_t& section) {
-  const auto meta = reader.scalar<LshMeta>(section++);
-  sim::LshIndex index;
-  index.count_ = static_cast<std::size_t>(meta.count);
-  index.bits_ = static_cast<std::size_t>(meta.bits);
-  index.words_ = static_cast<std::size_t>(meta.words);
-  index.slice_bits_ = static_cast<std::size_t>(meta.slice_bits);
-  index.tables_ = static_cast<std::size_t>(meta.tables);
-  index.probes_ = static_cast<std::size_t>(meta.probes);
-  index.signatures_ = reader.vector<std::uint64_t>(section++);
-  const auto keys = reader.section<std::uint64_t>(section++);
-  const auto rows = reader.section<std::uint32_t>(section++);
-  index.probe_bits_ = reader.vector<std::uint16_t>(section++);
-  check_section_size(reader, section - 4, index.signatures_.size(),
-                     index.count_ * index.words_, "signatures");
-  check_section_size(reader, section - 3, keys.size(),
-                     index.tables_ * index.count_, "bucket keys");
-  check_section_size(reader, section - 2, rows.size(),
-                     index.tables_ * index.count_, "bucket rows");
-  index.tables_storage_.resize(index.tables_);
-  for (std::size_t t = 0; t < index.tables_; ++t) {
-    auto& table = index.tables_storage_[t];
-    const std::size_t begin = t * index.count_;
-    table.keys.assign(keys.begin() + begin,
-                      keys.begin() + begin + index.count_);
-    table.rows.assign(rows.begin() + begin,
-                      rows.begin() + begin + index.count_);
-  }
-  return index;
-}
-
-sim::LshIndex LshCodec::load_mapped(
-    std::shared_ptr<const ArtifactReader> reader, std::size_t& section) {
   const auto meta = reader->scalar<LshMeta>(section++);
   sim::LshIndex index;
   index.count_ = static_cast<std::size_t>(meta.count);
@@ -399,8 +328,8 @@ sim::LshIndex LshCodec::load_mapped(
   check_section_size(*reader, section - 2, rows.size(),
                      index.tables_ * index.count_, "bucket rows");
   // Each table borrows its slice of the flat table-major banks — the
-  // sections were written per-table contiguous precisely so a mapped
-  // reopen needs no per-table copies.
+  // sections were written per-table contiguous precisely so a reopen needs
+  // no per-table copies.
   index.tables_storage_.resize(index.tables_);
   for (std::size_t t = 0; t < index.tables_; ++t) {
     auto& table = index.tables_storage_[t];
@@ -435,13 +364,13 @@ void SpellCodec::save(ArtifactWriter& writer,
 }
 
 spell::SpellSearch SpellCodec::load(
-    const ArtifactReader& reader,
+    std::shared_ptr<const ArtifactReader> reader,
     const std::vector<expr::Dataset>& datasets) {
   std::size_t section = 0;
-  const auto bank_count = reader.scalar<std::uint64_t>(section++);
+  const auto bank_count = reader->scalar<std::uint64_t>(section++);
   if (bank_count != datasets.size()) {
     throw CorruptArtifactError(
-        "spell artifact '" + reader.path() + "' holds " +
+        "spell artifact '" + reader->path() + "' holds " +
         std::to_string(bank_count) + " dot banks for " +
         std::to_string(datasets.size()) + " datasets");
   }
@@ -511,99 +440,33 @@ sim::SimilarityEngine open_or_build_engine(
     sim::Metric metric, sim::Precompute precompute, sim::DenseKernel kernel,
     OpenStats* stats) {
   const ArtifactKey key = engine_key(input_key, metric, precompute, kernel);
-  return load_or_compute<sim::SimilarityEngine>(
-      store, ArtifactKind::kEngine, key,
-      [](const ArtifactReader& reader) {
-        std::size_t section = 0;
-        return EngineCodec::load(reader, section);
-      },
+  const auto load = [](std::shared_ptr<const ArtifactReader> reader) {
+    std::size_t section = 0;
+    return EngineCodec::load(std::move(reader), section);
+  };
+  OpenStats local;
+  OpenStats& served = stats != nullptr ? *stats : local;
+  sim::SimilarityEngine engine = load_or_compute<sim::SimilarityEngine>(
+      store, ArtifactKind::kEngine, key, load,
       [&]() {
         const expr::ExpressionMatrix matrix = load_matrix();
         return sim::SimilarityEngine::from_rows(matrix, metric, precompute,
                                                 kernel);
       },
-      [](ArtifactWriter& writer, const sim::SimilarityEngine& engine) {
-        EngineCodec::save(writer, engine);
+      [](ArtifactWriter& writer, const sim::SimilarityEngine& built) {
+        EngineCodec::save(writer, built);
       },
-      stats);
-}
-
-std::optional<sim::SimilarityEngine> open_engine_mapped(ArtifactStore& store,
-                                                        ArtifactKey key) {
-  auto reader =
-      store.open(ArtifactKind::kEngine, key, PageResidency::kOnDemand);
-  if (!reader.has_value()) return std::nullopt;
-  auto shared = std::make_shared<const ArtifactReader>(std::move(*reader));
-  std::size_t section = 0;
-  sim::SimilarityEngine engine = EngineCodec::load_mapped(shared, section);
-  store.stats().warm_opens.fetch_add(1, std::memory_order_relaxed);
-  return engine;
-}
-
-sim::SimilarityEngine open_or_build_engine_mapped(
-    ArtifactStore& store, ArtifactKey input_key,
-    const std::function<expr::ExpressionMatrix()>& load_matrix,
-    sim::Metric metric, sim::Precompute precompute, sim::DenseKernel kernel,
-    OpenStats* stats) {
-  const ArtifactKey key = engine_key(input_key, metric, precompute, kernel);
-  // Warm path + damage handling mirror load_or_compute; the load itself is
-  // the mapped open (and cannot use load_or_compute directly, because the
-  // cold path below must REOPEN the committed artifact mapped instead of
-  // returning the heap value).
-  bool recovered = false;
-  try {
-    if (auto engine = open_engine_mapped(store, key)) {
-      if (stats != nullptr) stats->warm = true;
-      return std::move(*engine);
-    }
-  } catch (const CorruptArtifactError& error) {
-    store.stats().corrupt.fetch_add(1, std::memory_order_relaxed);
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kEngine,
-                                                      key),
-                                  "corrupt", error.what(), "quarantined");
-    store.quarantine(ArtifactKind::kEngine, key);
-    recovered = true;
-  } catch (const StaleArtifactError& error) {
-    store.stats().stale.fetch_add(1, std::memory_order_relaxed);
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kEngine,
-                                                      key),
-                                  "stale", error.what(), "removed");
-    store.remove(ArtifactKind::kEngine, key);
-    recovered = true;
-  } catch (const IoError& error) {
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kEngine,
-                                                      key),
-                                  "unreadable", error.what(), "ignored");
-    recovered = true;
-  }
-  if (stats != nullptr) stats->recovered = recovered;
-
-  const expr::ExpressionMatrix matrix = load_matrix();
-  sim::SimilarityEngine built =
-      sim::SimilarityEngine::from_rows(matrix, metric, precompute, kernel);
-  store.stats().recomputes.fetch_add(1, std::memory_order_relaxed);
-  try {
-    store.put(ArtifactKind::kEngine, key,
-              [&](ArtifactWriter& w) { EngineCodec::save(w, built); });
-    store.stats().persists.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) stats->persisted = true;
-  } catch (const Error& error) {
-    store.stats().persist_failures.fetch_add(1, std::memory_order_relaxed);
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kEngine,
-                                                      key),
-                                  "persist-failed", error.what(),
-                                  "serving heap-built engine");
-    return built;
-  }
+      &served);
+  if (served.warm || !served.persisted) return engine;
   // The commit succeeded, so the artifact under the final name is exactly
-  // the engine just built; serve it mapped. Any failure to reopen what was
-  // just committed degrades to the heap engine rather than erroring — the
-  // caller asked for a correct engine first, a mapped one second.
+  // the engine just built; serve it borrowed like a warm open. Failing to
+  // reopen what was just committed degrades to the heap build rather than
+  // erroring — the caller asked for a correct engine first, a mapped one
+  // second.
   try {
-    if (auto engine = open_engine_mapped(store, key)) {
-      // Reopening our own commit is not a second warm serve.
-      store.stats().warm_opens.fetch_sub(1, std::memory_order_relaxed);
-      return std::move(*engine);
+    if (auto reader =
+            store.open(ArtifactKind::kEngine, key, PageResidency::kOnDemand)) {
+      return load(std::make_shared<const ArtifactReader>(std::move(*reader)));
     }
   } catch (const Error& error) {
     detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kEngine,
@@ -611,7 +474,7 @@ sim::SimilarityEngine open_or_build_engine_mapped(
                                   "mapped-reopen-failed", error.what(),
                                   "serving heap-built engine");
   }
-  return built;
+  return engine;
 }
 
 cluster::DistanceMatrix open_or_compute_condensed(
@@ -623,9 +486,9 @@ cluster::DistanceMatrix open_or_compute_condensed(
                               .key();
   return load_or_compute<cluster::DistanceMatrix>(
       store, ArtifactKind::kCondensedDistances, key,
-      [](const ArtifactReader& reader) {
+      [](std::shared_ptr<const ArtifactReader> reader) {
         std::size_t section = 0;
-        return DistanceCodec::load(reader, section);
+        return DistanceCodec::load(*reader, section);
       },
       [&]() {
         cluster::DistanceMatrix distances(engine.size());
@@ -645,29 +508,15 @@ sim::LshIndex open_or_build_lsh(ArtifactStore& store,
   const ArtifactKey key = lsh_key(EngineCodec::content_key(engine), params);
   return load_or_compute<sim::LshIndex>(
       store, ArtifactKind::kLshIndex, key,
-      [](const ArtifactReader& reader) {
+      [](std::shared_ptr<const ArtifactReader> reader) {
         std::size_t section = 0;
-        return LshCodec::load(reader, section);
+        return LshCodec::load(std::move(reader), section);
       },
       [&]() { return sim::LshIndex(engine, params, pool); },
       [](ArtifactWriter& writer, const sim::LshIndex& index) {
         LshCodec::save(writer, index);
       },
       stats);
-}
-
-std::optional<sim::LshIndex> open_lsh_mapped(
-    ArtifactStore& store, const sim::SimilarityEngine& engine,
-    const sim::LshParams& params) {
-  const ArtifactKey key = lsh_key(EngineCodec::content_key(engine), params);
-  auto reader =
-      store.open(ArtifactKind::kLshIndex, key, PageResidency::kOnDemand);
-  if (!reader.has_value()) return std::nullopt;
-  auto shared = std::make_shared<const ArtifactReader>(std::move(*reader));
-  std::size_t section = 0;
-  sim::LshIndex index = LshCodec::load_mapped(shared, section);
-  store.stats().warm_opens.fetch_add(1, std::memory_order_relaxed);
-  return index;
 }
 
 sim::NeighborTable open_or_compute_top_k(
@@ -679,9 +528,9 @@ sim::NeighborTable open_or_compute_top_k(
                                         min_common, strategy, lsh);
   return load_or_compute<sim::NeighborTable>(
       store, ArtifactKind::kNeighborTable, key,
-      [](const ArtifactReader& reader) {
+      [](std::shared_ptr<const ArtifactReader> reader) {
         std::size_t section = 0;
-        return NeighborCodec::load(reader, section);
+        return NeighborCodec::load(*reader, section);
       },
       [&]() {
         if (strategy == sim::TopKStrategy::kApprox && engine.size() > 1 &&
@@ -711,8 +560,8 @@ std::vector<cluster::Merge> open_or_compute_merges(
       merges_key(distances_key(distances), linkage, algorithm);
   return load_or_compute<std::vector<cluster::Merge>>(
       store, ArtifactKind::kMerges, key,
-      [](const ArtifactReader& reader) {
-        return reader.vector<cluster::Merge>(0);
+      [](std::shared_ptr<const ArtifactReader> reader) {
+        return reader->vector<cluster::Merge>(0);
       },
       [&]() {
         return cluster::agglomerate(distances, linkage, algorithm);
@@ -730,8 +579,8 @@ spell::SpellSearch open_or_build_spell(
   const ArtifactKey key = SpellCodec::content_key(datasets);
   return load_or_compute<spell::SpellSearch>(
       store, ArtifactKind::kEngine, key,
-      [&](const ArtifactReader& reader) {
-        return SpellCodec::load(reader, datasets);
+      [&](std::shared_ptr<const ArtifactReader> reader) {
+        return SpellCodec::load(std::move(reader), datasets);
       },
       [&]() { return spell::SpellSearch(datasets, pool); },
       [](ArtifactWriter& writer, const spell::SpellSearch& search) {
@@ -740,36 +589,36 @@ spell::SpellSearch open_or_build_spell(
       stats);
 }
 
-void put_blob(ArtifactStore& store, ArtifactKey key, std::string_view bytes) {
-  store.put(ArtifactKind::kBlob, key, [&](ArtifactWriter& writer) {
-    writer.section_bytes(std::as_bytes(
-        std::span<const char>(bytes.data(), bytes.size())));
-  });
+namespace {
+
+/// A blob is one section holding the payload verbatim.
+void write_blob(ArtifactWriter& writer, std::string_view bytes) {
+  writer.section_bytes(
+      std::as_bytes(std::span<const char>(bytes.data(), bytes.size())));
 }
 
-std::optional<std::string> load_blob(ArtifactStore& store, ArtifactKey key) {
-  try {
-    const auto reader = store.open(ArtifactKind::kBlob, key);
-    if (!reader.has_value()) return std::nullopt;
-    const auto bytes = reader->section_bytes(0);
-    store.stats().warm_opens.fetch_add(1, std::memory_order_relaxed);
-    return std::string(reinterpret_cast<const char*>(bytes.data()),
-                       bytes.size());
-  } catch (const CorruptArtifactError& error) {
-    store.stats().corrupt.fetch_add(1, std::memory_order_relaxed);
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kBlob, key),
-                                  "corrupt", error.what(), "quarantined");
-    store.quarantine(ArtifactKind::kBlob, key);
-  } catch (const StaleArtifactError& error) {
-    store.stats().stale.fetch_add(1, std::memory_order_relaxed);
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kBlob, key),
-                                  "stale", error.what(), "removed");
-    store.remove(ArtifactKind::kBlob, key);
-  } catch (const IoError& error) {
-    detail::log_artifact_recovery(store.artifact_path(ArtifactKind::kBlob, key),
-                                  "unreadable", error.what(), "ignored");
-  }
-  return std::nullopt;
+}  // namespace
+
+void put_blob(ArtifactStore& store, ArtifactKey key, std::string_view bytes) {
+  store.put(ArtifactKind::kBlob, key,
+            [&](ArtifactWriter& writer) { write_blob(writer, bytes); });
+}
+
+std::string open_or_compute_blob(ArtifactStore& store, ArtifactKey key,
+                                 const std::function<std::string()>& compute,
+                                 OpenStats* stats) {
+  return load_or_compute<std::string>(
+      store, ArtifactKind::kBlob, key,
+      [](std::shared_ptr<const ArtifactReader> reader) {
+        const auto bytes = reader->section_bytes(0);
+        return std::string(reinterpret_cast<const char*>(bytes.data()),
+                           bytes.size());
+      },
+      compute,
+      [](ArtifactWriter& writer, const std::string& bytes) {
+        write_blob(writer, bytes);
+      },
+      stats);
 }
 
 }  // namespace fv::store

@@ -7,18 +7,24 @@
 // approximate top-k, SPELL dot banks feed query scoring. This header gives
 // each of them a content-hash key, a codec (byte-exact save/load of the
 // computed state), and an open_or_* entry point built on
-// store::load_or_compute — warm when a valid artifact exists, recompute +
-// self-heal otherwise, never wrong data.
+// store::load_or_compute — the one degradation ladder: warm when a valid
+// artifact exists, recompute + self-heal otherwise, never wrong data.
 //
-// Warm opens restore BIT-IDENTICAL state: the codecs copy the computed
-// float/double arrays verbatim (no re-derivation, no text round-trip), so
-// a warm consumer is indistinguishable from a cold one — tests assert
-// exact equality, not tolerance.
+// Each codec has exactly one decode path, chosen by its result type:
+//  * engine, LSH and SPELL codecs BORROW — the restored object's state
+//    arrays are read-only spans into the artifact mapping, pinned for the
+//    object's lifetime (sim::EngineStorage::kBorrowedMapped). Their
+//    artifact kinds open kOnDemand (load_or_compute picks residency from
+//    the kind), so a warm open faults in only what a query later touches;
+//  * neighbor, distance and merge codecs COPY OUT into their plain public
+//    vectors, and their kinds open kPrefault.
+// Either way a warm open restores BIT-IDENTICAL state (no re-derivation,
+// no text round-trip), so a warm consumer is indistinguishable from a cold
+// one — tests assert exact equality, not tolerance.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,7 +74,10 @@ ArtifactKey merges_key(ArtifactKey distances_content,
 // reads them back from an ArtifactReader at a caller-tracked section
 // cursor (so codecs nest: SpellCodec stores one engine bank after
 // another). The friend declarations in sim/ and spell/ let them move
-// private state without widening any public API.
+// private state without widening any public API. Borrowing loads take the
+// reader shared: the result pins it, so the mapping outlives every span.
+// Open such a reader with PageResidency::kOnDemand, or the mapping arrives
+// fully faulted and the point of borrowing is lost.
 
 class EngineCodec {
  public:
@@ -82,17 +91,11 @@ class EngineCodec {
 
   static void save(ArtifactWriter& writer,
                    const sim::SimilarityEngine& engine);
-  static sim::SimilarityEngine load(const ArtifactReader& reader,
-                                    std::size_t& section);
-
   /// Zero-copy restore: the returned engine's state arrays are read-only
-  /// spans directly into `reader`'s mapping (EngineStorage::kBorrowedMapped)
-  /// and the reader is pinned inside the engine, so the mapping outlives
-  /// every span. Same section layout and the same structural checks as
-  /// load() — the two restores are bit-identical in every query. Open the
-  /// reader with PageResidency::kOnDemand or the mapping arrives fully
-  /// faulted and the point of borrowing is lost.
-  static sim::SimilarityEngine load_mapped(
+  /// spans into `reader`'s mapping (EngineStorage::kBorrowedMapped), and
+  /// the engine pins the reader. Bit-identical to the saved engine in
+  /// every query.
+  static sim::SimilarityEngine load(
       std::shared_ptr<const ArtifactReader> reader, std::size_t& section);
 };
 
@@ -100,15 +103,12 @@ class LshCodec {
  public:
   static constexpr std::size_t kSections = 5;
   static void save(ArtifactWriter& writer, const sim::LshIndex& index);
-  static sim::LshIndex load(const ArtifactReader& reader,
-                            std::size_t& section);
-
   /// Zero-copy restore of a signature index: the bank and each bucket
   /// table's per-table slice of the flat key/row sections are borrowed
   /// from `reader`'s mapping, which the index pins. Candidate generation
-  /// is identical to a load()ed or freshly built index.
-  static sim::LshIndex load_mapped(
-      std::shared_ptr<const ArtifactReader> reader, std::size_t& section);
+  /// is identical to a freshly built index.
+  static sim::LshIndex load(std::shared_ptr<const ArtifactReader> reader,
+                            std::size_t& section);
 };
 
 class SpellCodec {
@@ -117,13 +117,16 @@ class SpellCodec {
   static void save(ArtifactWriter& writer, const spell::SpellSearch& search);
   /// `datasets` must be the same compendium the persisted search was built
   /// over (the key guarantees it when the caller goes through
-  /// open_or_build_spell); the restored search references it.
-  static spell::SpellSearch load(const ArtifactReader& reader,
+  /// open_or_build_spell); the restored search references it. Every dot
+  /// bank is an EngineCodec::load, so the banks are borrowed too.
+  static spell::SpellSearch load(std::shared_ptr<const ArtifactReader> reader,
                                  const std::vector<expr::Dataset>& datasets);
 };
 
 /// NeighborTable and DistanceMatrix are public-state types; their codecs
-/// need no friends but follow the same section discipline.
+/// need no friends but follow the same section discipline. They copy out
+/// (their results are plain vectors), so they take the reader by
+/// reference and their open_or_* calls prefault.
 class NeighborCodec {
  public:
   static constexpr std::size_t kSections = 4;
@@ -144,7 +147,7 @@ class DistanceCodec {
 // ---- cached consumers --------------------------------------------------
 //
 // Every open_or_* call lands in exactly one of two states:
-//  * warm — a valid artifact was mapped and copied out (milliseconds);
+//  * warm — a valid artifact was mapped and decoded (milliseconds);
 //  * cold — computed from inputs (bit-identical to a storeless build),
 //    then persisted best-effort.
 // Damaged artifacts are quarantined/removed on the way (see
@@ -152,38 +155,15 @@ class DistanceCodec {
 
 /// The engine over a compendium/matrix, keyed by `input_key` (use
 /// matrix_key or compendium_files_key). `load_matrix` is only invoked on
-/// the cold path — a warm open never parses input files.
+/// the cold path — a warm open never parses input files. The engine is
+/// served borrowed-mapped on every path where a trustworthy artifact
+/// exists: warm opens borrow, and a cold build that commits is reopened
+/// from the committed artifact. It is the heap build only when persisting
+/// or that reopen failed (degradation, never an error). Borrowed, pages
+/// fault in as the tile schedule touches them and the serial streaming
+/// driver releases them behind its cursor, so the distance phase runs at
+/// n whose dense engine state exceeds RAM.
 sim::SimilarityEngine open_or_build_engine(
-    ArtifactStore& store, ArtifactKey input_key,
-    const std::function<expr::ExpressionMatrix()>& load_matrix,
-    sim::Metric metric,
-    sim::Precompute precompute = sim::Precompute::kAllPairs,
-    sim::DenseKernel kernel = sim::DenseKernel::kAuto,
-    OpenStats* stats = nullptr);
-
-/// Opens a persisted engine artifact WITHOUT copying its state to the
-/// heap: the artifact is validated chunk-streamed (PageResidency::
-/// kOnDemand), then served as a borrowed-mapped engine whose arrays are
-/// read-only spans into the pinned mapping. Every query and tile path is
-/// bit-identical to the heap engine the artifact was saved from; what
-/// changes is residency — pages fault in as the tile schedule touches
-/// them, and the serial streaming driver releases them behind its cursor,
-/// so the distance phase runs at n whose dense engine state exceeds RAM.
-/// `key` is the full engine artifact key (engine_key(...)). nullopt when
-/// absent; CorruptArtifactError / StaleArtifactError propagate (callers
-/// wanting the degradation ladder use open_or_build_engine_mapped).
-std::optional<sim::SimilarityEngine> open_engine_mapped(ArtifactStore& store,
-                                                        ArtifactKey key);
-
-/// open_or_build_engine with a borrowed-mapped warm path: a valid artifact
-/// is served mapped (see open_engine_mapped); a missing or damaged one is
-/// rebuilt on the heap, persisted, and the COMMITTED artifact is then
-/// reopened mapped — so the returned engine is mapped on every path where
-/// a trustworthy artifact exists, and falls back to the heap build only
-/// when persisting failed (degradation, never an error). Damage handling
-/// (quarantine / remove / log, StoreCrashed untouched) matches
-/// load_or_compute exactly.
-sim::SimilarityEngine open_or_build_engine_mapped(
     ArtifactStore& store, ArtifactKey input_key,
     const std::function<expr::ExpressionMatrix()>& load_matrix,
     sim::Metric metric,
@@ -197,20 +177,13 @@ cluster::DistanceMatrix open_or_compute_condensed(
     par::ThreadPool& pool, OpenStats* stats = nullptr);
 
 /// The LSH signature index over `engine` under `params`. A warm open
-/// skips the O(n·bits) hyperplane projection pass entirely.
+/// skips the O(n·bits) hyperplane projection pass entirely and serves the
+/// bank and bucket tables borrowed from the artifact.
 sim::LshIndex open_or_build_lsh(ArtifactStore& store,
                                 const sim::SimilarityEngine& engine,
                                 const sim::LshParams& params,
                                 par::ThreadPool& pool,
                                 OpenStats* stats = nullptr);
-
-/// Opens a persisted LSH index over `engine` as a borrowed-mapped index
-/// (signature bank + bucket tables served as spans into the pinned
-/// artifact mapping — no copy, no O(n·bits) rebuild). nullopt when absent;
-/// typed errors propagate like open_engine_mapped.
-std::optional<sim::LshIndex> open_lsh_mapped(ArtifactStore& store,
-                                             const sim::SimilarityEngine& engine,
-                                             const sim::LshParams& params);
 
 /// The top-k neighbor table of `engine`. Under TopKStrategy::kApprox the
 /// LSH index itself is ALSO cached (open_or_build_lsh) and handed to
@@ -229,7 +202,8 @@ std::vector<cluster::Merge> open_or_compute_merges(
     cluster::Agglomerator algorithm = cluster::Agglomerator::kAuto,
     OpenStats* stats = nullptr);
 
-/// The SPELL search (per-dataset dot banks) over a compendium.
+/// The SPELL search (per-dataset dot banks) over a compendium. A warm
+/// open serves every bank borrowed from the one artifact.
 spell::SpellSearch open_or_build_spell(
     ArtifactStore& store, const std::vector<expr::Dataset>& datasets,
     par::ThreadPool& pool, OpenStats* stats = nullptr);
@@ -240,16 +214,18 @@ spell::SpellSearch open_or_build_spell(
 // response payloads (JSON bytes) under ArtifactKind::kBlob so a restarted
 // server answers repeat requests warm. A blob is one single-section
 // artifact; the payload is returned verbatim, so a warm response is
-// bit-identical to the one that was cached.
+// bit-identical to the one that was cached. The blob layout is known only
+// to this pair of functions.
 
 /// Commits `bytes` under (kBlob, key). Throws like ArtifactStore::put.
 void put_blob(ArtifactStore& store, ArtifactKey key, std::string_view bytes);
 
-/// Opens the blob at (kBlob, key). nullopt when absent — and also on
-/// damage, after the usual ladder housekeeping (corrupt → quarantine,
-/// stale → remove, unreadable → ignore), because a cache consumer's only
-/// recovery is recomputing the response anyway. Never throws typed
-/// artifact errors.
-std::optional<std::string> load_blob(ArtifactStore& store, ArtifactKey key);
+/// The blob at (kBlob, key), through load_or_compute like every other
+/// kind: warm when a valid blob exists, otherwise `compute()` and persist
+/// it best-effort (a damaged blob is quarantined or removed on the way).
+/// StoreCrashed and errors thrown by `compute` propagate.
+std::string open_or_compute_blob(ArtifactStore& store, ArtifactKey key,
+                                 const std::function<std::string()>& compute,
+                                 OpenStats* stats = nullptr);
 
 }  // namespace fv::store

@@ -10,12 +10,15 @@
 //
 // Shape: n = 1024 profiles x 16384 values, complete data, Pearson. The
 // persisted engine artifact is ~134 MB (filled + normalized slabs dominate).
-//  * heap path  (child): warm open_or_build_engine copies the slabs to the
-//    heap — peak RSS ≈ mapping + copy ≈ 270 MB.
-//  * mapped path (parent): open_engine_mapped + the serial streaming
-//    condensed driver — pages fault in per tile stripe and are released
-//    behind the cursor, so the parent's VmHWM delta stays around one
-//    validation chunk + two row stripes + the condensed output.
+//  * heap path  (child): the engine built on the heap with
+//    SimilarityEngine::from_rows — peak RSS ≈ input matrix + engine state
+//    ≈ 200+ MB. (Every store open borrows, so the heap reference is a
+//    build, not an open.)
+//  * mapped path (parent): the store's borrowed open (ArtifactStore::open
+//    kOnDemand + EngineCodec::load) + the serial streaming condensed
+//    driver — pages fault in per tile stripe and are released behind the
+//    cursor, so the parent's VmHWM delta stays around one validation
+//    chunk + two row stripes + the condensed output.
 //
 // CI additionally runs this executable under `ulimit -v` BELOW what the
 // heap copy needs (see .github/workflows): FV_BUDGET_MODE=prepare builds
@@ -34,6 +37,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -124,10 +128,15 @@ void open_mapped_and_stream(fv::store::ArtifactStore& store) {
   const auto key = fv::store::engine_key(
       kInputKey, fv::sim::Metric::kPearson, fv::sim::Precompute::kAllPairs,
       fv::sim::DenseKernel::kAuto);
-  const auto mapped = fv::store::open_engine_mapped(store, key);
-  ASSERT_TRUE(mapped.has_value()) << "run the prepare phase first";
-  ASSERT_EQ(mapped->storage(), fv::sim::EngineStorage::kBorrowedMapped);
-  run_condensed(*mapped);
+  auto reader = store.open(fv::store::ArtifactKind::kEngine, key,
+                           fv::store::PageResidency::kOnDemand);
+  ASSERT_TRUE(reader.has_value()) << "run the prepare phase first";
+  std::size_t section = 0;
+  const auto mapped = fv::store::EngineCodec::load(
+      std::make_shared<const fv::store::ArtifactReader>(std::move(*reader)),
+      section);
+  ASSERT_EQ(mapped.storage(), fv::sim::EngineStorage::kBorrowedMapped);
+  run_condensed(mapped);
 }
 
 TEST(MappedBudgetTest, StreamedDistancePhaseStaysInWorkingSetBudget) {
@@ -181,14 +190,11 @@ TEST(MappedBudgetTest, StreamedDistancePhaseStaysInWorkingSetBudget) {
   (void)run_child([](fv::store::ArtifactStore& store) {
     build_and_persist(store);
   });
-  // Heap phase: warm copy-open + the same serial condensed workload.
-  const long heap_peak_kb = run_child([](fv::store::ArtifactStore& store) {
-    fv::store::OpenStats stats;
-    const auto engine = fv::store::open_or_build_engine(
-        store, kInputKey, []() { return budget_matrix(); },
-        fv::sim::Metric::kPearson, fv::sim::Precompute::kAllPairs,
-        fv::sim::DenseKernel::kAuto, &stats);
-    ASSERT_TRUE(stats.warm) << "heap phase must not rebuild";
+  // Heap phase: the engine built on the heap + the same serial condensed
+  // workload.
+  const long heap_peak_kb = run_child([](fv::store::ArtifactStore&) {
+    const auto engine = fv::sim::SimilarityEngine::from_rows(
+        budget_matrix(), fv::sim::Metric::kPearson);
     ASSERT_EQ(engine.storage(), fv::sim::EngineStorage::kOwnedHeap);
     run_condensed(engine);
   });

@@ -306,7 +306,7 @@ TEST_P(MappedEquivalenceTest, MappedEngineIsBitIdenticalToHeap) {
   st::ArtifactStore store(dir_);
   const auto input_key = st::matrix_key(matrix);
   st::OpenStats stats;
-  const auto mapped = st::open_or_build_engine_mapped(
+  const auto mapped = st::open_or_build_engine(
       store, input_key, [&]() { return matrix; }, metric,
       sim::Precompute::kAllPairs, sim::DenseKernel::kAuto, &stats);
   EXPECT_TRUE(stats.persisted);
@@ -342,12 +342,14 @@ TEST_P(MappedEquivalenceTest, MappedEngineIsBitIdenticalToHeap) {
     fv::par::ThreadPool build_pool(2);
     heap_table = heap.top_k_neighbors(6, pool, 0, strategy, nullptr, lsh);
     (void)st::open_or_build_lsh(store, heap, lsh, build_pool);
-    const auto mapped_lsh = st::open_lsh_mapped(store, mapped, lsh);
-    ASSERT_TRUE(mapped_lsh.has_value());
-    ASSERT_EQ(mapped_lsh->storage(), sim::EngineStorage::kBorrowedMapped);
+    st::OpenStats lsh_stats;
+    const auto mapped_lsh =
+        st::open_or_build_lsh(store, mapped, lsh, build_pool, &lsh_stats);
+    ASSERT_TRUE(lsh_stats.warm);
+    ASSERT_EQ(mapped_lsh.storage(), sim::EngineStorage::kBorrowedMapped);
     sim::TopKStats topk_stats;
     mapped_table = mapped.top_k_neighbors(6, pool, 0, strategy, &topk_stats,
-                                          lsh, &*mapped_lsh);
+                                          lsh, &mapped_lsh);
     EXPECT_EQ(topk_stats.signatures_built, 0u);
   } else {
     heap_table = heap.top_k_neighbors(6, pool, 0, strategy);

@@ -83,10 +83,10 @@ std::string job_body(std::size_t client, std::size_t index,
   }
 }
 
-/// Shared fixture: a synthetic compendium whose engine is persisted to an
-/// artifact store once and then opened BORROWED-MAPPED — all sessions and
-/// all client threads read one shared read-only mapping, which is the
-/// deployment shape (and the aliasing TSan must bless).
+/// Shared fixture: a synthetic compendium whose engine and SPELL banks are
+/// persisted to an artifact store once and then opened BORROWED-MAPPED —
+/// all sessions and all client threads read one shared read-only mapping,
+/// which is the deployment shape (and the aliasing TSan must bless).
 class ServeChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -109,10 +109,16 @@ class ServeChaosTest : public ::testing::Test {
     store_ = new fv::store::ArtifactStore(dir_ + "/engine_store");
 
     const fv::expr::ExpressionMatrix& matrix = (**datasets_)[0].values();
-    compendium_ = new fv::serve::SharedCompendium(
-        fv::serve::open_shared_compendium(
-            *store_, fv::store::matrix_key(matrix), [&] { return matrix; },
-            *datasets_, fv::sim::Metric::kPearson, *pool_));
+    const auto open = [&] {
+      return fv::serve::open_shared_compendium(
+          *store_, fv::store::matrix_key(matrix), [&] { return matrix; },
+          *datasets_, fv::sim::Metric::kPearson, *pool_);
+    };
+    // The first open builds and persists the engine and the SPELL banks;
+    // the second is a restarted server's warm open, so the clients below
+    // read borrowed SPELL banks as well as the borrowed engine.
+    (void)open();
+    compendium_ = new fv::serve::SharedCompendium(open());
     gene_ = (**datasets_)[0].gene(0).systematic_name;
   }
 
@@ -143,6 +149,10 @@ fv::serve::SharedCompendium* ServeChaosTest::compendium_ = nullptr;
 TEST_F(ServeChaosTest, ConcurrentClientsBitIdenticalToSerialReference) {
   constexpr std::size_t kClients = 8;
   constexpr std::size_t kJobsPerClient = 4;
+  // Both fixture parts came off the warm open: engine and SPELL banks.
+  ASSERT_EQ(store_->stats().warm_opens.load(), 2u);
+  ASSERT_EQ(compendium_->engine->storage(),
+            fv::sim::EngineStorage::kBorrowedMapped);
 
   // Serial reference: one client, one session, every distinct job body,
   // in order, on a fresh service over the same mapped compendium.

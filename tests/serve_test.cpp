@@ -10,7 +10,11 @@
 //   * deterministic request-path fault injection,
 //   * client-abandoned job reaping on the logical request clock,
 //   * the persistent blob cache across service restarts.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -482,6 +486,56 @@ TEST(Serve, HttpRoundTripOverSockets) {
   EXPECT_NE(exchange("NONSENSE\r\n\r\n").find("HTTP/1.1 400"),
             std::string::npos);
   EXPECT_GE(server.requests_served(), 4u);
+  server.stop();
+}
+
+TEST(ServeHttp, ContentLengthInsideAHeaderValueDoesNotStallTheListener) {
+  // The body length comes from the Content-Length header LINE, not from
+  // wherever "content-length:" appears in the head: a header value that
+  // mentions a bigger length must not make the serial listener wait for
+  // body bytes that never come (stalling every other client behind it).
+  fv::serve::HttpServer server([](const HttpRequest& request) {
+    HttpResponse response;
+    response.status = 200;
+    response.body = request.body;
+    return response;
+  });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 2;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  // The write side stays open: a listener that believes the bogus length
+  // keeps waiting instead of seeing EOF, and the client's 2 s receive
+  // timeout turns that stall into a failure rather than a hang.
+  const std::string raw =
+      "POST /echo HTTP/1.1\r\n"
+      "X-Note: content-length: 4096\r\n"
+      "Content-Length: 2\r\n"
+      "\r\n"
+      "{}";
+  ASSERT_EQ(::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  std::string response;
+  char chunk[4096];
+  while (true) {
+    const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
+    if (got <= 0) break;  // EOF after the answer, or the 2 s timeout
+    response.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  const std::size_t split = response.find("\r\n\r\n");
+  ASSERT_NE(split, std::string::npos) << "no response within 2 s";
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  EXPECT_EQ(response.substr(split + 4), "{}");
   server.stop();
 }
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <vector>
 
 #include "cluster/hclust.hpp"
@@ -66,8 +67,8 @@ class StoreChaosTest : public ::testing::Test {
                            fv::store::OpenStats* stats = nullptr) {
     return fv::store::load_or_compute<std::uint64_t>(
         store, fv::store::ArtifactKind::kBlob, key,
-        [](const fv::store::ArtifactReader& r) {
-          return r.scalar<std::uint64_t>(0);
+        [](std::shared_ptr<const fv::store::ArtifactReader> r) {
+          return r->scalar<std::uint64_t>(0);
         },
         [fallback]() { return fallback; },
         [](fv::store::ArtifactWriter& w, const std::uint64_t& v) {
@@ -468,14 +469,38 @@ TEST_F(StoreChaosConsumerTest, LshAndSpellSurviveTornWrites) {
 
 // ---- mapped (out-of-core) opens under damage ---------------------------
 //
-// The borrowed-mapped path raises the stakes: a consumer holds read-only
-// spans into the artifact file for its whole lifetime, so damage must be
-// caught as a typed error AT OPEN (the kOnDemand chunk-streamed checksum),
-// and damage that arrives AFTER open (a foreign truncation under the
-// mapping) must surface as fv::CorruptArtifactError from the streaming
-// driver's backing check — never a SIGBUS mid-compute.
+// Every engine, LSH index and SPELL bank the store restores is borrowed: a
+// consumer holds read-only spans into the artifact file for its whole
+// lifetime, so damage must be caught as a typed error AT OPEN (the
+// kOnDemand chunk-streamed checksum), and damage that arrives AFTER open
+// (a foreign truncation under the mapping) must surface as
+// fv::CorruptArtifactError from a backing check — never a SIGBUS.
 
 using StoreChaosMappedTest = StoreChaosTest;
+
+/// The raw open + decode the ladder runs on its warm rung, without the
+/// ladder: damage surfaces as the typed error itself.
+fv::sim::SimilarityEngine open_engine_raw(fv::store::ArtifactStore& store,
+                                          fv::store::ArtifactKey key) {
+  auto reader = store.open(fv::store::ArtifactKind::kEngine, key,
+                           fv::store::PageResidency::kOnDemand);
+  if (!reader.has_value()) throw fv::IoError("engine artifact absent");
+  std::size_t section = 0;
+  return fv::store::EngineCodec::load(
+      std::make_shared<const fv::store::ArtifactReader>(std::move(*reader)),
+      section);
+}
+
+fv::sim::LshIndex open_lsh_raw(fv::store::ArtifactStore& store,
+                               fv::store::ArtifactKey key) {
+  auto reader = store.open(fv::store::ArtifactKind::kLshIndex, key,
+                           fv::store::PageResidency::kOnDemand);
+  if (!reader.has_value()) throw fv::IoError("LSH artifact absent");
+  std::size_t section = 0;
+  return fv::store::LshCodec::load(
+      std::make_shared<const fv::store::ArtifactReader>(std::move(*reader)),
+      section);
+}
 
 TEST_F(StoreChaosMappedTest, EveryFaultFamilyGivesTypedErrorAtMappedOpen) {
   const auto matrix = chaos_matrix(48, 10, 31);
@@ -505,18 +530,18 @@ TEST_F(StoreChaosMappedTest, EveryFaultFamilyGivesTypedErrorAtMappedOpen) {
     }
     // The raw mapped open reports the damage as a typed error...
     fv::store::ArtifactStore reader(dir_);
-    EXPECT_THROW(
-        (void)fv::store::open_engine_mapped(reader, engine_key),
-        fv::CorruptArtifactError);
-    // ...and the mapped degradation ladder recomputes exact values, then
-    // serves the self-healed artifact borrowed-mapped.
+    EXPECT_THROW((void)open_engine_raw(reader, engine_key),
+                 fv::CorruptArtifactError);
+    // ...and the degradation ladder quarantines it, recomputes exact
+    // values, then serves the self-healed artifact borrowed-mapped.
     fv::store::OpenStats stats;
-    const auto healed = fv::store::open_or_build_engine_mapped(
+    const auto healed = fv::store::open_or_build_engine(
         reader, input_key, [&]() { return matrix; },
         fv::sim::Metric::kPearson, fv::sim::Precompute::kAllPairs,
         fv::sim::DenseKernel::kAuto, &stats);
     EXPECT_TRUE(stats.recovered);
     EXPECT_TRUE(stats.persisted);
+    EXPECT_EQ(reader.stats().quarantined.load(), 1u);
     EXPECT_EQ(healed.storage(), fv::sim::EngineStorage::kBorrowedMapped);
     const auto reference = fv::sim::SimilarityEngine::from_rows(
         matrix, fv::sim::Metric::kPearson);
@@ -531,7 +556,7 @@ TEST_F(StoreChaosMappedTest, FileShrunkAfterOpenIsTypedErrorNotSigbus) {
   const auto input_key = fv::store::matrix_key(matrix);
   fv::store::ArtifactStore store(dir_);
   fv::store::OpenStats stats;
-  const auto mapped = fv::store::open_or_build_engine_mapped(
+  const auto mapped = fv::store::open_or_build_engine(
       store, input_key, [&]() { return matrix; }, fv::sim::Metric::kPearson,
       fv::sim::Precompute::kAllPairs, fv::sim::DenseKernel::kAuto, &stats);
   ASSERT_EQ(mapped.storage(), fv::sim::EngineStorage::kBorrowedMapped);
@@ -569,17 +594,17 @@ TEST_F(StoreChaosMappedTest, DamagedLshArtifactGivesTypedErrorAtMappedOpen) {
   fv::sim::LshParams params;
   params.bits = 64;
   params.tables = 8;
+  const auto key =
+      fv::store::lsh_key(fv::store::EngineCodec::content_key(engine), params);
+  const fv::sim::LshIndex reference(engine, params, pool);
 
   fv::store::ArtifactStore store(dir_);
   (void)fv::store::open_or_build_lsh(store, engine, params, pool);
-  const auto mapped = fv::store::open_lsh_mapped(store, engine, params);
-  ASSERT_TRUE(mapped.has_value());
-  EXPECT_EQ(mapped->storage(), fv::sim::EngineStorage::kBorrowedMapped);
+  const auto mapped = open_lsh_raw(store, key);
+  EXPECT_EQ(mapped.storage(), fv::sim::EngineStorage::kBorrowedMapped);
 
-  const auto path = store.artifact_path(
-      fv::store::ArtifactKind::kLshIndex,
-      fv::store::lsh_key(fv::store::EngineCodec::content_key(engine),
-                         params));
+  const auto path = store.artifact_path(fv::store::ArtifactKind::kLshIndex,
+                                        key);
   {  // flip one payload byte: the chunk-streamed checksum must catch it
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(200);
@@ -590,7 +615,107 @@ TEST_F(StoreChaosMappedTest, DamagedLshArtifactGivesTypedErrorAtMappedOpen) {
     f.write(&b, 1);
   }
   fv::store::ArtifactStore second(dir_);
-  EXPECT_THROW((void)fv::store::open_lsh_mapped(second, engine, params),
+  EXPECT_THROW((void)open_lsh_raw(second, key), fv::CorruptArtifactError);
+
+  // The ladder quarantines the damaged bank, rebuilds it exactly and
+  // serves the self-healed artifact borrowed on the next open.
+  fv::store::OpenStats healed_stats;
+  const auto healed =
+      fv::store::open_or_build_lsh(second, engine, params, pool,
+                                   &healed_stats);
+  EXPECT_TRUE(healed_stats.recovered);
+  EXPECT_TRUE(healed_stats.persisted);
+  EXPECT_EQ(second.stats().quarantined.load(), 1u);
+  fv::store::OpenStats warm_stats;
+  const auto served =
+      fv::store::open_or_build_lsh(second, engine, params, pool, &warm_stats);
+  EXPECT_TRUE(warm_stats.warm);
+  EXPECT_EQ(served.storage(), fv::sim::EngineStorage::kBorrowedMapped);
+  for (const fv::sim::LshIndex* index : {&healed, &served}) {
+    ASSERT_EQ(index->size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const auto a = reference.signature(i);
+      const auto b = index->signature(i);
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            a.size() * sizeof(std::uint64_t)),
+                0);
+    }
+  }
+}
+
+TEST_F(StoreChaosMappedTest, ShrunkLshArtifactIsTypedErrorInApproxTopK) {
+  fv::par::ThreadPool pool(2);
+  const auto matrix = chaos_matrix(160, 12, 37);
+  const auto engine = fv::sim::SimilarityEngine::from_rows(
+      matrix, fv::sim::Metric::kPearson);
+  fv::sim::LshParams params;
+  params.bits = 64;
+  params.tables = 8;
+
+  fv::store::ArtifactStore store(dir_);
+  (void)fv::store::open_or_build_lsh(store, engine, params, pool);
+  fv::store::OpenStats stats;
+  const auto index =
+      fv::store::open_or_build_lsh(store, engine, params, pool, &stats);
+  ASSERT_TRUE(stats.warm);
+  ASSERT_EQ(index.storage(), fv::sim::EngineStorage::kBorrowedMapped);
+  // Sanity: the borrowed index serves kApprox before the damage.
+  (void)engine.top_k_neighbors(4, pool, 0, fv::sim::TopKStrategy::kApprox,
+                               nullptr, params, &index);
+
+  const auto path = store.artifact_path(
+      fv::store::ArtifactKind::kLshIndex,
+      fv::store::lsh_key(fv::store::EngineCodec::content_key(engine),
+                         params));
+  fs::resize_file(path, fs::file_size(path) / 2);
+  // The engine is on the heap; only the index's tables vanished. The
+  // candidate sweep must be refused by the index's backing check.
+  EXPECT_THROW((void)engine.top_k_neighbors(4, pool, 0,
+                                            fv::sim::TopKStrategy::kApprox,
+                                            nullptr, params, &index),
+               fv::CorruptArtifactError);
+}
+
+TEST_F(StoreChaosMappedTest, ShrunkSpellArtifactIsTypedErrorInSearch) {
+  fv::par::ThreadPool pool(2);
+  std::vector<fv::expr::Dataset> datasets;
+  for (int d = 0; d < 4; ++d) {
+    const std::size_t rows = 64;
+    const std::size_t cols = 10;
+    std::vector<fv::expr::GeneInfo> genes(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      genes[r].systematic_name = "G" + std::to_string(r);
+    }
+    std::vector<std::string> conditions(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      conditions[c] = "c" + std::to_string(c);
+    }
+    datasets.emplace_back("ds" + std::to_string(d), std::move(genes),
+                          std::move(conditions),
+                          chaos_matrix(rows, cols, 500 + d));
+  }
+  // Query genes present in every dataset, so every bank's rows are read.
+  const std::vector<std::string> query{"G1", "G6", "G11"};
+
+  fv::store::ArtifactStore store(dir_);
+  (void)fv::store::open_or_build_spell(store, datasets, pool);
+  fv::store::OpenStats stats;
+  const auto search =
+      fv::store::open_or_build_spell(store, datasets, pool, &stats);
+  ASSERT_TRUE(stats.warm);
+  const auto expected = fv::spell::SpellSearch(datasets, pool).search(query);
+  const auto got = search.search(query, {}, pool);
+  ASSERT_EQ(got.gene_ranking.size(), expected.gene_ranking.size());
+  for (std::size_t i = 0; i < expected.gene_ranking.size(); ++i) {
+    EXPECT_EQ(got.gene_ranking[i].gene, expected.gene_ranking[i].gene);
+    EXPECT_EQ(got.gene_ranking[i].score, expected.gene_ranking[i].score);
+  }
+
+  const auto path =
+      store.artifact_path(fv::store::ArtifactKind::kEngine,
+                          fv::store::SpellCodec::content_key(datasets));
+  fs::resize_file(path, fs::file_size(path) / 2);
+  EXPECT_THROW((void)search.search(query, {}, pool),
                fv::CorruptArtifactError);
 }
 

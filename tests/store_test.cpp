@@ -305,6 +305,13 @@ TEST_F(StoreCachedTest, EngineWarmReopenIsBitIdentical) {
     ++parses;
     return matrix;
   };
+  // The independent reference: a heap build that never touches the store,
+  // so a save/load bug that is consistent between save and load still
+  // shows up as a mismatch below.
+  const auto reference = fv::sim::SimilarityEngine::from_rows(
+      matrix, fv::sim::Metric::kPearson, fv::sim::Precompute::kAllPairs,
+      fv::sim::DenseKernel::kAuto);
+  ASSERT_EQ(reference.storage(), fv::sim::EngineStorage::kOwnedHeap);
 
   fv::store::ArtifactStore cold_store(dir_);
   fv::store::OpenStats cold_stats;
@@ -315,6 +322,8 @@ TEST_F(StoreCachedTest, EngineWarmReopenIsBitIdentical) {
   EXPECT_FALSE(cold_stats.warm);
   EXPECT_TRUE(cold_stats.persisted);
   EXPECT_EQ(parses, 1u);
+  // A cold build that committed is served reopened from its own artifact.
+  EXPECT_EQ(cold.storage(), fv::sim::EngineStorage::kBorrowedMapped);
 
   // A second "session": new store object over the same directory.
   fv::store::ArtifactStore warm_store(dir_);
@@ -325,25 +334,30 @@ TEST_F(StoreCachedTest, EngineWarmReopenIsBitIdentical) {
       &warm_stats);
   EXPECT_TRUE(warm_stats.warm);
   EXPECT_EQ(parses, 1u);  // the warm path never parses input
+  EXPECT_EQ(warm.storage(), fv::sim::EngineStorage::kBorrowedMapped);
 
-  ASSERT_EQ(warm.size(), cold.size());
-  ASSERT_EQ(warm.length(), cold.length());
-  ASSERT_EQ(warm.stride(), cold.stride());
-  EXPECT_EQ(warm.metric(), cold.metric());
-  EXPECT_EQ(warm.float_kernel_active(), cold.float_kernel_active());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(warm.present(i), cold.present(i));
-    EXPECT_EQ(warm.row_has_missing(i), cold.row_has_missing(i));
-    EXPECT_EQ(warm.zscale(i), cold.zscale(i));
-    const auto a = cold.normalized_row(i);
-    const auto b = warm.normalized_row(i);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-  }
-  for (std::size_t i = 0; i < cold.size(); i += 7) {
-    for (std::size_t j = i + 1; j < cold.size(); j += 5) {
-      EXPECT_EQ(warm.distance(i, j), cold.distance(i, j));
-      EXPECT_EQ(warm.similarity(i, j), cold.similarity(i, j));
+  for (const auto* opened : {&cold, &warm}) {
+    const auto& engine = *opened;
+    ASSERT_EQ(engine.size(), reference.size());
+    ASSERT_EQ(engine.length(), reference.length());
+    ASSERT_EQ(engine.stride(), reference.stride());
+    EXPECT_EQ(engine.metric(), reference.metric());
+    EXPECT_EQ(engine.float_kernel_active(), reference.float_kernel_active());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(engine.present(i), reference.present(i));
+      EXPECT_EQ(engine.row_has_missing(i), reference.row_has_missing(i));
+      EXPECT_EQ(engine.zscale(i), reference.zscale(i));
+      const auto a = reference.normalized_row(i);
+      const auto b = engine.normalized_row(i);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                0);
+    }
+    for (std::size_t i = 0; i < reference.size(); i += 7) {
+      for (std::size_t j = i + 1; j < reference.size(); j += 5) {
+        EXPECT_EQ(engine.distance(i, j), reference.distance(i, j));
+        EXPECT_EQ(engine.similarity(i, j), reference.similarity(i, j));
+      }
     }
   }
 }
@@ -528,9 +542,13 @@ TEST_F(StoreCachedTest, DamagedEngineArtifactSelfHeals) {
   const auto input_key = fv::store::matrix_key(matrix);
   const auto load_matrix = [&]() { return matrix; };
 
+  const auto reference = fv::sim::SimilarityEngine::from_rows(
+      matrix, fv::sim::Metric::kPearson);
+  ASSERT_EQ(reference.storage(), fv::sim::EngineStorage::kOwnedHeap);
+
   fv::store::ArtifactStore store(dir_);
-  const auto cold = fv::store::open_or_build_engine(
-      store, input_key, load_matrix, fv::sim::Metric::kPearson);
+  (void)fv::store::open_or_build_engine(store, input_key, load_matrix,
+                                        fv::sim::Metric::kPearson);
   const auto path = store.artifact_path(
       fv::store::ArtifactKind::kEngine,
       fv::store::engine_key(input_key, fv::sim::Metric::kPearson,
@@ -546,14 +564,17 @@ TEST_F(StoreCachedTest, DamagedEngineArtifactSelfHeals) {
   EXPECT_FALSE(stats.warm);
   EXPECT_TRUE(stats.recovered);
   EXPECT_TRUE(stats.persisted);  // self-healed: artifact rewritten
+  EXPECT_EQ(healed.storage(), fv::sim::EngineStorage::kBorrowedMapped);
   EXPECT_EQ(second.stats().corrupt.load(), 1u);
   EXPECT_EQ(second.stats().quarantined.load(), 1u);
   // damaged original preserved as evidence
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "quarantine"));
 
-  // recompute is bit-identical and the rewritten artifact serves warm
-  for (std::size_t i = 0; i + 1 < cold.size(); i += 3) {
-    EXPECT_EQ(healed.distance(i, i + 1), cold.distance(i, i + 1));
+  // recompute is bit-identical to a storeless heap build and the
+  // rewritten artifact serves warm
+  ASSERT_EQ(healed.size(), reference.size());
+  for (std::size_t i = 0; i + 1 < reference.size(); i += 3) {
+    EXPECT_EQ(healed.distance(i, i + 1), reference.distance(i, i + 1));
   }
   fv::store::ArtifactStore third(dir_);
   fv::store::OpenStats warm_stats;
@@ -636,8 +657,8 @@ TEST_F(StoreConcurrencyTest, ParallelLoadOrComputeStaysConsistent) {
     threads.emplace_back([&store, &own, &shared, t]() {
       own[t] = fv::store::load_or_compute<std::uint64_t>(
           store, fv::store::ArtifactKind::kBlob, 1000 + t,
-          [](const fv::store::ArtifactReader& r) {
-            return r.scalar<std::uint64_t>(0);
+          [](std::shared_ptr<const fv::store::ArtifactReader> r) {
+            return r->scalar<std::uint64_t>(0);
           },
           [t]() { return 1000 + t; },
           [](fv::store::ArtifactWriter& w, const std::uint64_t& v) {
