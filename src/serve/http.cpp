@@ -6,8 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <thread>
 
 #include "serve/json.hpp"
 
@@ -123,13 +126,27 @@ std::size_t parse_head(std::string_view raw, std::size_t head_end,
   return content_length;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// Milliseconds left until `deadline` as a poll() timeout, 0 once passed.
+int poll_ms_until(Clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - Clock::now());
+  return static_cast<int>(
+      std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+}
+
+enum class ReadOutcome { kComplete, kTooLarge, kTimedOut, kClosed };
+
 /// Reads until the buffer holds a complete request (head + declared body)
 /// and parses it into `request` — the head exactly once, as soon as its
 /// terminator arrives, since its Content-Length says how much body to wait
-/// for. Returns false on overflow of `max_bytes` or when the peer closes
-/// early; throws ParseError on a malformed head.
-bool read_request(int fd, std::size_t max_bytes, std::string& buffer,
-                  HttpRequest& request) {
+/// for. Gives up when the request outgrows `max_bytes`, when `deadline`
+/// passes first, or when the peer closes early; throws ParseError on a
+/// malformed head.
+ReadOutcome read_request(int fd, std::size_t max_bytes,
+                         Clock::time_point deadline, HttpRequest& request) {
+  std::string buffer;
   char chunk[4096];
   std::size_t body_begin = std::string::npos;  ///< known once head parsed
   std::size_t body_bytes = 0;
@@ -139,36 +156,59 @@ bool read_request(int fd, std::size_t max_bytes, std::string& buffer,
       if (head_end != std::string::npos) {
         body_bytes = parse_head(buffer, head_end, request);
         body_begin = head_end + 4;
-        if (body_bytes >= max_bytes) return false;  // can never fit
+        if (body_bytes >= max_bytes) return ReadOutcome::kTooLarge;
       }
     }
     if (body_begin != std::string::npos &&
         buffer.size() >= body_begin + body_bytes) {
       request.body = buffer.substr(body_begin, body_bytes);
-      return true;
+      return ReadOutcome::kComplete;
     }
+    const int left_ms = poll_ms_until(deadline);
+    if (left_ms == 0) return ReadOutcome::kTimedOut;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, left_ms);
+    if (ready < 0 && errno != EINTR) return ReadOutcome::kClosed;
+    if (ready <= 0) continue;  // EINTR, or the deadline check above ends it
     const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-    if (got == 0) return false;
+    if (got == 0) return ReadOutcome::kClosed;
     if (got < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return ReadOutcome::kClosed;
     }
     buffer.append(chunk, static_cast<std::size_t>(got));
   }
-  return false;
+  return ReadOutcome::kTooLarge;
 }
 
-void write_all(int fd, std::string_view bytes) {
+/// Sends all of `bytes` unless `deadline` passes first. The deadline
+/// bounds the whole response, not each send: a peer that drains a few
+/// bytes at a time would otherwise keep a per-call timeout from expiring.
+void write_all(int fd, std::string_view bytes, Clock::time_point deadline) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // peer went away; nothing useful to do
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
     }
-    sent += static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return;  // peer went away
+    const int left_ms = poll_ms_until(deadline);
+    if (left_ms == 0) return;  // peer stopped reading
+    pollfd pfd{fd, POLLOUT, 0};
+    ::poll(&pfd, 1, left_ms);
   }
+}
+
+HttpResponse error_response(int status, const std::string& message) {
+  HttpResponse response;
+  response.status = status;
+  JsonValue body = JsonValue::object();
+  body["error"] = message;
+  response.body = body.dump();
+  return response;
 }
 
 }  // namespace
@@ -181,6 +221,7 @@ const char* http_status_reason(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 408: return "Request Timeout";
     case 409: return "Conflict";
     case 413: return "Payload Too Large";
     case 500: return "Internal Server Error";
@@ -220,8 +261,6 @@ std::string format_http_response(const HttpResponse& response) {
 HttpServer::HttpServer(Handler handler, const Options& options)
     : handler_(std::move(handler)), options_(options) {
   FV_REQUIRE(handler_ != nullptr, "HttpServer needs a handler");
-  FV_REQUIRE(options_.listener_threads >= 1,
-             "HttpServer needs at least one listener thread");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) io_fail("socket");
   const int one = 1;
@@ -252,22 +291,20 @@ HttpServer::HttpServer(Handler handler, const Options& options)
     errno = saved;
     io_fail("listen");
   }
-  listeners_.reserve(options_.listener_threads);
-  for (std::size_t i = 0; i < options_.listener_threads; ++i) {
-    listeners_.emplace_back([this] { listener_loop(); });
+  connection_threads_.reserve(kConnectionThreads);
+  for (std::size_t i = 0; i < kConnectionThreads; ++i) {
+    connection_threads_.emplace_back([this] { accept_loop(); });
   }
 }
 
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
-  if (stopping_.exchange(true)) {
-    for (std::thread& t : listeners_) {
-      if (t.joinable()) t.join();
-    }
-    return;
-  }
-  for (std::thread& t : listeners_) {
+  // Shutting the listening socket down fails every blocked and future
+  // accept(), which is how each connection thread learns to exit once its
+  // current connection is answered.
+  if (!stopping_.exchange(true)) ::shutdown(listen_fd_, SHUT_RDWR);
+  for (std::thread& t : connection_threads_) {
     if (t.joinable()) t.join();
   }
   if (listen_fd_ >= 0) {
@@ -276,50 +313,61 @@ void HttpServer::stop() {
   }
 }
 
-void HttpServer::listener_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    // Bounded poll so the stop flag is observed promptly; accept never
-    // blocks indefinitely.
-    const int ready = ::poll(&pfd, 1, 50);
-    if (ready <= 0) continue;
+void HttpServer::accept_loop() {
+  while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+    if (stopping_.load(std::memory_order_relaxed)) {
+      if (fd >= 0) ::close(fd);
+      return;
+    }
+    if (fd < 0) {
+      // Out of descriptors or buffers: back off instead of spinning; the
+      // other errors (a peer that reset before accept) just retry.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
+    }
     serve_connection(fd);
     ::close(fd);
   }
 }
 
 void HttpServer::serve_connection(int fd) {
-  std::string buffer;
+  const Clock::time_point read_deadline = Clock::now() + kReadDeadline;
+  const auto answer = [fd](const HttpResponse& response) {
+    write_all(fd, format_http_response(response),
+              Clock::now() + kWriteDeadline);
+  };
   HttpRequest request;
   HttpResponse response;
   try {
-    if (!read_request(fd, options_.max_request_bytes, buffer, request)) {
-      response.status = 413;
-      JsonValue error = JsonValue::object();
-      error["error"] = "request too large or truncated";
-      response.body = error.dump();
-      write_all(fd, format_http_response(response));
-      return;
+    switch (read_request(fd, options_.max_request_bytes, read_deadline,
+                         request)) {
+      case ReadOutcome::kComplete:
+        response = handler_(request);
+        break;
+      case ReadOutcome::kTooLarge:
+        answer(error_response(413, "request too large"));
+        return;
+      case ReadOutcome::kTimedOut:
+        answer(error_response(408, "request not complete within the read "
+                                   "deadline"));
+        return;
+      case ReadOutcome::kClosed:
+        return;  // nobody is left to answer
     }
-    response = handler_(request);
   } catch (const ParseError& error) {
-    response.status = 400;
-    JsonValue body = JsonValue::object();
-    body["error"] = std::string(error.what());
-    response.body = body.dump();
+    response = error_response(400, error.what());
   } catch (const std::exception& error) {
     // The handler (AnalysisService) maps typed errors itself; anything
     // that still escapes is a server bug answered as 500, never a dropped
     // connection.
-    response.status = 500;
-    JsonValue body = JsonValue::object();
-    body["error"] = std::string(error.what());
-    response.body = body.dump();
+    response = error_response(500, error.what());
   }
   served_.fetch_add(1, std::memory_order_relaxed);
-  write_all(fd, format_http_response(response));
+  answer(response);
 }
 
 std::string http_exchange(std::uint16_t port, std::string_view raw_request) {
@@ -335,7 +383,7 @@ std::string http_exchange(std::uint16_t port, std::string_view raw_request) {
     errno = saved;
     io_fail("connect");
   }
-  write_all(fd, raw_request);
+  write_all(fd, raw_request, Clock::time_point::max());
   ::shutdown(fd, SHUT_WR);
   std::string response;
   char chunk[4096];

@@ -456,7 +456,6 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
       // cold compute produced — no admission check, no queueing.
       job->state = JobState::kDone;
       job->cached = true;
-      job->result = hit->second;
       stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
     } else {
       if (active_jobs_ >= options_.max_active_jobs) {
@@ -582,6 +581,38 @@ std::string AnalysisService::compute_job(const std::string& type,
   return out.dump();
 }
 
+std::shared_ptr<const std::string> AnalysisService::produce_result(
+    const JobRecord& job, bool& warm) {
+  const auto compute = [&]() { return compute_job(job.type, job.params); };
+  std::string bytes;
+  warm = false;
+  if (options_.store != nullptr) {
+    // A restarted server serves the blob a previous process committed,
+    // byte for byte. StoreCrashed flies through the ladder to the caller:
+    // a death mid-commit fails the request and leaves fsck the store.
+    store::OpenStats open_stats;
+    bytes = store::open_or_compute_blob(*options_.store, job.cache_key,
+                                        compute, &open_stats);
+    warm = open_stats.warm;
+  } else {
+    bytes = compute();
+  }
+  (warm ? stats_.cache_hits : stats_.computes)
+      .fetch_add(1, std::memory_order_relaxed);
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
+void AnalysisService::cache_insert_locked(
+    store::ArtifactKey key, std::shared_ptr<const std::string> result) {
+  if (cache_.emplace(key, std::move(result)).second) {
+    cache_order_.push_back(key);
+    while (cache_.size() > options_.result_cache_entries) {
+      cache_.erase(cache_order_.front());
+      cache_order_.erase(cache_order_.begin());
+    }
+  }
+}
+
 void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
   {
     std::scoped_lock lock(mutex_);
@@ -594,20 +625,7 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
   int error_status = 500;
   bool was_cached = false;
   try {
-    const auto compute = [&]() { return compute_job(job->type, job->params); };
-    if (options_.store != nullptr) {
-      // A restarted server serves the blob a previous process committed,
-      // byte for byte. StoreCrashed flies through the ladder to the catch
-      // below: a death mid-commit fails the job and leaves fsck the store.
-      store::OpenStats open_stats;
-      result = std::make_shared<const std::string>(store::open_or_compute_blob(
-          *options_.store, job->cache_key, compute, &open_stats));
-      was_cached = open_stats.warm;
-    } else {
-      result = std::make_shared<const std::string>(compute());
-    }
-    (was_cached ? stats_.cache_hits : stats_.computes)
-        .fetch_add(1, std::memory_order_relaxed);
+    result = produce_result(*job, was_cached);
   } catch (const Error& e) {
     error = e.what();
     error_status = error_http_status(e);
@@ -618,7 +636,6 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
     // "dead process" left it — fsck's problem, as the chaos suite proves.
     // The computed result is dropped: a process that died mid-commit never
     // answered its client either.
-    result = nullptr;
     error = "store crashed at op " + std::to_string(crash.op) +
             " persisting the result";
     error_status = 500;
@@ -632,14 +649,7 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
     if (result != nullptr) {
       job->state = JobState::kDone;
       job->cached = was_cached;
-      job->result = result;
-      if (cache_.emplace(job->cache_key, result).second) {
-        cache_order_.push_back(job->cache_key);
-        while (cache_.size() > options_.result_cache_entries) {
-          cache_.erase(cache_order_.front());
-          cache_order_.erase(cache_order_.begin());
-        }
-      }
+      cache_insert_locked(job->cache_key, std::move(result));
     } else {
       job->state = JobState::kFailed;
       job->error = error;
@@ -696,30 +706,50 @@ HttpResponse AnalysisService::handle_job_status(const std::string& session_id,
 HttpResponse AnalysisService::handle_job_result(const std::string& session_id,
                                                 const std::string& job_id,
                                                 std::uint64_t tick) {
-  std::scoped_lock lock(mutex_);
-  const auto it = jobs_.find(job_id);
-  if (it == jobs_.end() || it->second->session_id != session_id) {
-    return not_found("job");
-  }
-  const std::shared_ptr<JobRecord> job = it->second;
-  job->last_touch = tick;
-  switch (job->state) {
-    case JobState::kDone: {
-      // The response body IS the cached byte string — result fetches are
-      // bit-identical across cold, concurrent and cached serves.
-      HttpResponse response;
-      response.body = *job->result;
-      return response;
+  std::shared_ptr<JobRecord> job;
+  std::shared_ptr<const std::string> result;
+  {
+    std::scoped_lock lock(mutex_);
+    const auto it = jobs_.find(job_id);
+    if (it == jobs_.end() || it->second->session_id != session_id) {
+      return not_found("job");
     }
-    case JobState::kFailed:
-      return error_response(job->error_status, job->error);
-    case JobState::kQueued:
-    case JobState::kRunning: {
-      HttpResponse response = error_response(409, "job not finished");
-      return response;
+    job = it->second;
+    job->last_touch = tick;
+    switch (job->state) {
+      case JobState::kDone:
+        break;
+      case JobState::kFailed:
+        return error_response(job->error_status, job->error);
+      case JobState::kQueued:
+      case JobState::kRunning:
+        return error_response(409, "job not finished");
+    }
+    if (const auto hit = cache_.find(job->cache_key); hit != cache_.end()) {
+      result = hit->second;
     }
   }
-  return error_response(500, "unreachable job state");
+  if (result == nullptr) {
+    // Evicted from the bounded cache. The key names the bytes, so the
+    // store (or a recompute) hands back exactly what the job produced.
+    // A finished job's type, params and key never change, so no lock.
+    try {
+      bool warm = false;
+      result = produce_result(*job, warm);
+    } catch (const store::StoreCrashed& crash) {
+      return error_response(500, "store crashed at op " +
+                                     std::to_string(crash.op) +
+                                     " reloading the result");
+    }
+    std::scoped_lock lock(mutex_);
+    cache_insert_locked(job->cache_key, result);
+  }
+  // The response body IS the cached byte string — result fetches are
+  // bit-identical across cold, concurrent, cached and evicted serves. The
+  // copy happens outside the service lock.
+  HttpResponse response;
+  response.body = *result;
+  return response;
 }
 
 HttpResponse AnalysisService::handle_stats() const {

@@ -203,11 +203,13 @@ class AnalysisService {
     JsonValue params;  ///< validated request params (for status echoes)
     JobState state = JobState::kQueued;
     bool cached = false;
+    /// Names the result bytes when kDone. The bytes themselves live only
+    /// in the bounded result cache (and the store, when set), so finished
+    /// jobs do not pin result memory past the cache bound.
     store::ArtifactKey cache_key = 0;
-    std::shared_ptr<const std::string> result;  ///< JSON bytes when kDone
-    std::string error;                          ///< message when kFailed
-    int error_status = 500;                     ///< status when kFailed
-    std::uint64_t last_touch = 0;               ///< logical request tick
+    std::string error;             ///< message when kFailed
+    int error_status = 500;        ///< status when kFailed
+    std::uint64_t last_touch = 0;  ///< logical request tick
   };
 
   HttpResponse dispatch(const HttpRequest& request, std::uint64_t tick);
@@ -237,6 +239,12 @@ class AnalysisService {
   store::ArtifactKey job_cache_key(const std::string& type,
                                    const JsonValue& params) const;
   void run_job(std::shared_ptr<JobRecord> job);
+  /// A job's result bytes: from the store when set (computed and
+  /// persisted on a miss), else computed. `warm` says the store had them.
+  std::shared_ptr<const std::string> produce_result(const JobRecord& job,
+                                                    bool& warm);
+  void cache_insert_locked(store::ArtifactKey key,
+                           std::shared_ptr<const std::string> result);
   std::size_t reap_locked(std::uint64_t now);
 
   std::shared_ptr<ServeSession> find_session(const std::string& id) const;

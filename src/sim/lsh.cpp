@@ -55,10 +55,6 @@ std::uint64_t extract_bits(const std::uint64_t* sig, std::size_t begin,
   return v;
 }
 
-std::uint64_t pack_pair(std::uint32_t a, std::uint32_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
 }  // namespace
 
 std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
@@ -225,71 +221,116 @@ std::uint64_t LshIndex::slice_key(std::size_t row, std::size_t table,
 std::vector<std::pair<std::uint32_t, std::uint32_t>> LshIndex::candidate_pairs(
     CandidateStats* stats) const {
   CandidateStats local;
-  std::vector<std::uint64_t> packed;
-  // Dedup floor for incremental compaction: once the collision buffer
-  // outgrows 4x the last deduped size, sort + unique in place — peak
-  // memory tracks the deduped candidate set, not tables x collisions
-  // (near-duplicate profiles collide in every table).
-  std::size_t unique_floor = 0;
-  const auto compact = [&] {
-    std::sort(packed.begin(), packed.end());
-    packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
-    unique_floor = packed.size();
-  };
+  const std::size_t per = probes_ > 1 ? probes_ - 1 : 0;
+  const std::uint32_t none = static_cast<std::uint32_t>(count_);
 
+  // Per-table lookups, all from one merge-join of the sorted key bank with
+  // the table's probes sorted by (key, row). Inside a bucket (a run of
+  // equal keys) ids ascend, and so do the rows of the probes that share a
+  // key, so "the partners above row i" is always a suffix of a range.
+  struct Sweep {
+    std::vector<std::uint32_t> position;    ///< row -> index in the table
+    std::vector<std::uint32_t> bucket_end;  ///< index -> end of its bucket
+    /// index -> [begin, end) in probe_rows of the probes keyed on its bucket
+    std::vector<std::uint32_t> inbound_begin, inbound_end;
+    std::vector<std::uint32_t> probe_rows;  ///< probing rows, sorted by key
+    /// (row·per + p) -> table index where probe p of the row lands, or
+    /// `none` when its key matches no bucket
+    std::vector<std::uint32_t> probe_target;
+  };
+  std::vector<Sweep> sweeps(tables_);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> probe_keys;
   for (std::size_t t = 0; t < tables_; ++t) {
     const Table& table = tables_storage_[t];
-    // Buckets are runs of equal keys; ids inside a run are ascending, so
-    // emitted pairs are already (i < j)-ordered.
+    Sweep& sweep = sweeps[t];
+    sweep.position.resize(count_);
+    sweep.bucket_end.resize(count_);
+    sweep.inbound_begin.resize(count_);
+    sweep.inbound_end.resize(count_);
+    for (std::size_t x = 0; x < count_; ++x) {
+      sweep.position[table.rows[x]] = static_cast<std::uint32_t>(x);
+    }
+    // Multi-probe: each profile also looks up the buckets reached by
+    // flipping its lowest-margin slice bits, one at a time.
+    probe_keys.resize(count_ * per);
+    for (std::size_t i = 0; i < count_; ++i) {
+      const std::uint16_t* pb = probe_bits_.data() + (i * tables_ + t) * per;
+      for (std::size_t p = 0; p < per; ++p) {
+        probe_keys[i * per + p] = {slice_key(i, t, pb[p]),
+                                   static_cast<std::uint32_t>(i * per + p)};
+      }
+    }
+    std::sort(probe_keys.begin(), probe_keys.end());
+    sweep.probe_rows.resize(probe_keys.size());
+    for (std::size_t q = 0; q < probe_keys.size(); ++q) {
+      sweep.probe_rows[q] = static_cast<std::uint32_t>(
+          probe_keys[q].second / per);
+    }
+    sweep.probe_target.assign(probe_keys.size(), none);
+    local.buckets_probed += probe_keys.size();
+
+    std::size_t q = 0;
     std::size_t b = 0;
     while (b < count_) {
       std::size_t e = b + 1;
       while (e < count_ && table.keys[e] == table.keys[b]) ++e;
       ++local.buckets_probed;
-      for (std::size_t x = b; x < e; ++x) {
-        for (std::size_t y = x + 1; y < e; ++y) {
-          packed.push_back(pack_pair(table.rows[x], table.rows[y]));
-        }
-      }
       local.candidates_generated += (e - b) * (e - b - 1) / 2;
+      const std::uint64_t key = table.keys[b];
+      while (q < probe_keys.size() && probe_keys[q].first < key) ++q;
+      const std::size_t inbound = q;
+      for (; q < probe_keys.size() && probe_keys[q].first == key; ++q) {
+        sweep.probe_target[probe_keys[q].second] =
+            static_cast<std::uint32_t>(b);
+        // A probe never pairs a row with itself.
+        const std::size_t own = sweep.position[sweep.probe_rows[q]];
+        local.candidates_generated += (e - b) - (own >= b && own < e);
+      }
+      for (std::size_t x = b; x < e; ++x) {
+        sweep.bucket_end[x] = static_cast<std::uint32_t>(e);
+        sweep.inbound_begin[x] = static_cast<std::uint32_t>(inbound);
+        sweep.inbound_end[x] = static_cast<std::uint32_t>(q);
+      }
       b = e;
     }
-    // Multi-probe: each profile also looks up the buckets reached by
-    // flipping its lowest-margin slice bits, one at a time.
-    if (probes_ > 1) {
-      const std::size_t per = probes_ - 1;
-      for (std::size_t i = 0; i < count_; ++i) {
-        const std::uint16_t* pb =
-            probe_bits_.data() + (i * tables_ + t) * per;
-        for (std::size_t p = 0; p < per; ++p) {
-          const std::uint64_t key = slice_key(i, t, pb[p]);
-          ++local.buckets_probed;
-          const auto lo = std::lower_bound(table.keys.begin(),
-                                           table.keys.end(), key);
-          const auto hi = std::upper_bound(lo, table.keys.end(), key);
-          for (auto it = lo; it != hi; ++it) {
-            const std::uint32_t j =
-                table.rows[static_cast<std::size_t>(it - table.keys.begin())];
-            if (j == i) continue;
-            packed.push_back(j < i
-                                 ? pack_pair(j, static_cast<std::uint32_t>(i))
-                                 : pack_pair(static_cast<std::uint32_t>(i), j));
-            ++local.candidates_generated;
-          }
+  }
+
+  // Row by row, gather every partner j > i from the three sources of each
+  // table (i's own bucket, the buckets i's probes land in, the probes that
+  // land in i's bucket), dedupe with a stamp, and append the sorted row —
+  // the output is (i, j)-sorted with no global sort of the collisions.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::vector<std::uint32_t> stamp(count_, none);
+  std::vector<std::uint32_t> partners;
+  for (std::size_t i = 0; i < count_; ++i) {
+    const auto row = static_cast<std::uint32_t>(i);
+    partners.clear();
+    const auto take = [&](const std::uint32_t* begin,
+                          const std::uint32_t* end) {
+      for (const std::uint32_t* it = std::upper_bound(begin, end, row);
+           it != end; ++it) {
+        if (stamp[*it] != row) {
+          stamp[*it] = row;
+          partners.push_back(*it);
         }
       }
+    };
+    for (std::size_t t = 0; t < tables_; ++t) {
+      const Sweep& sweep = sweeps[t];
+      const std::uint32_t* rows = tables_storage_[t].rows.data();
+      const std::uint32_t x = sweep.position[i];
+      take(rows + x + 1, rows + sweep.bucket_end[x]);
+      for (std::size_t p = 0; p < per; ++p) {
+        const std::uint32_t target = sweep.probe_target[i * per + p];
+        if (target != none) {
+          take(rows + target, rows + sweep.bucket_end[target]);
+        }
+      }
+      take(sweep.probe_rows.data() + sweep.inbound_begin[x],
+           sweep.probe_rows.data() + sweep.inbound_end[x]);
     }
-    if (packed.size() > std::max<std::size_t>(4096, 4 * unique_floor)) {
-      compact();
-    }
-  }
-  compact();
-
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(packed.size());
-  for (const std::uint64_t p : packed) {
-    pairs.emplace_back(static_cast<std::uint32_t>(p >> 32),
-                       static_cast<std::uint32_t>(p & 0xffffffffULL));
+    std::sort(partners.begin(), partners.end());
+    for (const std::uint32_t j : partners) pairs.emplace_back(row, j);
   }
   local.pairs = pairs.size();
   if (stats != nullptr) *stats = local;

@@ -115,9 +115,10 @@ class LshIndex {
   /// Every unordered profile pair that collides in at least one table
   /// (same slice key, or reached via a multi-probe flipped key), deduped,
   /// as (i, j) with i < j, sorted — a deterministic function of the
-  /// signatures alone. The transient collision buffer is compacted
-  /// incrementally, so peak memory tracks the deduped result, not the
-  /// tables × collisions product.
+  /// signatures alone. Built row by row: each row's partners are
+  /// gathered from every table, deduped and sorted on their own, so no
+  /// collision list is ever materialized or globally sorted, and peak
+  /// memory is the output plus O(tables · n · probes) lookup arrays.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> candidate_pairs(
       CandidateStats* stats = nullptr) const;
 

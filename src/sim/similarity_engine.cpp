@@ -853,7 +853,7 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     // signatures know nothing about masks, so filtering there would
     // silently change which pairs even get considered.
     // A caller-supplied prebuilt index (warm-reopened from the artifact
-    // store) skips the signature build — the dominant cost of this path.
+    // store) skips the signature build.
     FV_REQUIRE(lsh_index == nullptr || lsh_index->size() == n,
                "prebuilt LSH index covers a different profile count than "
                "this engine");

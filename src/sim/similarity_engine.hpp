@@ -337,9 +337,9 @@ class SimilarityEngine {
   /// `lsh_index`, when non-null, is a prebuilt signature index over THIS
   /// engine (it must have size() == size()) that the kApprox path reuses
   /// instead of building one — the artifact store hands warm-reopened
-  /// indexes in through here, skipping the O(n·bits) signature build that
-  /// dominates approximate top-k. Ignored by the exact strategies. A
-  /// borrowed index's backing is checked like the engine's own.
+  /// indexes in through here, skipping the O(n·bits) signature build.
+  /// Ignored by the exact strategies. A borrowed index's backing is
+  /// checked like the engine's own.
   NeighborTable top_k_neighbors(std::size_t k, par::ThreadPool& pool,
                                 std::size_t min_common = 0,
                                 TopKStrategy strategy = TopKStrategy::kAuto,

@@ -212,7 +212,8 @@ void ArtifactStore::put(ArtifactKind kind, ArtifactKey key,
               lengths.size() * sizeof(std::uint64_t));
   std::size_t offset = align8(lengths.size() * sizeof(std::uint64_t));
   for (const auto& s : sections) {
-    std::memcpy(payload.data() + offset, s.data(), s.size());
+    // An empty section's data() may be null, which memcpy must not see.
+    if (!s.empty()) std::memcpy(payload.data() + offset, s.data(), s.size());
     offset += align8(s.size());
   }
 

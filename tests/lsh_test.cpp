@@ -7,13 +7,19 @@
 // bit-identity against the exact path for every returned pair, 4-thread
 // schedule independence, all-rows-identical and heavily-masked degenerate
 // inputs with the min_common filter, Euclidean rejection, and the
-// k >= n-1 exact fallback.
+// k >= n-1 exact fallback, and the candidate sweep pinned against
+// brute-force slice collisions (single probe) and recorded digests
+// (multi-probe) on owned and store-borrowed indexes.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "expr/expression_matrix.hpp"
@@ -21,8 +27,11 @@
 #include "sim/lsh.hpp"
 #include "sim/similarity_engine.hpp"
 #include "stats/descriptive.hpp"
+#include "store/artifact_store.hpp"
+#include "store/cached.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/xxhash.hpp"
 
 namespace {
 
@@ -328,6 +337,166 @@ TEST(LshTopKTest, LargeKFallsBackToExact) {
   expect_tables_identical(exact, approx);
   EXPECT_EQ(stats.signatures_built, 0u);
   EXPECT_EQ(stats.exact_dot_fraction, 1.0);
+}
+
+/// The inputs the candidate sweep is pinned on: planted modules (large
+/// buckets, many repeat collisions across tables), iid random rows (almost
+/// no collisions) and 130 identical rows (one bucket holding everything).
+struct SweepInput {
+  const char* name;
+  ex::ExpressionMatrix matrix;
+};
+
+std::vector<SweepInput> sweep_inputs() {
+  std::vector<SweepInput> inputs;
+  inputs.push_back({"modules", module_matrix(600, 96, 20, 515)});
+  ex::ExpressionMatrix random(600, 96);
+  fv::Rng rng(616);
+  for (std::size_t r = 0; r < random.rows(); ++r) {
+    for (std::size_t c = 0; c < random.cols(); ++c) {
+      random.set(r, c, static_cast<float>(rng.normal()));
+    }
+  }
+  inputs.push_back({"random", std::move(random)});
+  ex::ExpressionMatrix identical(130, 48);
+  for (std::size_t r = 0; r < identical.rows(); ++r) {
+    for (std::size_t c = 0; c < identical.cols(); ++c) {
+      identical.set(r, c, static_cast<float>(
+                              std::cos(0.23 * static_cast<double>(c + 1))));
+    }
+  }
+  inputs.push_back({"identical", std::move(identical)});
+  return inputs;
+}
+
+/// Runs `check` on a freshly built (owned) index and on the same index
+/// reopened warm from an artifact store (borrowed from the mapping).
+template <typename Check>
+void for_owned_and_borrowed(const sm::SimilarityEngine& engine,
+                            const sm::LshParams& params, Check check) {
+  fv::par::ThreadPool pool(2);
+  const sm::LshIndex owned(engine, params, pool);
+  ASSERT_EQ(owned.storage(), sm::EngineStorage::kOwnedHeap);
+  check(owned);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("fv_lsh_sweep_test." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    fv::store::ArtifactStore store(dir.string());
+    (void)fv::store::open_or_build_lsh(store, engine, params, pool);
+    const sm::LshIndex borrowed =
+        fv::store::open_or_build_lsh(store, engine, params, pool);
+    ASSERT_EQ(borrowed.storage(), sm::EngineStorage::kBorrowedMapped);
+    check(borrowed);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LshIndexTest, SingleProbeCandidatesEqualBruteForceSliceCollisions) {
+  // With one probe a pair is a candidate iff its two signatures agree on
+  // some table's slice. Slices here are 64 bits or narrower, where the
+  // slice-key mixer is a bijection, so key equality is slice equality and
+  // the public signatures alone give the expected pairs and counters.
+  for (const SweepInput& input : sweep_inputs()) {
+    const auto engine =
+        sm::SimilarityEngine::from_rows(input.matrix, sm::Metric::kPearson);
+    for (const sm::LshParams params :
+         {sm::LshParams{.bits = 64, .tables = 1, .probes = 1},
+          sm::LshParams{.bits = 256, .tables = 16, .probes = 1}}) {
+      SCOPED_TRACE(std::string(input.name) + " tables=" +
+                   std::to_string(params.tables));
+      for_owned_and_borrowed(engine, params, [&](const sm::LshIndex& index) {
+        const std::size_t slice = index.slice_bits();
+        std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
+        std::size_t buckets = 0, collisions = 0;
+        for (std::size_t t = 0; t < params.tables; ++t) {
+          std::map<std::uint64_t, std::vector<std::uint32_t>> by_slice;
+          for (std::size_t i = 0; i < index.size(); ++i) {
+            const auto sig = index.signature(i);
+            std::uint64_t value = 0;
+            for (std::size_t b = 0; b < slice; ++b) {
+              const std::size_t bit = t * slice + b;
+              value |= ((sig[bit / 64] >> (bit % 64)) & 1u) << b;
+            }
+            by_slice[value].push_back(static_cast<std::uint32_t>(i));
+          }
+          buckets += by_slice.size();
+          for (const auto& [value, rows] : by_slice) {
+            collisions += rows.size() * (rows.size() - 1) / 2;
+            for (std::size_t x = 0; x < rows.size(); ++x) {
+              for (std::size_t y = x + 1; y < rows.size(); ++y) {
+                expected.emplace(rows[x], rows[y]);
+              }
+            }
+          }
+        }
+        sm::LshIndex::CandidateStats stats;
+        const auto pairs = index.candidate_pairs(&stats);
+        EXPECT_TRUE(std::equal(pairs.begin(), pairs.end(), expected.begin(),
+                               expected.end()));
+        EXPECT_EQ(stats.pairs, expected.size());
+        EXPECT_EQ(stats.buckets_probed, buckets);
+        EXPECT_EQ(stats.candidates_generated, collisions);
+      });
+    }
+  }
+}
+
+TEST(LshIndexTest, MultiProbeCandidatesMatchRecordedDigests) {
+  // Multi-probe keys depend on the private lowest-margin bits, so the
+  // reference is a digest of the pairs and counters recorded from the
+  // sort-and-compact sweep this one replaced.
+  struct Golden {
+    const char* input;
+    std::size_t tables;
+    std::size_t probes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"modules", 1, 2, 0xa52c3297628639e8ULL},
+      {"modules", 1, 3, 0xc3ba7dc8e7943866ULL},
+      {"modules", 16, 2, 0xe9c168e99dfb8c89ULL},
+      {"modules", 16, 3, 0x9cfdc43bed187f9bULL},
+      {"random", 1, 2, 0x3f7f37509b9d8d6aULL},
+      {"random", 1, 3, 0xf389cdbbeddd3a31ULL},
+      {"random", 16, 2, 0xfdeed4534d9c70f3ULL},
+      {"random", 16, 3, 0x4387f7e4bdbf693aULL},
+      {"identical", 1, 2, 0x943f43a90bb38048ULL},
+      {"identical", 1, 3, 0x57d146ef90f5b774ULL},
+      {"identical", 16, 2, 0x8a4ab6d058528fb6ULL},
+      {"identical", 16, 3, 0x3d91a7b83858e42dULL},
+  };
+  for (const SweepInput& input : sweep_inputs()) {
+    const auto engine =
+        sm::SimilarityEngine::from_rows(input.matrix, sm::Metric::kPearson);
+    for (const Golden& golden : goldens) {
+      if (std::string(golden.input) != input.name) continue;
+      const sm::LshParams params{.bits = golden.tables == 1 ? 64u : 256u,
+                                 .tables = golden.tables,
+                                 .probes = golden.probes};
+      SCOPED_TRACE(std::string(input.name) + " tables=" +
+                   std::to_string(params.tables) +
+                   " probes=" + std::to_string(params.probes));
+      for_owned_and_borrowed(engine, params, [&](const sm::LshIndex& index) {
+        sm::LshIndex::CandidateStats stats;
+        const auto pairs = index.candidate_pairs(&stats);
+        std::vector<std::uint64_t> words;
+        for (const auto& [i, j] : pairs) {
+          words.push_back((static_cast<std::uint64_t>(i) << 32) | j);
+        }
+        words.push_back(stats.buckets_probed);
+        words.push_back(stats.candidates_generated);
+        words.push_back(stats.pairs);
+        const std::uint64_t digest =
+            fv::xxhash64_of(std::span<const std::uint64_t>(words));
+        EXPECT_EQ(digest, golden.digest)
+            << "pairs=" << stats.pairs
+            << " candidates=" << stats.candidates_generated
+            << " buckets=" << stats.buckets_probed;
+      });
+    }
+  }
 }
 
 }  // namespace

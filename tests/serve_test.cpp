@@ -9,7 +9,10 @@
 //   * cache-hit bit-identity, proven by the compute counter,
 //   * deterministic request-path fault injection,
 //   * client-abandoned job reaping on the logical request clock,
-//   * the persistent blob cache across service restarts.
+//   * the persistent blob cache across service restarts, and results
+//     evicted from the bounded memory cache served bit-identically,
+//   * the socket listener: concurrent connections, read and write
+//     deadlines, 408/413, and a stop() that a non-reading peer can't hang.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,10 +20,15 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/distance.hpp"
@@ -448,6 +456,45 @@ TEST(Serve, PersistentBlobCacheSurvivesRestart) {
   fs::remove_all(dir);
 }
 
+TEST(Serve, EvictedResultIsServedBitIdentical) {
+  // A one-entry cache evicts job 1's bytes by the time job 3 finishes; the
+  // job record keeps only the key, so the fetch reloads from the store
+  // (no compute) or, storeless, recomputes — the same bytes either way.
+  const std::vector<std::string> bodies = {
+      "{\"type\":\"topk\",\"k\":3,\"rows\":8}",
+      "{\"type\":\"topk\",\"k\":4,\"rows\":8}",
+      "{\"type\":\"topk\",\"k\":5,\"rows\":8}"};
+  std::string cold;
+  {
+    AnalysisService reference(fixture().compendium, fixture().compute_pool);
+    cold = run_to_result(reference, create_session(reference), bodies[0]);
+  }
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("fv_serve_evict_test." + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  for (const bool with_store : {true, false}) {
+    SCOPED_TRACE(with_store ? "with store" : "storeless");
+    fv::store::ArtifactStore store(dir);
+    AnalysisService::Options options;
+    options.result_cache_entries = 1;
+    options.store = with_store ? &store : nullptr;
+    AnalysisService service(fixture().compendium, fixture().compute_pool,
+                            options);
+    const std::string sid = create_session(service);
+    for (const std::string& body : bodies) run_to_result(service, sid, body);
+    EXPECT_EQ(service.stats().computes.load(), 3u);
+
+    const HttpResponse result = service.handle(
+        make_request("GET", "/sessions/" + sid + "/jobs/j1/result"));
+    EXPECT_EQ(result.status, 200);
+    EXPECT_EQ(result.body, cold);
+    EXPECT_EQ(service.stats().computes.load(), with_store ? 3u : 4u);
+    fs::remove_all(dir);
+  }
+}
+
 TEST(Serve, HttpRoundTripOverSockets) {
   AnalysisService service(fixture().compendium, fixture().compute_pool);
   fv::serve::HttpServer server(
@@ -536,6 +583,192 @@ TEST(ServeHttp, ContentLengthInsideAHeaderValueDoesNotStallTheListener) {
   ASSERT_NE(split, std::string::npos) << "no response within 2 s";
   EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
   EXPECT_EQ(response.substr(split + 4), "{}");
+  server.stop();
+}
+
+/// A loopback client socket whose receives and sends give up after
+/// `timeout`, so a stalled server fails a test instead of hanging it.
+/// `rcvbuf` > 0 shrinks the receive buffer (and so the advertised window).
+int connect_client(std::uint16_t port, std::chrono::seconds timeout,
+                   int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count());
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  return fd;
+}
+
+/// Everything the server sends until it closes (or the timeout expires).
+std::string read_until_close(int fd) {
+  std::string response;
+  char chunk[4096];
+  while (true) {
+    const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
+    if (got <= 0) break;
+    response.append(chunk, static_cast<std::size_t>(got));
+  }
+  return response;
+}
+
+std::string timed_exchange(std::uint16_t port, const std::string& raw,
+                           std::chrono::seconds timeout) {
+  const int fd = connect_client(port, timeout);
+  ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL);
+  std::string response = read_until_close(fd);
+  ::close(fd);
+  return response;
+}
+
+TEST(ServeHttp, SilentClientAndLongPollDoNotStallOthers) {
+  // One client connects and sends nothing; another long-polls a handler
+  // that blocks until released. Neither may hold up 8 ordinary clients,
+  // and the silent one is answered 408 at the read deadline.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool released = false;
+  fv::serve::HttpServer server([&](const HttpRequest& request) {
+    HttpResponse response;
+    response.body = "{}";
+    if (request.path == "/block") {
+      std::unique_lock lock(mutex);
+      blocked = true;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(60), [&] { return released; });
+      response.body = "{\"released\":true}";
+    }
+    return response;
+  });
+  const std::uint16_t port = server.port();
+
+  const auto silent_start = std::chrono::steady_clock::now();
+  const int silent = connect_client(port, std::chrono::seconds(20));
+  std::string long_poll_reply;
+  std::thread long_poll([&] {
+    long_poll_reply = timed_exchange(port, "GET /block HTTP/1.1\r\n\r\n",
+                                     std::chrono::seconds(90));
+  });
+  {
+    std::unique_lock lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return blocked; }))
+        << "the long-poll never reached its handler";
+  }
+
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kRequests = 25;
+  constexpr auto kBound = std::chrono::seconds(2);
+  std::vector<std::size_t> answered(kClients, 0);
+  std::vector<std::chrono::steady_clock::duration> took(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t r = 0; r < kRequests; ++r) {
+        const std::string reply = timed_exchange(
+            port, "GET /echo HTTP/1.1\r\n\r\n", std::chrono::seconds(10));
+        if (reply.rfind("HTTP/1.1 200 OK\r\n", 0) == 0) ++answered[c];
+      }
+      took[c] = std::chrono::steady_clock::now() - start;
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(answered[c], kRequests) << "client " << c;
+    EXPECT_LT(took[c], kBound) << "client " << c;
+  }
+
+  const std::string silent_reply = read_until_close(silent);
+  const auto silent_waited = std::chrono::steady_clock::now() - silent_start;
+  ::close(silent);
+  EXPECT_EQ(silent_reply.rfind("HTTP/1.1 408 Request Timeout\r\n", 0), 0u)
+      << silent_reply;
+  EXPECT_GE(silent_waited, fv::serve::HttpServer::kReadDeadline -
+                               std::chrono::milliseconds(500));
+
+  {
+    std::scoped_lock lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  long_poll.join();
+  EXPECT_EQ(long_poll_reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+  EXPECT_NE(long_poll_reply.find("{\"released\":true}"), std::string::npos);
+  server.stop();
+}
+
+TEST(ServeHttp, StopReturnsWhileAClientRefusesToRead) {
+  // A 16 MiB answer to a client with a tiny receive window that reads
+  // nothing: the send stalls, the write deadline drops the connection, and
+  // stop() returns instead of waiting on the peer forever.
+  std::atomic<bool> handled{false};
+  fv::serve::HttpServer server([&](const HttpRequest&) {
+    HttpResponse response;
+    response.content_type = "text/plain";
+    response.body.assign(std::size_t{16} << 20, 'x');
+    handled = true;
+    return response;
+  });
+  const int stuck =
+      connect_client(server.port(), std::chrono::seconds(30), 4096);
+  const std::string raw = "GET /big HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(stuck, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  const auto wait_start = std::chrono::steady_clock::now();
+  while (!handled && std::chrono::steady_clock::now() - wait_start <
+                         std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(handled);
+
+  // The stalled writer holds one connection thread, not the server.
+  EXPECT_EQ(timed_exchange(server.port(), "GET /other HTTP/1.1\r\n\r\n",
+                           std::chrono::seconds(10))
+                .rfind("HTTP/1.1 200 OK\r\n", 0),
+            0u);
+
+  auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+  const bool returned =
+      stopped.wait_for(fv::serve::HttpServer::kWriteDeadline +
+                       std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(stuck);  // frees a server that ignored its write deadline
+  stopped.wait();
+  EXPECT_TRUE(returned) << "stop() waited on a peer that never reads";
+}
+
+TEST(ServeHttp, TruncatedRequestGetsNoAnswerAndOversizeIs413) {
+  fv::serve::HttpServer::Options options;
+  options.max_request_bytes = 64;
+  fv::serve::HttpServer server(
+      [](const HttpRequest&) { return HttpResponse{}; }, options);
+
+  // The peer closes its side before the declared body arrives: nobody is
+  // left to answer, so the server closes without a response.
+  const int fd = connect_client(server.port(), std::chrono::seconds(10));
+  const std::string partial =
+      "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+  ::send(fd, partial.data(), partial.size(), MSG_NOSIGNAL);
+  ::shutdown(fd, SHUT_WR);
+  EXPECT_EQ(read_until_close(fd), "");
+  ::close(fd);
+
+  const std::string declared_too_much = timed_exchange(
+      server.port(), "POST /x HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
+      std::chrono::seconds(10));
+  EXPECT_EQ(declared_too_much.rfind("HTTP/1.1 413 Payload Too Large\r\n", 0),
+            0u)
+      << declared_too_much;
   server.stop();
 }
 
