@@ -4,10 +4,11 @@
 // What this bench reports:
 //  * BM_DistancePhase{Condensed,Dense} — the engine's condensed tile writer
 //    vs the dense writer (same values; condensed touches half the memory).
-//  * BM_Agglomerate{NNChain,Seed} — the NN-chain agglomerator (guaranteed
-//    O(n²)) vs the seed's nearest-neighbor-cached agglomeration, whose
-//    rescans degrade toward O(n³) on module-structured expression data —
-//    exactly what genomic compendia look like.
+//  * BM_AgglomerateNNChain — the NN-chain agglomerator (guaranteed O(n²)).
+//    The epilogue times it against the seed's nearest-neighbor-cached
+//    agglomeration, whose rescans degrade toward O(n³) on
+//    module-structured expression data — exactly what genomic compendia
+//    look like.
 //  * BM_AgglomerateHeap — the lazy-deletion heap agglomerator on the
 //    linkages NN-chain cannot run (centroid/median) plus Ward forced
 //    through it, over squared Euclidean distances.
@@ -264,20 +265,6 @@ BENCHMARK(BM_AgglomerateNNChain)
     ->Args({4000, 0})
     ->Unit(benchmark::kMillisecond);
 
-void BM_AgglomerateSeed(benchmark::State& state) {
-  const auto& d = distances_for(static_cast<std::size_t>(state.range(0)));
-  const auto linkage = static_cast<cl::Linkage>(state.range(1));
-  for (auto _ : state) {
-    auto merges = seed_agglomerate(DenseDistances(d), linkage);
-    benchmark::DoNotOptimize(merges.data());
-  }
-}
-BENCHMARK(BM_AgglomerateSeed)
-    ->ArgNames({"genes", "linkage"})
-    ->Args({1000, 2})->Args({2000, 2})->Args({4000, 2})
-    ->Args({4000, 0})
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
-
 void BM_AgglomerateHeap(benchmark::State& state) {
   const auto& d =
       squared_distances_for(static_cast<std::size_t>(state.range(0)));
@@ -323,23 +310,6 @@ void BM_ClusterEndToEndNNChain(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterEndToEndNNChain)->Arg(1000)->Arg(2000)->Arg(4000)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_ClusterEndToEndSeed(benchmark::State& state) {
-  const auto& m = genes_matrix(static_cast<std::size_t>(state.range(0)));
-  fv::par::ThreadPool pool(1);
-  for (auto _ : state) {
-    const auto engine =
-        sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
-    DenseDistances dense{cl::DistanceMatrix(m.rows())};
-    engine.all_distances(dense.values, pool);
-    auto merges = seed_agglomerate(std::move(dense), cl::Linkage::kAverage);
-    const auto tree =
-        cl::merges_to_tree(merges, m.rows(), cl::correlation_similarity);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-}
-BENCHMARK(BM_ClusterEndToEndSeed)->Arg(1000)->Arg(2000)
-    ->Iterations(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- Epilogue: the issue's acceptance numbers at n = 4000 -----------------
 

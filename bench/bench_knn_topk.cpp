@@ -13,8 +13,9 @@
 //  * BM_DenseKernel{Double,Float} — the distance phase under the double
 //                               reference kernel vs the 4x-unrolled float
 //                               accumulator path (~2x on dense rows)
-//  * BM_KnnImpute{Engine,Seed}— kNN imputation through top_k_neighbors vs
-//                               the seed's scalar per-pair rescan
+//  * BM_KnnImputeEngine       — kNN imputation through top_k_neighbors
+//                               (the epilogue times it against the
+//                               seed's scalar per-pair rescan)
 //  * An ISSUE 3 epilogue at n = 4000 genes x 96 conditions, 5% missing,
 //    k = 10: distance-phase RSS of the top-k path vs condensed storage
 //    (target < 10%), imputation speedup (target >= 3x), and the float
@@ -271,7 +272,7 @@ void BM_DenseKernelDouble(benchmark::State& state) {
   dense_kernel_phase(state, sm::DenseKernel::kDouble);
 }
 void BM_DenseKernelFloat(benchmark::State& state) {
-  dense_kernel_phase(state, sm::DenseKernel::kFloat);
+  dense_kernel_phase(state, sm::DenseKernel::kAuto);
 }
 BENCHMARK(BM_DenseKernelDouble)->Arg(2000)->Arg(4000)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
@@ -292,18 +293,6 @@ void BM_KnnImputeEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnImputeEngine)->Arg(1000)->Arg(2000)->Arg(4000)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_KnnImputeSeed(benchmark::State& state) {
-  const auto& m = genes_matrix(static_cast<std::size_t>(state.range(0)),
-                               kMissingRate);
-  for (auto _ : state) {
-    ex::ExpressionMatrix work = m;
-    const std::size_t imputed = seed_knn_impute(work, kNeighbors);
-    benchmark::DoNotOptimize(imputed);
-  }
-}
-BENCHMARK(BM_KnnImputeSeed)->Arg(1000)->Arg(2000)
-    ->Iterations(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- Epilogue: the issue's acceptance numbers -----------------------------
 
@@ -349,9 +338,8 @@ void report_issue_targets() {
   // benchmark shape (full fast-path coverage), plus the auto policy state
   // for these rows.
   const auto& dense_m = genes_matrix(2000, 0.0);
-  const auto engine_f = sm::SimilarityEngine::from_rows(
-      dense_m, sm::Metric::kPearson, sm::Precompute::kAllPairs,
-      sm::DenseKernel::kFloat);
+  const auto engine_f =
+      sm::SimilarityEngine::from_rows(dense_m, sm::Metric::kPearson);
   const auto engine_d = sm::SimilarityEngine::from_rows(
       dense_m, sm::Metric::kPearson, sm::Precompute::kAllPairs,
       sm::DenseKernel::kDouble);
@@ -364,8 +352,6 @@ void report_issue_targets() {
     max_error = std::max(
         max_error, std::abs(static_cast<double>(dist_f[p]) - dist_d[p]));
   }
-  const auto engine_auto = sm::SimilarityEngine::from_rows(
-      dense_m, sm::Metric::kPearson);
 
   const double mem_ratio =
       static_cast<double>(topk_rss) / static_cast<double>(condensed_rss);
@@ -385,7 +371,7 @@ void report_issue_targets() {
       mem_ratio < 0.10 ? "PASS" : "FAIL", seed_seconds, engine_seconds,
       speedup, speedup >= 3.0 ? "PASS" : "FAIL", engine_imputed,
       seed_imputed, max_error, max_error < 1e-6 ? "PASS" : "FAIL",
-      kConditions, engine_auto.float_kernel_active() ? "yes" : "no");
+      kConditions, engine_f.float_kernel_active() ? "yes" : "no");
 }
 
 // --- Epilogue: the issue-5 pruned-strategy gate ---------------------------

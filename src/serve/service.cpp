@@ -199,6 +199,12 @@ AnalysisService::AnalysisService(SharedCompendium compendium,
   FV_REQUIRE(options_.job_workers >= 1, "job queue needs at least one worker");
   FV_REQUIRE(options_.max_active_jobs >= 1,
              "job admission bound must be at least 1");
+  FV_REQUIRE(options_.faults.reject_rate >= 0.0 &&
+                 options_.faults.reject_rate <= 1.0,
+             "reject_rate must lie in [0, 1]");
+  FV_REQUIRE(options_.faults.delay_rate >= 0.0 &&
+                 options_.faults.delay_rate <= 1.0,
+             "delay_rate must lie in [0, 1]");
 }
 
 AnalysisService::~AnalysisService() {

@@ -93,7 +93,8 @@ SharedCompendium open_shared_compendium(
 /// Deterministic request-path fault injection: per request index, decided
 /// on the shared fv::fault_hash chain (streams below), so a seed replays
 /// the exact same rejected/delayed request set under any interleaving of
-/// client threads — the chaos suite's determinism hook.
+/// client threads — the chaos suite's determinism hook. Each rate must lie
+/// in [0, 1]; AnalysisService throws InvalidArgument otherwise.
 struct ServeFaultSpec {
   std::uint64_t seed = 0;
   double reject_rate = 0.0;   ///< P(request answered 503, body flags injected)

@@ -196,9 +196,8 @@ void SimilarityEngine::build(std::span<const float> flat, std::size_t count,
   // always take the double kernel. The compensated block flush keeps the
   // bound inside the 1e-6 contract at any stride, so kAuto no longer
   // falls back on long rows.
-  float_kernel_ = metric != Metric::kEuclidean &&
-                  (kernel == DenseKernel::kFloat ||
-                   kernel == DenseKernel::kAuto);
+  float_kernel_ =
+      metric != Metric::kEuclidean && kernel == DenseKernel::kAuto;
   mask_words_ = (length + 63) / 64;
   if (mask_words_ == 0) mask_words_ = 1;
 

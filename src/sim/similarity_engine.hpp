@@ -62,10 +62,6 @@ enum class DenseKernel {
   /// 1e-6 equivalence contract — at any row length. See src/sim/README.md.
   kAuto,
   kDouble,  ///< Always the double reference kernel.
-  /// Same as kAuto for correlation metrics; kept distinct so tests and
-  /// benches can state "the float path, explicitly" and so the error-bound
-  /// study keeps a stable name if kAuto ever regains a fallback.
-  kFloat,
 };
 
 /// How top_k_neighbors runs its distance phase.
@@ -231,8 +227,8 @@ class SimilarityEngine {
   }
 
   /// Whether the dense correlation fast path runs on float accumulators
-  /// (DenseKernel::kFloat or kAuto — every correlation engine unless
-  /// kDouble was forced; the block-flush bound holds at any stride).
+  /// (DenseKernel::kAuto — every correlation engine unless kDouble was
+  /// forced; the block-flush bound holds at any stride).
   bool float_kernel_active() const noexcept { return float_kernel_; }
 
   bool row_has_missing(std::size_t i) const { return has_missing_[i] != 0; }

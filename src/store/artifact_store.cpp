@@ -98,9 +98,7 @@ const char* artifact_kind_name(ArtifactKind kind) {
   switch (kind) {
     case ArtifactKind::kEngine: return "engine";
     case ArtifactKind::kCondensedDistances: return "distances";
-    case ArtifactKind::kNeighborTable: return "neighbors";
     case ArtifactKind::kLshIndex: return "lsh";
-    case ArtifactKind::kMerges: return "merges";
     case ArtifactKind::kBlob: return "blob";
   }
   return "unknown";

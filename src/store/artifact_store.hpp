@@ -1,8 +1,8 @@
 // Crash-consistent, content-addressed artifact store.
 //
 // The expensive spine products — normalized compendium rows + missing
-// bitmasks, condensed distance triangles, neighbor tables, LSH signature
-// banks, SPELL dot banks, merge lists — are pure functions of (inputs,
+// bitmasks, condensed distance triangles, LSH signature banks, SPELL dot
+// banks, rendered response bytes — are pure functions of (inputs,
 // params). This store persists them keyed by a content hash of exactly
 // that, so the thousandth process start reopens in milliseconds what the
 // first one computed.
@@ -59,10 +59,9 @@ enum class ArtifactKind : std::uint32_t {
   kEngine = 1,              ///< full SimilarityEngine state (normalized
                             ///< rows, missing bitmasks, segment norms, …)
   kCondensedDistances = 2,  ///< condensed n(n-1)/2 distance triangle
-  kNeighborTable = 3,       ///< n x k top-k neighbor table
+  // 3 and 5 are retired (neighbor tables, merge lists); never reuse them.
   kLshIndex = 4,            ///< LSH signature bank + bucket tables
-  kMerges = 5,              ///< agglomeration merge list
-  kBlob = 6,                ///< untyped bytes (tests, tooling)
+  kBlob = 6,                ///< untyped bytes (serve result cache, tests)
 };
 
 /// File-name stem of a kind ("engine", "distances", ...).
@@ -208,12 +207,6 @@ class ArtifactReader {
                                  " is not a single scalar");
     }
     return values[0];
-  }
-
-  template <typename T>
-  std::vector<T> vector(std::size_t i) const {
-    const auto values = section<T>(i);
-    return {values.begin(), values.end()};
   }
 
   /// Re-validates the mapping's backing file: throws CorruptArtifactError

@@ -37,12 +37,6 @@ struct LshMeta {
 };
 static_assert(std::is_trivially_copyable_v<LshMeta>);
 
-struct NeighborMeta {
-  std::uint64_t count;
-  std::uint64_t k;
-};
-static_assert(std::is_trivially_copyable_v<NeighborMeta>);
-
 void check_section_size(const ArtifactReader& reader, std::size_t section,
                         std::size_t actual, std::size_t expected,
                         const char* what) {
@@ -127,14 +121,6 @@ ArtifactKey engine_key(ArtifactKey input_key, sim::Metric metric,
       .key();
 }
 
-ArtifactKey distances_key(const cluster::DistanceMatrix& distances) {
-  return KeyBuilder{}
-      .string("distances")
-      .value(static_cast<std::uint64_t>(distances.size()))
-      .span(distances.condensed())
-      .key();
-}
-
 ArtifactKey lsh_key(ArtifactKey engine_content,
                     const sim::LshParams& params) {
   return KeyBuilder{}
@@ -144,39 +130,6 @@ ArtifactKey lsh_key(ArtifactKey engine_content,
       .value(static_cast<std::uint64_t>(params.tables))
       .value(static_cast<std::uint64_t>(params.probes))
       .value(params.seed)
-      .key();
-}
-
-ArtifactKey neighbors_key(ArtifactKey engine_content, std::size_t k,
-                          std::size_t min_common,
-                          sim::TopKStrategy strategy,
-                          const sim::LshParams& lsh) {
-  KeyBuilder builder;
-  builder.string("neighbors")
-      .value(engine_content)
-      .value(static_cast<std::uint64_t>(k))
-      .value(static_cast<std::uint64_t>(min_common))
-      .value(static_cast<std::uint32_t>(strategy));
-  if (strategy == sim::TopKStrategy::kApprox) {
-    // LSH parameters change the (approximate) result, so they are key
-    // material — but only under the strategy that uses them, so exact
-    // callers share artifacts regardless of the defaulted lsh argument.
-    builder.value(static_cast<std::uint64_t>(lsh.bits))
-        .value(static_cast<std::uint64_t>(lsh.tables))
-        .value(static_cast<std::uint64_t>(lsh.probes))
-        .value(lsh.seed);
-  }
-  return builder.key();
-}
-
-ArtifactKey merges_key(ArtifactKey distances_content,
-                       cluster::Linkage linkage,
-                       cluster::Agglomerator algorithm) {
-  return KeyBuilder{}
-      .string("merges")
-      .value(distances_content)
-      .value(static_cast<std::uint32_t>(linkage))
-      .value(static_cast<std::uint32_t>(algorithm))
       .key();
 }
 
@@ -382,36 +335,7 @@ spell::SpellSearch SpellCodec::load(
   return spell::SpellSearch(&datasets, std::move(engines));
 }
 
-// ---- NeighborCodec / DistanceCodec -------------------------------------
-
-void NeighborCodec::save(ArtifactWriter& writer,
-                         const sim::NeighborTable& table) {
-  NeighborMeta meta{};
-  meta.count = table.count;
-  meta.k = table.k;
-  writer.scalar(meta);
-  writer.section(table.indices);
-  writer.section(table.distances);
-  writer.section(table.valid);
-}
-
-sim::NeighborTable NeighborCodec::load(const ArtifactReader& reader,
-                                       std::size_t& section) {
-  const auto meta = reader.scalar<NeighborMeta>(section++);
-  sim::NeighborTable table;
-  table.count = static_cast<std::size_t>(meta.count);
-  table.k = static_cast<std::size_t>(meta.k);
-  table.indices = reader.vector<std::uint32_t>(section++);
-  table.distances = reader.vector<float>(section++);
-  table.valid = reader.vector<std::uint32_t>(section++);
-  check_section_size(reader, section - 3, table.indices.size(),
-                     table.count * table.k, "neighbor indices");
-  check_section_size(reader, section - 2, table.distances.size(),
-                     table.count * table.k, "neighbor distances");
-  check_section_size(reader, section - 1, table.valid.size(), table.count,
-                     "neighbor valid counts");
-  return table;
-}
+// ---- DistanceCodec -----------------------------------------------------
 
 void DistanceCodec::save(ArtifactWriter& writer,
                          const cluster::DistanceMatrix& distances) {
@@ -515,60 +439,6 @@ sim::LshIndex open_or_build_lsh(ArtifactStore& store,
       [&]() { return sim::LshIndex(engine, params, pool); },
       [](ArtifactWriter& writer, const sim::LshIndex& index) {
         LshCodec::save(writer, index);
-      },
-      stats);
-}
-
-sim::NeighborTable open_or_compute_top_k(
-    ArtifactStore& store, const sim::SimilarityEngine& engine, std::size_t k,
-    par::ThreadPool& pool, std::size_t min_common,
-    sim::TopKStrategy strategy, const sim::LshParams& lsh,
-    OpenStats* stats) {
-  const ArtifactKey key = neighbors_key(EngineCodec::content_key(engine), k,
-                                        min_common, strategy, lsh);
-  return load_or_compute<sim::NeighborTable>(
-      store, ArtifactKind::kNeighborTable, key,
-      [](std::shared_ptr<const ArtifactReader> reader) {
-        std::size_t section = 0;
-        return NeighborCodec::load(*reader, section);
-      },
-      [&]() {
-        if (strategy == sim::TopKStrategy::kApprox && engine.size() > 1 &&
-            k < engine.size() - 1) {
-          // Even the cold path reuses warm signatures: the index is its
-          // own cached artifact, so recomputing a lost neighbor table
-          // costs rescoring only, not the signature build.
-          const sim::LshIndex index =
-              open_or_build_lsh(store, engine, lsh, pool);
-          return engine.top_k_neighbors(k, pool, min_common, strategy,
-                                        nullptr, lsh, &index);
-        }
-        return engine.top_k_neighbors(k, pool, min_common, strategy,
-                                      nullptr, lsh);
-      },
-      [](ArtifactWriter& writer, const sim::NeighborTable& table) {
-        NeighborCodec::save(writer, table);
-      },
-      stats);
-}
-
-std::vector<cluster::Merge> open_or_compute_merges(
-    ArtifactStore& store, const cluster::DistanceMatrix& distances,
-    cluster::Linkage linkage, cluster::Agglomerator algorithm,
-    OpenStats* stats) {
-  const ArtifactKey key =
-      merges_key(distances_key(distances), linkage, algorithm);
-  return load_or_compute<std::vector<cluster::Merge>>(
-      store, ArtifactKind::kMerges, key,
-      [](std::shared_ptr<const ArtifactReader> reader) {
-        return reader->vector<cluster::Merge>(0);
-      },
-      [&]() {
-        return cluster::agglomerate(distances, linkage, algorithm);
-      },
-      [](ArtifactWriter& writer,
-         const std::vector<cluster::Merge>& merges) {
-        writer.section(merges);
       },
       stats);
 }

@@ -3,12 +3,14 @@
 // Everything expensive on the ForestView spine is a pure function of
 // (inputs, params): the normalized compendium rows + missing bitmasks live
 // in a SimilarityEngine, condensed distance triangles feed agglomeration,
-// neighbor tables feed kNN imputation, LSH signature banks feed
-// approximate top-k, SPELL dot banks feed query scoring. This header gives
-// each of them a content-hash key, a codec (byte-exact save/load of the
-// computed state), and an open_or_* entry point built on
+// LSH signature banks feed approximate top-k, SPELL dot banks feed query
+// scoring, and the serve layer's response bytes are blobs. This header
+// gives each of them a content-hash key, a codec (byte-exact save/load of
+// the computed state), and an open_or_* entry point built on
 // store::load_or_compute — the one degradation ladder: warm when a valid
 // artifact exists, recompute + self-heal otherwise, never wrong data.
+// Finished analysis results (neighbor tables, merge lists) are not typed
+// artifacts: the serve layer persists their response bytes as blobs.
 //
 // Each codec has exactly one decode path, chosen by its result type:
 //  * engine, LSH and SPELL codecs BORROW — the restored object's state
@@ -16,8 +18,8 @@
 //    object's lifetime (sim::EngineStorage::kBorrowedMapped). Their
 //    artifact kinds open kOnDemand (load_or_compute picks residency from
 //    the kind), so a warm open faults in only what a query later touches;
-//  * neighbor, distance and merge codecs COPY OUT into their plain public
-//    vectors, and their kinds open kPrefault.
+//  * the distance codec and the blob COPY OUT into a plain vector or
+//    string, and their kinds open kPrefault.
 // Either way a warm open restores BIT-IDENTICAL state (no re-derivation,
 // no text round-trip), so a warm consumer is indistinguishable from a cold
 // one — tests assert exact equality, not tolerance.
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "cluster/distance.hpp"
-#include "cluster/hclust.hpp"
 #include "expr/dataset.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/lsh.hpp"
@@ -55,18 +56,7 @@ ArtifactKey compendium_files_key(const std::string& directory);
 ArtifactKey engine_key(ArtifactKey input_key, sim::Metric metric,
                        sim::Precompute precompute, sim::DenseKernel kernel);
 
-/// Key of a condensed distance matrix's content (n + every cell).
-ArtifactKey distances_key(const cluster::DistanceMatrix& distances);
-
 ArtifactKey lsh_key(ArtifactKey engine_content, const sim::LshParams& params);
-
-ArtifactKey neighbors_key(ArtifactKey engine_content, std::size_t k,
-                          std::size_t min_common, sim::TopKStrategy strategy,
-                          const sim::LshParams& lsh);
-
-ArtifactKey merges_key(ArtifactKey distances_content,
-                       cluster::Linkage linkage,
-                       cluster::Agglomerator algorithm);
 
 // ---- codecs ------------------------------------------------------------
 //
@@ -81,12 +71,11 @@ ArtifactKey merges_key(ArtifactKey distances_content,
 
 class EngineCodec {
  public:
-  static constexpr std::size_t kSections = 14;
 
   /// Self-contained content key of a BUILT engine: input content (filled
   /// rows + missing masks + dims) and build params, independent of where
-  /// the input came from. Derived artifacts (distances, neighbors, LSH)
-  /// chain from this, so they never need the original files.
+  /// the input came from. Derived artifacts (distances, LSH) chain from
+  /// this, so they never need the original files.
   static ArtifactKey content_key(const sim::SimilarityEngine& engine);
 
   static void save(ArtifactWriter& writer,
@@ -101,7 +90,6 @@ class EngineCodec {
 
 class LshCodec {
  public:
-  static constexpr std::size_t kSections = 5;
   static void save(ArtifactWriter& writer, const sim::LshIndex& index);
   /// Zero-copy restore of a signature index: the bank and each bucket
   /// table's per-table slice of the flat key/row sections are borrowed
@@ -123,21 +111,12 @@ class SpellCodec {
                                  const std::vector<expr::Dataset>& datasets);
 };
 
-/// NeighborTable and DistanceMatrix are public-state types; their codecs
-/// need no friends but follow the same section discipline. They copy out
-/// (their results are plain vectors), so they take the reader by
-/// reference and their open_or_* calls prefault.
-class NeighborCodec {
- public:
-  static constexpr std::size_t kSections = 4;
-  static void save(ArtifactWriter& writer, const sim::NeighborTable& table);
-  static sim::NeighborTable load(const ArtifactReader& reader,
-                                 std::size_t& section);
-};
-
+/// DistanceMatrix is a public-state type; its codec needs no friends but
+/// follows the same section discipline. It copies out (the result is a
+/// plain vector), so it takes the reader by reference and its open_or_*
+/// call prefaults.
 class DistanceCodec {
  public:
-  static constexpr std::size_t kSections = 2;
   static void save(ArtifactWriter& writer,
                    const cluster::DistanceMatrix& distances);
   static cluster::DistanceMatrix load(const ArtifactReader& reader,
@@ -184,23 +163,6 @@ sim::LshIndex open_or_build_lsh(ArtifactStore& store,
                                 const sim::LshParams& params,
                                 par::ThreadPool& pool,
                                 OpenStats* stats = nullptr);
-
-/// The top-k neighbor table of `engine`. Under TopKStrategy::kApprox the
-/// LSH index itself is ALSO cached (open_or_build_lsh) and handed to
-/// top_k_neighbors prebuilt — so even a cold neighbor table reuses warm
-/// signatures.
-sim::NeighborTable open_or_compute_top_k(
-    ArtifactStore& store, const sim::SimilarityEngine& engine, std::size_t k,
-    par::ThreadPool& pool, std::size_t min_common = 0,
-    sim::TopKStrategy strategy = sim::TopKStrategy::kAuto,
-    const sim::LshParams& lsh = sim::LshParams{}, OpenStats* stats = nullptr);
-
-/// The agglomeration merge list of a condensed distance matrix.
-std::vector<cluster::Merge> open_or_compute_merges(
-    ArtifactStore& store, const cluster::DistanceMatrix& distances,
-    cluster::Linkage linkage,
-    cluster::Agglomerator algorithm = cluster::Agglomerator::kAuto,
-    OpenStats* stats = nullptr);
 
 /// The SPELL search (per-dataset dot banks) over a compendium. A warm
 /// open serves every bank borrowed from the one artifact.

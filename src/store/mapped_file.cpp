@@ -129,50 +129,6 @@ void MappedFile::advise_dont_need(std::size_t offset,
 #endif
 }
 
-MappedFile MappedFile::open_read_write(const std::string& path,
-                                       FaultInjector* faults) {
-  const int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) throw_errno("cannot open", path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throw_errno("cannot stat", path);
-  }
-  if (faults != nullptr) {
-    faults->on_allocate(path, static_cast<std::size_t>(st.st_size));
-  }
-  MappedFile file(path, fd, nullptr, 0, /*read_only=*/false);
-  file.map(static_cast<std::size_t>(st.st_size));
-  return file;
-}
-
-void MappedFile::resize(std::size_t bytes, FaultInjector* faults) {
-  FV_REQUIRE(is_open() && !read_only_,
-             "resize needs an open writable mapping");
-  FV_REQUIRE(bytes >= 1, "resize needs at least one byte");
-  if (faults != nullptr) faults->on_allocate(path_, bytes);
-  if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) {
-    throw_errno("cannot resize", path_);
-  }
-  if (data_ == nullptr) {
-    map(bytes);
-    return;
-  }
-#ifdef __linux__
-  void* addr = ::mremap(data_, size_, bytes, MREMAP_MAYMOVE);
-  if (addr == MAP_FAILED) throw_errno("mremap failed for", path_);
-  data_ = static_cast<std::byte*>(addr);
-  size_ = bytes;
-#else
-  ::munmap(data_, size_);
-  data_ = nullptr;
-  size_ = 0;
-  map(bytes);
-#endif
-}
-
 void MappedFile::sync(FaultInjector* faults) {
   FV_REQUIRE(is_open(), "sync needs an open mapping");
   if (faults != nullptr) {

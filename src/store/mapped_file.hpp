@@ -1,14 +1,14 @@
-// Memory-mapped file primitive (the ExpressionMatrix2 MemoryMappedVector
-// lineage): file-backed storage that opens in milliseconds because opening
-// IS the mmap — no parse, no copy, and a read-only reopen shares pages
-// with every other process mapping the same file.
+// Memory-mapped file primitive: file-backed storage that opens in
+// milliseconds because opening IS the mmap — no parse, no copy, and a
+// read-only reopen shares pages with every other process mapping the same
+// file.
 //
-// MappedFile owns one fd + one mapping. Writable mappings grow in place
-// (ftruncate + mremap); read-only mappings are immutable views. All fault
-// injection happens ABOVE this class through store::FaultInjector hooks in
-// the callers that copy bytes into mappings — except sync(), whose
-// truncate-instead-of-flush fault has to act on the file itself, so sync
-// takes the injector directly.
+// MappedFile owns one fd + one mapping. Writable mappings are created at
+// their final size (the commit protocol's temporaries); read-only mappings
+// are immutable views. All fault injection happens ABOVE this class
+// through store::FaultInjector hooks in the callers that copy bytes into
+// mappings — except sync(), whose truncate-instead-of-flush fault has to
+// act on the file itself, so sync takes the injector directly.
 #pragma once
 
 #include <cstddef>
@@ -45,23 +45,12 @@ class MappedFile {
   static MappedFile open_read_only(const std::string& path,
                                    bool populate = true);
 
-  /// Maps an existing file read-write at its current size.
-  static MappedFile open_read_write(const std::string& path,
-                                    FaultInjector* faults = nullptr);
-
   bool is_open() const noexcept { return fd_ >= 0; }
-  bool read_only() const noexcept { return read_only_; }
   std::size_t size() const noexcept { return size_; }
   const std::string& path() const noexcept { return path_; }
 
   std::byte* data() noexcept { return data_; }
   const std::byte* data() const noexcept { return data_; }
-
-  /// Grows (or shrinks) the file and remaps in place (mremap on Linux —
-  /// the mapping address may move, so callers must not hold raw pointers
-  /// across a resize). Writable mappings only. The injector, when given,
-  /// gates the allocation.
-  void resize(std::size_t bytes, FaultInjector* faults = nullptr);
 
   /// Flushes the mapping (msync) and the file (fsync) to the medium.
   /// Under an injected truncation fault the file is chopped instead —

@@ -419,6 +419,23 @@ TEST(Serve, FaultInjectionIsDeterministic) {
   EXPECT_EQ(run(), run());  // same seed → same rejected request set
 }
 
+TEST(Serve, FaultRatesOutsideUnitIntervalAreRejected) {
+  for (const double rate : {-0.1, 1.5}) {
+    AnalysisService::Options reject;
+    reject.faults.reject_rate = rate;
+    EXPECT_THROW(AnalysisService(fixture().compendium,
+                                 fixture().compute_pool, reject),
+                 fv::InvalidArgument)
+        << "reject_rate " << rate;
+    AnalysisService::Options delay;
+    delay.faults.delay_rate = rate;
+    EXPECT_THROW(AnalysisService(fixture().compendium,
+                                 fixture().compute_pool, delay),
+                 fv::InvalidArgument)
+        << "delay_rate " << rate;
+  }
+}
+
 TEST(Serve, PersistentBlobCacheSurvivesRestart) {
   const std::string dir =
       (fs::temp_directory_path() /

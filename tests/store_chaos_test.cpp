@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/hclust.hpp"
+#include "cluster/distance.hpp"
 #include "expr/dataset.hpp"
 #include "expr/gene.hpp"
 #include "par/thread_pool.hpp"
@@ -338,9 +338,10 @@ TEST_F(StoreChaosConsumerTest, EveryConsumerSurvivesEveryFaultFamily) {
       matrix, fv::sim::Metric::kPearson);
   fv::cluster::DistanceMatrix ref_distances(ref_engine.size());
   ref_engine.condensed_distances(ref_distances.condensed(), pool);
-  const auto ref_table = ref_engine.top_k_neighbors(4, pool);
-  const auto ref_merges = fv::cluster::agglomerate(
-      ref_distances, fv::cluster::Linkage::kAverage);
+  fv::sim::LshParams lsh_params;
+  lsh_params.bits = 64;
+  lsh_params.tables = 4;
+  const fv::sim::LshIndex ref_index(ref_engine, lsh_params, pool);
 
   std::vector<fv::store::FaultSpec> specs(4);
   specs[0].torn_write_rate = 1.0;
@@ -385,19 +386,16 @@ TEST_F(StoreChaosConsumerTest, EveryConsumerSurvivesEveryFaultFamily) {
                                 sizeof(float)),
                 0);
 
-      const auto table =
-          fv::store::open_or_compute_top_k(store, engine, 4, pool);
-      EXPECT_EQ(table.indices, ref_table.indices);
-      EXPECT_EQ(table.distances, ref_table.distances);
-      EXPECT_EQ(table.valid, ref_table.valid);
-
-      const auto merges = fv::store::open_or_compute_merges(
-          store, distances, fv::cluster::Linkage::kAverage);
-      ASSERT_EQ(merges.size(), ref_merges.size());
-      for (std::size_t i = 0; i < merges.size(); ++i) {
-        EXPECT_EQ(merges[i].left, ref_merges[i].left);
-        EXPECT_EQ(merges[i].right, ref_merges[i].right);
-        EXPECT_EQ(merges[i].distance, ref_merges[i].distance);
+      const auto index =
+          fv::store::open_or_build_lsh(store, engine, lsh_params, pool);
+      ASSERT_EQ(index.size(), ref_index.size());
+      for (std::size_t i = 0; i < index.size(); ++i) {
+        const auto got = index.signature(i);
+        const auto want = ref_index.signature(i);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(std::uint64_t)),
+                  0);
       }
     }
   }

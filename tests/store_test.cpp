@@ -1,8 +1,8 @@
-// Functional tests of the artifact store: mapped primitives, the sealed
-// artifact format, cached spine products (warm reopen must be
-// BIT-IDENTICAL to cold compute), cross-"process" read-only sharing at
-// n = 4000, in-process concurrency, and fsck. Storage-fault scenarios
-// live in store_chaos_test.cpp.
+// Functional tests of the artifact store: the sealed artifact format and
+// its on-disk kind and key contract, cached spine products (warm reopen
+// must be BIT-IDENTICAL to cold compute), cross-"process" read-only
+// sharing at n = 4000, in-process concurrency, and fsck. Storage-fault
+// scenarios live in store_chaos_test.cpp.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/hclust.hpp"
 #include "expr/dataset.hpp"
 #include "expr/gene.hpp"
 #include "par/thread_pool.hpp"
@@ -30,7 +29,6 @@
 #include "store/artifact_store.hpp"
 #include "store/cached.hpp"
 #include "store/fsck.hpp"
-#include "store/mapped_vector.hpp"
 #include "util/rng.hpp"
 #include "util/xxhash.hpp"
 
@@ -56,7 +54,6 @@ class StoreDirTest : public ::testing::Test {
   std::string dir_;
 };
 
-using MappedVectorTest = StoreDirTest;
 using StoreArtifactTest = StoreDirTest;
 using StoreCachedTest = StoreDirTest;
 using StoreSharingTest = StoreDirTest;
@@ -92,122 +89,6 @@ void flip_byte(const std::string& path, std::size_t offset) {
   f.write(&b, 1);
 }
 
-// ---- MappedVector ------------------------------------------------------
-
-TEST_F(MappedVectorTest, RoundTripAfterSync) {
-  const std::string path = dir_ + "/vec.bin";
-  std::vector<float> values;
-  {
-    auto v = fv::store::MappedVector<float>::create(path);
-    for (int i = 0; i < 1000; ++i) {
-      values.push_back(static_cast<float>(i) * 0.5f);
-    }
-    v.append(values);
-    v.sync();
-  }
-  const auto r = fv::store::MappedVector<float>::open_read_only(path);
-  ASSERT_EQ(r.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(r[i], values[i]);
-  }
-}
-
-TEST_F(MappedVectorTest, CountIsPublishedOnlyBySync) {
-  const std::string path = dir_ + "/vec.bin";
-  {
-    auto v = fv::store::MappedVector<std::uint32_t>::create(path);
-    v.push_back(1);
-    v.push_back(2);
-    v.sync();
-    v.push_back(3);  // appended but never published
-    // close() without sync — a crash between appends.
-  }
-  const auto r = fv::store::MappedVector<std::uint32_t>::open_read_only(path);
-  ASSERT_EQ(r.size(), 2u);  // the synced prefix, nothing torn
-  EXPECT_EQ(r[0], 1u);
-  EXPECT_EQ(r[1], 2u);
-}
-
-TEST_F(MappedVectorTest, GrowthPreservesEarlierElements) {
-  const std::string path = dir_ + "/vec.bin";
-  auto v = fv::store::MappedVector<std::uint64_t>::create(path);
-  for (std::uint64_t i = 0; i < 10000; ++i) v.push_back(i * i);
-  v.sync();
-  EXPECT_GE(v.capacity(), 10000u);
-  for (std::uint64_t i = 0; i < 10000; ++i) EXPECT_EQ(v[i], i * i);
-}
-
-TEST_F(MappedVectorTest, OnDemandViewReleasesAndGuardsBacking) {
-  const std::string path = dir_ + "/vec.bin";
-  std::vector<double> values(100000);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<double>(i) * 0.25;
-  }
-  {
-    auto v = fv::store::MappedVector<double>::create(path);
-    v.append(values);
-    v.sync();
-  }
-  // The out-of-core open: nothing prefaulted, elements fault in on touch
-  // and can be dropped behind a streaming cursor. Values are unchanged
-  // before and after release (release only evicts, never mutates).
-  const auto r = fv::store::MappedVector<double>::open_read_only(
-      path, /*populate=*/false);
-  ASSERT_EQ(r.size(), values.size());
-  r.check_backing();  // intact file: no throw
-  for (std::size_t i = 0; i < values.size(); i += 10000) {
-    EXPECT_EQ(r[i], values[i]);
-  }
-  r.release_elements(0, values.size());
-  r.release_elements(values.size() + 5, 10);  // out of range: no-op
-  for (std::size_t i = 0; i < values.size(); i += 10000) {
-    EXPECT_EQ(r[i], values[i]);  // refaults from the file
-  }
-  // A foreign truncation under the mapping is a typed error from the
-  // guard, so streaming consumers never touch an evaporated page.
-  fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_THROW(r.check_backing(), fv::CorruptArtifactError);
-}
-
-TEST_F(MappedVectorTest, OpenValidationRaisesTypedErrors) {
-  const std::string path = dir_ + "/vec.bin";
-  {  // shorter than the header
-    std::ofstream f(path, std::ios::binary);
-    f.write("tiny", 4);
-  }
-  EXPECT_THROW(fv::store::MappedVector<float>::open_read_only(path),
-               fv::CorruptArtifactError);
-
-  {
-    auto v = fv::store::MappedVector<float>::create(path);
-    v.push_back(1.0f);
-    v.sync();
-  }
-  // wrong element type
-  EXPECT_THROW(fv::store::MappedVector<double>::open_read_only(path),
-               fv::CorruptArtifactError);
-  // damaged magic
-  flip_byte(path, 0);
-  EXPECT_THROW(fv::store::MappedVector<float>::open_read_only(path),
-               fv::CorruptArtifactError);
-  flip_byte(path, 0);  // restore
-  // foreign format version
-  flip_byte(path, 8);
-  EXPECT_THROW(fv::store::MappedVector<float>::open_read_only(path),
-               fv::StaleArtifactError);
-  flip_byte(path, 8);
-  // published count beyond the file
-  fs::resize_file(path, sizeof(fv::store::MappedVectorHeader));
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    const std::uint64_t huge = 1000;
-    f.seekp(16);  // offsetof(MappedVectorHeader, count)
-    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  }
-  EXPECT_THROW(fv::store::MappedVector<float>::open_read_only(path),
-               fv::CorruptArtifactError);
-}
-
 // ---- artifact format ---------------------------------------------------
 
 TEST_F(StoreArtifactTest, PutOpenRoundTrip) {
@@ -224,9 +105,13 @@ TEST_F(StoreArtifactTest, PutOpenRoundTrip) {
   EXPECT_EQ(reader->kind(), fv::store::ArtifactKind::kBlob);
   EXPECT_EQ(reader->key(), 0xabcdefull);
   ASSERT_EQ(reader->section_count(), 3u);
-  EXPECT_EQ(reader->vector<float>(0), floats);
+  const auto read_floats = reader->section<float>(0);
+  const auto read_ints = reader->section<std::uint32_t>(2);
+  EXPECT_EQ(std::vector<float>(read_floats.begin(), read_floats.end()),
+            floats);
   EXPECT_EQ(reader->scalar<std::uint64_t>(1), 42u);
-  EXPECT_EQ(reader->vector<std::uint32_t>(2), ints);
+  EXPECT_EQ(std::vector<std::uint32_t>(read_ints.begin(), read_ints.end()),
+            ints);
   // misreading a section's element type is a typed error, not garbage
   EXPECT_THROW((void)reader->section<double>(0), fv::CorruptArtifactError);
 }
@@ -293,6 +178,47 @@ TEST_F(StoreArtifactTest, KeyBuilderIsOrderAndLengthSensitive) {
   EXPECT_NE(k1, k2);
   EXPECT_NE(k1, k3);
   EXPECT_EQ(k1, KeyBuilder{}.string("ab").string("c").key());
+}
+
+TEST_F(StoreArtifactTest, KindNumbersAndNameStemsAreTheOnDiskContract) {
+  // Every artifact header seals the kind number and every file name starts
+  // with the kind's stem, so neither may change under existing stores.
+  // 3 and 5 are retired kinds and stay unassigned.
+  using fv::store::ArtifactKind;
+  const struct {
+    ArtifactKind kind;
+    std::uint32_t number;
+    const char* stem;
+  } contract[] = {{ArtifactKind::kEngine, 1, "engine"},
+                  {ArtifactKind::kCondensedDistances, 2, "distances"},
+                  {ArtifactKind::kLshIndex, 4, "lsh"},
+                  {ArtifactKind::kBlob, 6, "blob"}};
+  for (const auto& entry : contract) {
+    EXPECT_EQ(static_cast<std::uint32_t>(entry.kind), entry.number);
+    EXPECT_STREQ(fv::store::artifact_kind_name(entry.kind), entry.stem);
+  }
+}
+
+TEST_F(StoreArtifactTest, EngineKeyIsStableAcrossReleases) {
+  // A warm store is only warm if the same input and build params keep
+  // hashing to the same key. Exact binary fractions and one missing cell,
+  // so the matrix bytes are the same on every platform.
+  fv::expr::ExpressionMatrix matrix(3, 4);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      if (r == 1 && c == 2) continue;
+      matrix.set(r, c, static_cast<float>(r) * 0.5f - static_cast<float>(c));
+    }
+  }
+  const auto input_key = fv::store::matrix_key(matrix);
+  EXPECT_EQ(fv::store::engine_key(input_key, fv::sim::Metric::kPearson,
+                                  fv::sim::Precompute::kAllPairs,
+                                  fv::sim::DenseKernel::kAuto),
+            0x894a160978aa5a4aull);
+  EXPECT_EQ(fv::store::engine_key(input_key, fv::sim::Metric::kPearson,
+                                  fv::sim::Precompute::kAllPairs,
+                                  fv::sim::DenseKernel::kDouble),
+            0x7a182ead16370227ull);
 }
 
 // ---- cached spine products --------------------------------------------
@@ -384,32 +310,6 @@ TEST_F(StoreCachedTest, CondensedDistancesWarmReopenIsBitIdentical) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
-TEST_F(StoreCachedTest, TopKNeighborsWarmReopenIsBitIdentical) {
-  const auto matrix = make_matrix(60, 14);
-  const auto engine = fv::sim::SimilarityEngine::from_rows(
-      matrix, fv::sim::Metric::kPearson);
-  fv::par::ThreadPool pool(2);
-  const auto reference = engine.top_k_neighbors(5, pool);
-
-  fv::store::ArtifactStore store(dir_);
-  const auto cold =
-      fv::store::open_or_compute_top_k(store, engine, 5, pool);
-  fv::store::ArtifactStore second(dir_);
-  fv::store::OpenStats s2;
-  const auto warm = fv::store::open_or_compute_top_k(second, engine, 5,
-                                                     pool, 0,
-                                                     fv::sim::TopKStrategy::kAuto,
-                                                     fv::sim::LshParams{}, &s2);
-  EXPECT_TRUE(s2.warm);
-  for (const auto* table : {&cold, &warm}) {
-    ASSERT_EQ(table->count, reference.count);
-    ASSERT_EQ(table->k, reference.k);
-    EXPECT_EQ(table->indices, reference.indices);
-    EXPECT_EQ(table->distances, reference.distances);
-    EXPECT_EQ(table->valid, reference.valid);
-  }
-}
-
 TEST_F(StoreCachedTest, LshIndexWarmReopenFeedsApproxTopK) {
   const auto matrix = make_matrix(200, 16, 7);
   const auto engine = fv::sim::SimilarityEngine::from_rows(
@@ -456,33 +356,6 @@ TEST_F(StoreCachedTest, LshIndexWarmReopenFeedsApproxTopK) {
   EXPECT_EQ(warm_table.indices, reference.indices);
   EXPECT_EQ(warm_table.distances, reference.distances);
   EXPECT_EQ(warm_table.valid, reference.valid);
-}
-
-TEST_F(StoreCachedTest, MergesWarmReopenIsBitIdentical) {
-  const auto matrix = make_matrix(40, 8);
-  fv::par::ThreadPool pool(2);
-  const auto distances =
-      fv::cluster::row_distances(matrix, fv::sim::Metric::kPearson, pool);
-  const auto reference =
-      fv::cluster::agglomerate(distances, fv::cluster::Linkage::kAverage);
-
-  fv::store::ArtifactStore store(dir_);
-  const auto cold = fv::store::open_or_compute_merges(
-      store, distances, fv::cluster::Linkage::kAverage);
-  fv::store::ArtifactStore second(dir_);
-  fv::store::OpenStats s2;
-  const auto warm = fv::store::open_or_compute_merges(
-      second, distances, fv::cluster::Linkage::kAverage,
-      fv::cluster::Agglomerator::kAuto, &s2);
-  EXPECT_TRUE(s2.warm);
-  for (const auto* merges : {&cold, &warm}) {
-    ASSERT_EQ(merges->size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ((*merges)[i].left, reference[i].left);
-      EXPECT_EQ((*merges)[i].right, reference[i].right);
-      EXPECT_EQ((*merges)[i].distance, reference[i].distance);
-    }
-  }
 }
 
 std::vector<fv::expr::Dataset> make_datasets() {
@@ -599,8 +472,8 @@ TEST_F(StoreSharingTest, WarmReopenAtScaleIsBitIdenticalAndShared) {
   fv::store::ArtifactStore writer(dir_);
   const auto cold_distances =
       fv::store::open_or_compute_condensed(writer, engine, pool);
-  const auto cold_table =
-      fv::store::open_or_compute_top_k(writer, engine, 10, pool);
+  const auto cold_index =
+      fv::store::open_or_build_lsh(writer, engine, fv::sim::LshParams{}, pool);
 
   // Two independent "sessions" holding the same artifacts open at once:
   // read-only mappings of one committed file, a consistent snapshot each.
@@ -622,21 +495,26 @@ TEST_F(StoreSharingTest, WarmReopenAtScaleIsBitIdenticalAndShared) {
               0);
   }
 
-  fv::store::OpenStats ta, tb;
-  const auto table_a =
-      fv::store::open_or_compute_top_k(session_a, engine, 10, pool, 0,
-                                       fv::sim::TopKStrategy::kAuto,
-                                       fv::sim::LshParams{}, &ta);
-  const auto table_b =
-      fv::store::open_or_compute_top_k(session_b, engine, 10, pool, 0,
-                                       fv::sim::TopKStrategy::kAuto,
-                                       fv::sim::LshParams{}, &tb);
-  EXPECT_TRUE(ta.warm);
-  EXPECT_TRUE(tb.warm);
-  for (const auto* table : {&table_a, &table_b}) {
-    EXPECT_EQ(table->indices, cold_table.indices);
-    EXPECT_EQ(table->distances, cold_table.distances);
-    EXPECT_EQ(table->valid, cold_table.valid);
+  // The LSH index is served borrowed: both sessions read the signature
+  // bank straight out of the one shared mapping.
+  fv::store::OpenStats la, lb;
+  const auto index_a = fv::store::open_or_build_lsh(
+      session_a, engine, fv::sim::LshParams{}, pool, &la);
+  const auto index_b = fv::store::open_or_build_lsh(
+      session_b, engine, fv::sim::LshParams{}, pool, &lb);
+  EXPECT_TRUE(la.warm);
+  EXPECT_TRUE(lb.warm);
+  for (const auto* index : {&index_a, &index_b}) {
+    EXPECT_EQ(index->storage(), fv::sim::EngineStorage::kBorrowedMapped);
+    ASSERT_EQ(index->size(), cold_index.size());
+    for (std::size_t i = 0; i < cold_index.size(); ++i) {
+      const auto a = cold_index.signature(i);
+      const auto b = index->signature(i);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            a.size() * sizeof(std::uint64_t)),
+                0);
+    }
   }
 }
 

@@ -478,9 +478,8 @@ TEST(FloatKernelTest, AutoEngagesAtAnyRowLength) {
   EXPECT_TRUE(probe(256, sm::DenseKernel::kAuto));
   EXPECT_TRUE(probe(257, sm::DenseKernel::kAuto));
   EXPECT_TRUE(probe(10000, sm::DenseKernel::kAuto));
-  // Forced kernels stay forced.
+  // A forced double kernel stays forced.
   EXPECT_FALSE(probe(96, sm::DenseKernel::kDouble));
-  EXPECT_TRUE(probe(10000, sm::DenseKernel::kFloat));
   // Euclidean rows are unnormalized — the unit-norm bound does not apply,
   // so the float kernel never engages there.
   const auto flat = dense_profiles(2, 96, 77);
@@ -490,7 +489,7 @@ TEST(FloatKernelTest, AutoEngagesAtAnyRowLength) {
 }
 
 TEST(FloatKernelTest, ErrorBoundAcrossRowLengths) {
-  // The study behind the kAuto policy: forced-float vs the double
+  // The study behind the kAuto policy: the float path vs the double
   // reference on dense random profiles across row lengths 96 -> 10k. With
   // the compensated block flush each float lane sums at most 256/16
   // products between double drains, so the worst-case bound is
@@ -504,7 +503,7 @@ TEST(FloatKernelTest, ErrorBoundAcrossRowLengths) {
     const auto flat = dense_profiles(kProfiles, length, 2000 + length);
     const auto engine_f = sm::SimilarityEngine::from_profiles(
         flat, kProfiles, length, sm::Metric::kPearson,
-        sm::Precompute::kAllPairs, sm::DenseKernel::kFloat);
+        sm::Precompute::kAllPairs, sm::DenseKernel::kAuto);
     const auto engine_d = sm::SimilarityEngine::from_profiles(
         flat, kProfiles, length, sm::Metric::kPearson,
         sm::Precompute::kAllPairs, sm::DenseKernel::kDouble);
