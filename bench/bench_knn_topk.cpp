@@ -8,6 +8,10 @@
 //                               dataset-block module data (the pruned run
 //                               exports tiles_pruned/tiles_total/
 //                               bounds_checked as JSON counters)
+//  * BM_TopKRowsPrefix        — kPruned tables for the first 16, 256 and
+//                               4000 rows at n = 4000 (the serving layer's
+//                               row-limited top-k job; exports the prefix
+//                               schedule's tile counters)
 //  * BM_DistancePhaseCondensed— the materializing alternative (same tiles,
 //                               n(n-1)/2 floats) for the memory contrast
 //  * BM_DenseKernel{Double,Float} — the distance phase under the double
@@ -24,6 +28,10 @@
 //  * An ISSUE 5 epilogue at n = 4000, k = 10 on module-structured data:
 //    pruned strategy bit-identical NeighborTable to exact (asserted) and
 //    distance-phase speedup (target >= 2x), with the prune statistics.
+//  * A row-prefix epilogue at n = 4000, k = 10 on the same data: each
+//    prefix table byte-identical to the full table's first rows (asserted:
+//    the process exits 1 otherwise) and its share of the full schedule's
+//    tiles and time.
 #include <benchmark/benchmark.h>
 
 #include <malloc.h>
@@ -32,6 +40,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -237,6 +246,25 @@ BENCHMARK(BM_TopKNeighborsExact)->Arg(1000)->Arg(2000)->Arg(4000)
 BENCHMARK(BM_TopKNeighborsPruned)->Arg(1000)->Arg(2000)->Arg(4000)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
+void BM_TopKRowsPrefix(benchmark::State& state) {
+  constexpr std::size_t kGenes = 4000;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto& m = module_block_matrix(kGenes);
+  fv::par::ThreadPool pool(1);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  sm::TopKStats stats;
+  for (auto _ : state) {
+    const auto table =
+        engine.top_k_neighbors(kNeighbors, pool, 0, sm::TopKStrategy::kPruned,
+                               &stats, sm::LshParams{}, nullptr, rows);
+    benchmark::DoNotOptimize(table.indices.data());
+  }
+  state.counters["tiles_total"] = static_cast<double>(stats.tiles_total);
+  state.counters["tiles_computed"] = static_cast<double>(stats.tiles_computed);
+}
+BENCHMARK(BM_TopKRowsPrefix)->Arg(16)->Arg(256)->Arg(4000)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_DistancePhaseCondensed(benchmark::State& state) {
   const auto& m = genes_matrix(static_cast<std::size_t>(state.range(0)),
                                kMissingRate);
@@ -414,6 +442,55 @@ void report_issue5_targets() {
       stats.bounds_checked);
 }
 
+// --- Epilogue: row-prefix top-k ------------------------------------------
+
+/// Returns false when a prefix table differs from the full table's rows.
+bool report_rows_prefix() {
+  constexpr std::size_t kGenes = 4000;
+  const auto& m = module_block_matrix(kGenes);
+  fv::par::ThreadPool pool(1);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+
+  fv::Timer timer;
+  sm::TopKStats full_stats;
+  const auto full = engine.top_k_neighbors(
+      kNeighbors, pool, 0, sm::TopKStrategy::kPruned, &full_stats);
+  const double full_seconds = timer.seconds();
+  std::printf("\n[row-prefix top-k @ %zu genes x %zu conditions (dataset-"
+              "block modules), k = %zu, kPruned, 1 thread]\n"
+              "  full table: %zu/%zu tiles computed, %.3f s\n",
+              kGenes, kConditions, kNeighbors, full_stats.tiles_computed,
+              full_stats.tiles_total, full_seconds);
+  bool all_identical = true;
+  for (const std::size_t rows : {16u, 256u, 4000u}) {
+    timer.reset();
+    sm::TopKStats stats;
+    const auto prefix =
+        engine.top_k_neighbors(kNeighbors, pool, 0, sm::TopKStrategy::kPruned,
+                               &stats, sm::LshParams{}, nullptr, rows);
+    const double seconds = timer.seconds();
+    const std::size_t slots = rows * full.k;
+    const bool identical =
+        prefix.count == rows &&
+        std::memcmp(prefix.valid.data(), full.valid.data(),
+                    rows * sizeof(std::uint32_t)) == 0 &&
+        std::memcmp(prefix.indices.data(), full.indices.data(),
+                    slots * sizeof(std::uint32_t)) == 0 &&
+        std::memcmp(prefix.distances.data(), full.distances.data(),
+                    slots * sizeof(float)) == 0;
+    all_identical = all_identical && identical;
+    std::printf(
+        "  rows %4zu: %4zu/%zu prefix tiles, %4zu computed (%.3f of the "
+        "full table's), %.4f s (%.3f of full); prefix == full rows: %s\n",
+        rows, stats.tiles_total, full_stats.tiles_total, stats.tiles_computed,
+        static_cast<double>(stats.tiles_computed) /
+            static_cast<double>(full_stats.tiles_computed),
+        seconds, seconds / full_seconds, identical ? "PASS" : "FAIL");
+  }
+  if (!all_identical) std::printf("  ROW-PREFIX GATE FAILED\n");
+  return all_identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -422,5 +499,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   report_issue_targets();
   report_issue5_targets();
-  return 0;
+  return report_rows_prefix() ? 0 : 1;
 }

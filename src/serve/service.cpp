@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <string_view>
 #include <thread>
 
 #include "cluster/distance.hpp"
@@ -112,6 +114,20 @@ cluster::Linkage linkage_from_name(const std::string& name) {
   if (name == "centroid") return cluster::Linkage::kCentroid;
   if (name == "median") return cluster::Linkage::kMedian;
   throw InvalidArgument("unknown linkage \"" + name + "\"");
+}
+
+/// Rejects any member of a job body outside "type" and the type's own
+/// fields: a misspelled parameter must fail, not run with its default.
+void reject_unknown_fields(const JsonValue& body, const std::string& type,
+                           std::initializer_list<std::string_view> fields) {
+  for (const auto& [key, value] : body.members()) {
+    if (key == "type" ||
+        std::find(fields.begin(), fields.end(), key) != fields.end()) {
+      continue;
+    }
+    throw InvalidArgument("unrecognized field \"" + key + "\" for a " +
+                          type + " job");
+  }
 }
 
 sim::TopKStrategy strategy_from_name(const std::string& name) {
@@ -416,6 +432,7 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
                    "\" needs squared Euclidean distances; this compendium's "
                    "engine uses a correlation metric");
     params["linkage"] = linkage_name;
+    reject_unknown_fields(body, type, {"linkage"});
   } else if (type == "topk") {
     const std::size_t k = index_field_or(body, "k", 10);
     FV_REQUIRE(k >= 1, "field \"k\" must be at least 1");
@@ -426,7 +443,10 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
     params["k"] = k;
     params["min_common"] = index_field_or(body, "min_common", 0);
     params["strategy"] = strategy_name;
-    params["rows"] = index_field_or(body, "rows", engine.size());
+    // Clamped, so every rows >= n names the one full-table result.
+    params["rows"] =
+        std::min(index_field_or(body, "rows", engine.size()), engine.size());
+    reject_unknown_fields(body, type, {"k", "min_common", "strategy", "rows"});
   } else if (type == "spell") {
     FV_REQUIRE(compendium_.spell != nullptr,
                "this server has no SPELL banks; spell jobs are disabled");
@@ -436,6 +456,7 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
     for (const std::string& gene : query) query_json.push(gene);
     params["query"] = std::move(query_json);
     params["limit"] = index_field_or(body, "limit", 50);
+    reject_unknown_fields(body, type, {"query", "limit"});
   } else {
     throw InvalidArgument("unknown job type \"" + type +
                           "\" (expected cluster, topk or spell)");
@@ -445,6 +466,7 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
 
   std::shared_ptr<JobRecord> job;
   bool submit = false;
+  JobState born = JobState::kQueued;
   {
     std::scoped_lock lock(mutex_);
     reap_locked(tick);
@@ -463,6 +485,14 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
       job->state = JobState::kDone;
       job->cached = true;
       stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    } else if (const auto leader = in_flight_.find(key);
+               leader != in_flight_.end()) {
+      // Single flight: the same key is already queued or running, so this
+      // job shares that job's outcome — no admission slot, no pool task,
+      // no second compute. run_job settles it with its leader.
+      job->state = leader->second->state;
+      leader->second->followers.push_back(job);
+      stats_.jobs_coalesced.fetch_add(1, std::memory_order_relaxed);
     } else {
       if (active_jobs_ >= options_.max_active_jobs) {
         stats_.jobs_rejected.fetch_add(1, std::memory_order_relaxed);
@@ -471,8 +501,10 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
             " active jobs); retry later");
       }
       ++active_jobs_;
+      in_flight_[key] = job;
       submit = true;
     }
+    born = job->state;
     stats_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
     jobs_[job->id] = job;
   }
@@ -486,10 +518,10 @@ HttpResponse AnalysisService::handle_job_submit(const std::string& session_id,
 
   // Answer from the admission decision, not from job->state — the worker
   // may already be mutating the record.
-  const bool cached = !submit;
+  const bool cached = born == JobState::kDone;
   JsonValue response = JsonValue::object();
   response["job"] = job->id;
-  response["state"] = cached ? "done" : "queued";
+  response["state"] = job_state_name(born);
   response["cached"] = cached;
   return json_response(cached ? 200 : 202, response);
 }
@@ -528,17 +560,19 @@ std::string AnalysisService::compute_job(const std::string& type,
         static_cast<std::size_t>(params.find("min_common")->as_number());
     const sim::TopKStrategy strategy =
         strategy_from_name(params.find("strategy")->as_string());
-    const std::size_t rows = std::min(
-        engine.size(),
-        static_cast<std::size_t>(params.find("rows")->as_number()));
-    const sim::NeighborTable table =
-        engine.top_k_neighbors(k, compute_pool_, min_common, strategy);
+    // Canonical params already clamp rows to n; only those rows are
+    // computed.
+    const std::size_t rows =
+        static_cast<std::size_t>(params.find("rows")->as_number());
+    const sim::NeighborTable table = engine.top_k_neighbors(
+        k, compute_pool_, min_common, strategy, nullptr, sim::LshParams{},
+        nullptr, rows);
     out["k"] = table.k;
-    out["count"] = table.count;
+    out["count"] = engine.size();
     out["rows"] = rows;
     JsonValue neighbors = JsonValue::array();
     JsonValue distances = JsonValue::array();
-    for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t i = 0; i < table.count; ++i) {
       JsonValue n_row = JsonValue::array();
       JsonValue d_row = JsonValue::array();
       for (std::size_t j = 0; j < table.neighbor_count(i); ++j) {
@@ -623,6 +657,9 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
   {
     std::scoped_lock lock(mutex_);
     job->state = JobState::kRunning;
+    for (const auto& follower : job->followers) {
+      follower->state = JobState::kRunning;
+    }
   }
   job_cv_.notify_all();
 
@@ -651,16 +688,27 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
   }
 
   {
+    // One lock settles the leader, its followers and the in-flight entry:
+    // a later submit of this key sees either the cached bytes or a fresh
+    // leader, never a finished one.
     std::scoped_lock lock(mutex_);
+    const auto settle = [&](JobRecord& record) {
+      if (result != nullptr) {
+        record.state = JobState::kDone;
+        record.cached = was_cached;
+      } else {
+        record.state = JobState::kFailed;
+        record.error = error;
+        record.error_status = error_status;
+        stats_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    settle(*job);
+    for (const auto& follower : job->followers) settle(*follower);
+    job->followers.clear();
+    in_flight_.erase(job->cache_key);
     if (result != nullptr) {
-      job->state = JobState::kDone;
-      job->cached = was_cached;
       cache_insert_locked(job->cache_key, std::move(result));
-    } else {
-      job->state = JobState::kFailed;
-      job->error = error;
-      job->error_status = error_status;
-      stats_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
     }
     --active_jobs_;
   }
@@ -772,6 +820,8 @@ HttpResponse AnalysisService::handle_stats() const {
   body["jobs_rejected"] = stats_.jobs_rejected.load(std::memory_order_relaxed);
   body["computes"] = stats_.computes.load(std::memory_order_relaxed);
   body["cache_hits"] = stats_.cache_hits.load(std::memory_order_relaxed);
+  body["jobs_coalesced"] =
+      stats_.jobs_coalesced.load(std::memory_order_relaxed);
   body["jobs_failed"] = stats_.jobs_failed.load(std::memory_order_relaxed);
   body["jobs_reaped"] = stats_.jobs_reaped.load(std::memory_order_relaxed);
   body["injected_rejects"] =

@@ -128,6 +128,8 @@ struct ServiceStats {
   std::atomic<std::uint64_t> jobs_rejected{0};   ///< OverloadedError admissions
   std::atomic<std::uint64_t> computes{0};        ///< job bodies actually run
   std::atomic<std::uint64_t> cache_hits{0};      ///< memory or blob cache
+  /// Submits attached to an in-flight job of the same key (single flight).
+  std::atomic<std::uint64_t> jobs_coalesced{0};
   std::atomic<std::uint64_t> jobs_failed{0};
   std::atomic<std::uint64_t> jobs_reaped{0};
   std::atomic<std::uint64_t> injected_rejects{0};
@@ -211,6 +213,9 @@ class AnalysisService {
     std::string error;             ///< message when kFailed
     int error_status = 500;        ///< status when kFailed
     std::uint64_t last_touch = 0;  ///< logical request tick
+    /// Same-key submits that arrived while this job was in flight; run_job
+    /// gives them its terminal state. Guarded by mutex_.
+    std::vector<std::shared_ptr<JobRecord>> followers;
   };
 
   HttpResponse dispatch(const HttpRequest& request, std::uint64_t tick);
@@ -263,6 +268,8 @@ class AnalysisService {
   /// Insertion-ordered in-memory result cache (key → body bytes).
   std::map<store::ArtifactKey, std::shared_ptr<const std::string>> cache_;
   std::vector<store::ArtifactKey> cache_order_;
+  /// Cache key → the queued or running job computing it (single flight).
+  std::map<store::ArtifactKey, std::shared_ptr<JobRecord>> in_flight_;
   std::size_t session_seq_ = 0;
   std::size_t job_seq_ = 0;
   std::size_t active_jobs_ = 0;

@@ -562,6 +562,12 @@ void SimilarityEngine::release_row_pages(std::size_t begin,
 void SimilarityEngine::for_each_tile(
     const std::function<void(const DistanceTile&)>& visit,
     par::ThreadPool& pool) const {
+  for_each_tile(visit, pool, tile_count());
+}
+
+void SimilarityEngine::for_each_tile(
+    const std::function<void(const DistanceTile&)>& visit,
+    par::ThreadPool& pool, std::size_t tiles) const {
   FV_REQUIRE(precompute_ == Precompute::kAllPairs,
              "for_each_tile() requires Precompute::kAllPairs");
   if (count_ < 2) return;
@@ -570,7 +576,7 @@ void SimilarityEngine::for_each_tile(
   // until the phase ends — residency streaming is the SERIAL driver's job.
   check_backing();
   TileScratchPool scratch;
-  par::parallel_dynamic(pool, 0, tile_count(), [&](std::size_t t) {
+  par::parallel_dynamic(pool, 0, tiles, [&](std::size_t t) {
     std::vector<float> block = scratch.acquire();
     DistanceTile tile;
     compute_tile(t, block.data(), tile);
@@ -714,10 +720,11 @@ struct NeighborEntry {
   }
 };
 
-/// Per-thread top-k state: n bounded max-heaps in one slab. Slots are
-/// checked out per tile visit, so at most pool.thread_count() exist.
+/// Per-thread top-k state: one bounded max-heap per queried row in one
+/// slab. Slots are checked out per tile visit, so at most
+/// pool.thread_count() exist.
 struct TopKSlot {
-  std::vector<NeighborEntry> heap;  ///< n x k slab
+  std::vector<NeighborEntry> heap;  ///< rows x k slab
   std::vector<std::uint32_t> size;  ///< live entries per row
 
   TopKSlot(std::size_t n, std::size_t k) : heap(n * k), size(n, 0) {}
@@ -754,8 +761,8 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
                                                 TopKStrategy strategy,
                                                 TopKStats* stats,
                                                 const LshParams& lsh,
-                                                const LshIndex* lsh_index)
-    const {
+                                                const LshIndex* lsh_index,
+                                                std::size_t rows) const {
   FV_REQUIRE(precompute_ == Precompute::kAllPairs,
              "top_k_neighbors() requires Precompute::kAllPairs");
   FV_REQUIRE(k >= 1, "top_k_neighbors() needs k >= 1");
@@ -778,12 +785,20 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
   // once here before any of them walks unfaulted pages.
   check_backing();
   const std::size_t n = count_;
+  // Queried rows [0, queried): every pair (i < j) touching one has its i
+  // there, so the tiles with row block ta < row_blocks — a prefix of the
+  // row-major schedule — hold every pair the table needs.
+  const std::size_t queried = std::min(rows, n);
   NeighborTable table;
-  table.count = n;
+  table.count = queried;
   table.k = n > 0 ? std::min(k, n - 1) : 0;
-  table.valid.assign(n, 0);
+  table.valid.assign(queried, 0);
   if (stats != nullptr) *stats = TopKStats{};
-  if (n < 2 || table.k == 0) return table;
+  if (n < 2 || table.k == 0 || queried == 0) return table;
+  const std::size_t blocks = (n + kTile - 1) / kTile;
+  const std::size_t row_blocks = (queried + kTile - 1) / kTile;
+  const std::size_t prefix_tiles =
+      row_blocks * blocks - row_blocks * (row_blocks - 1) / 2;
   // k >= n-1 asks for EVERY neighbor of every row — a candidate stage can
   // only lose recall there, never work. Fall back honestly to the exact
   // path (stats report it: signatures_built stays 0).
@@ -791,12 +806,12 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     strategy = TopKStrategy::kExact;
   }
   const std::size_t kk = table.k;
-  table.indices.assign(n * kk, 0);
-  table.distances.assign(n * kk, 0.0f);
+  table.indices.assign(queried * kk, 0);
+  table.distances.assign(queried * kk, 0.0f);
 
   // Slot checkout mirrors the scratch-block pool: one slot per concurrent
-  // visitor, so peak state is O(threads * n * k) — for the single-threaded
-  // CI host exactly one slot plus the merged table.
+  // visitor, so peak state is O(threads * rows * k) — for the
+  // single-threaded CI host exactly one slot plus the merged table.
   std::mutex slots_mutex;
   std::vector<std::unique_ptr<TopKSlot>> slots;
   std::vector<TopKSlot*> free_slots;
@@ -809,7 +824,7 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
         return slot;
       }
     }
-    auto fresh = std::make_unique<TopKSlot>(n, kk);
+    auto fresh = std::make_unique<TopKSlot>(queried, kk);
     TopKSlot* raw = fresh.get();
     const std::lock_guard<std::mutex> lock(slots_mutex);
     slots.push_back(std::move(fresh));
@@ -820,10 +835,13 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     free_slots.push_back(slot);
   };
 
-  // Pushes every surviving pair of one computed tile into a slot's heaps.
-  // Shared verbatim by both strategies, so they cannot drift.
+  // Pushes every surviving pair of one computed tile into the heaps of
+  // its queried ends. Shared verbatim by both tiled strategies, so they
+  // cannot drift. Rows past `queried` (the tail of the last row block)
+  // have no heap and, as i < j, no queried partner either.
   const auto consume_tile = [&](const DistanceTile& tile, TopKSlot& slot) {
-    for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+    const std::size_t row_end = std::min(tile.row_end, queried);
+    for (std::size_t i = tile.row_begin; i < row_end; ++i) {
       const std::size_t j_first = std::max(tile.col_begin, i + 1);
       const bool i_missing = has_missing_[i] != 0;
       for (std::size_t j = j_first; j < tile.col_end; ++j) {
@@ -837,7 +855,9 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
         }
         const float dist = tile.at(i, j);
         slot.push(i, kk, {dist, static_cast<std::uint32_t>(j)});
-        slot.push(j, kk, {dist, static_cast<std::uint32_t>(i)});
+        if (j < queried) {
+          slot.push(j, kk, {dist, static_cast<std::uint32_t>(i)});
+        }
       }
     }
   };
@@ -863,16 +883,22 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     const LshIndex& index = lsh_index != nullptr ? *lsh_index : *built;
     LshIndex::CandidateStats cstats;
     const auto pairs = index.candidate_pairs(&cstats);
+    // Pairs come sorted by i (< j), so the ones with an end among the
+    // queried rows are exactly the prefix with i < queried.
+    const std::size_t relevant = static_cast<std::size_t>(
+        std::partition_point(pairs.begin(), pairs.end(),
+                             [&](const auto& p) { return p.first < queried; }) -
+        pairs.begin());
     std::atomic<std::size_t> rescored{0};
     // Chunked dynamic schedule over the deduped pair list: each chunk
-    // checks out a slot, so the heap state stays O(threads * n * k).
+    // checks out a slot, so the heap state stays O(threads * rows * k).
     constexpr std::size_t kPairChunk = 2048;
-    const std::size_t chunks = (pairs.size() + kPairChunk - 1) / kPairChunk;
+    const std::size_t chunks = (relevant + kPairChunk - 1) / kPairChunk;
     par::parallel_dynamic(pool, 0, chunks, [&](std::size_t c) {
       TopKSlot* slot = acquire();
       std::size_t local = 0;
       const std::size_t begin = c * kPairChunk;
-      const std::size_t end = std::min(pairs.size(), begin + kPairChunk);
+      const std::size_t end = std::min(relevant, begin + kPairChunk);
       for (std::size_t p = begin; p < end; ++p) {
         const std::size_t i = pairs[p].first;
         const std::size_t j = pairs[p].second;
@@ -886,7 +912,9 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
         const float dist = distance_unchecked(i, j);
         ++local;
         slot->push(i, kk, {dist, static_cast<std::uint32_t>(j)});
-        slot->push(j, kk, {dist, static_cast<std::uint32_t>(i)});
+        if (j < queried) {
+          slot->push(j, kk, {dist, static_cast<std::uint32_t>(i)});
+        }
       }
       rescored.fetch_add(local, std::memory_order_relaxed);
       release(slot);
@@ -904,9 +932,10 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     }
   } else if (strategy == TopKStrategy::kExact) {
     if (stats != nullptr) {
-      stats->tiles_total = tile_count();
-      stats->tiles_computed = tile_count();
-      stats->exact_dot_fraction = 1.0;
+      stats->tiles_total = prefix_tiles;
+      stats->tiles_computed = prefix_tiles;
+      stats->exact_dot_fraction = static_cast<double>(prefix_tiles) /
+                                  static_cast<double>(tile_count());
     }
     for_each_tile(
         [&](const DistanceTile& tile) {
@@ -914,7 +943,7 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
           consume_tile(tile, *slot);
           release(slot);
         },
-        pool);
+        pool, prefix_tiles);
   } else {
     // --- Norm-bound tile pruning ------------------------------------
     // Per 64-row block: the segment-wise max norms of its rows (an
@@ -928,7 +957,6 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     // cast rounding (see build()). A tile whose bound strictly beats the
     // published heap threshold of every row it touches cannot contribute
     // a single heap entry and is skipped whole.
-    const std::size_t blocks = (n + kTile - 1) / kTile;
     std::vector<float> block_max(blocks * seg_count_, 0.0f);
     std::vector<std::uint8_t> block_prunable(blocks, 1);
     for (std::size_t b = 0; b < blocks; ++b) {
@@ -957,7 +985,8 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     // drops a true top-k pair. The feedback only decides how much is
     // pruned, never what is returned: the exact top-k under the total
     // (distance, index) order is unique, hence schedule-independent.
-    std::vector<std::atomic<float>> thresholds(n);
+    // Only queried rows have heaps, so only they carry a threshold.
+    std::vector<std::atomic<float>> thresholds(queried);
     for (auto& t : thresholds) {
       t.store(std::numeric_limits<float>::infinity(),
               std::memory_order_relaxed);
@@ -967,17 +996,18 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     // outward, so near-diagonal tiles (same-module pairs on clustered
     // compendia) fill the heaps with tight thresholds before the far
     // tiles — the prunable bulk — are checked. Exactly-once delivery
-    // holds by construction: the permutation visits each tile index once.
-    // Each entry carries its (ta, tb) so workers never re-decode the
-    // linearization; `index` is the row-major upper-triangle position
-    // compute_tile expects (base of block-row ta, plus the offset d).
+    // holds by construction: the permutation visits each prefix tile index
+    // (ta < row_blocks) once. Each entry carries its (ta, tb) so workers
+    // never re-decode the linearization; `index` is the row-major
+    // upper-triangle position compute_tile expects (base of block-row ta,
+    // plus the offset d).
     struct TileRef {
       std::size_t index, ta, tb;
     };
     std::vector<TileRef> order;
-    order.reserve(tile_count());
+    order.reserve(prefix_tiles);
     for (std::size_t d = 0; d < blocks; ++d) {
-      for (std::size_t ta = 0; ta + d < blocks; ++ta) {
+      for (std::size_t ta = 0; ta < row_blocks && ta + d < blocks; ++ta) {
         order.push_back({ta * blocks - ta * (ta - 1) / 2 + d, ta, ta + d});
       }
     }
@@ -987,10 +1017,12 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     TileScratchPool scratch;
     par::parallel_dynamic(pool, 0, order.size(), [&](std::size_t pos) {
       const auto [t, ta, tb] = order[pos];
+      // The proof and the publish cover the queried rows only: the rest
+      // have no heap, and no pair of theirs is consumed.
       const std::size_t row_begin = ta * kTile;
-      const std::size_t row_end = std::min(n, row_begin + kTile);
+      const std::size_t row_end = std::min(queried, row_begin + kTile);
       const std::size_t col_begin = tb * kTile;
-      const std::size_t col_end = std::min(n, col_begin + kTile);
+      const std::size_t col_end = std::min(queried, col_begin + kTile);
 
       if (block_prunable[ta] != 0 && block_prunable[tb] != 0) {
         checked_bounds.fetch_add(1, std::memory_order_relaxed);
@@ -1046,14 +1078,14 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
       stats->bounds_checked = checked_bounds.load();
       stats->exact_dot_fraction =
           static_cast<double>(stats->tiles_computed) /
-          static_cast<double>(stats->tiles_total);
+          static_cast<double>(tile_count());
     }
   }
 
   // Merge: per row, the union of slot heaps contains the global
   // (distance, index)-smallest k; sort it and keep the head. Rows are
   // independent, so the merge itself parallelizes statically.
-  par::parallel_for(pool, 0, n, 64, [&](std::size_t i) {
+  par::parallel_for(pool, 0, queried, 64, [&](std::size_t i) {
     std::vector<NeighborEntry> candidates;
     for (const auto& slot : slots) {
       const NeighborEntry* base = slot->heap.data() + i * kk;

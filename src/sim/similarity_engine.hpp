@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -126,8 +127,10 @@ struct LshParams {
 /// the shared thresholds were when each tile was checked). The kApprox
 /// counters are exact under any pool — candidate generation is
 /// deterministic and rescoring counts actual exact-distance evaluations.
+/// On a row-limited call the tile counters describe the prefix schedule,
+/// while exact_dot_fraction stays relative to all n(n−1)/2 pairs.
 struct TopKStats {
-  std::size_t tiles_total = 0;     ///< tiles in the schedule
+  std::size_t tiles_total = 0;     ///< tiles in the (prefix) schedule
   std::size_t tiles_computed = 0;  ///< tiles whose pairs were computed
   std::size_t tiles_pruned = 0;    ///< tiles skipped on a bound proof
   std::size_t bounds_checked = 0;  ///< tiles whose bound was evaluated
@@ -136,10 +139,10 @@ struct TopKStats {
   std::size_t buckets_probed = 0;  ///< bucket enumerations + probe lookups
   std::size_t candidates_generated = 0;  ///< collision pairs, pre-dedup
   std::size_t candidates_rescored = 0;   ///< deduped pairs given exact dots
-  /// Fraction of the n(n−1)/2 pair distances evaluated exactly: 1.0 for
-  /// kExact, tiles_computed/tiles_total (tile granularity) for kPruned,
-  /// candidates_rescored / (n(n−1)/2) for kApprox — the sub-quadratic
-  /// headline number.
+  /// Fraction of the n(n−1)/2 pair distances evaluated exactly, at tile
+  /// granularity for the tiled strategies: tiles_computed / tile_count()
+  /// (1.0 for a full kExact call), candidates_rescored / (n(n−1)/2) for
+  /// kApprox — the sub-quadratic headline number.
   double exact_dot_fraction = 0.0;
 };
 
@@ -336,12 +339,19 @@ class SimilarityEngine {
   /// indexes in through here, skipping the O(n·bits) signature build.
   /// Ignored by the exact strategies. A borrowed index's backing is
   /// checked like the engine's own.
-  NeighborTable top_k_neighbors(std::size_t k, par::ThreadPool& pool,
-                                std::size_t min_common = 0,
-                                TopKStrategy strategy = TopKStrategy::kAuto,
-                                TopKStats* stats = nullptr,
-                                const LshParams& lsh = LshParams{},
-                                const LshIndex* lsh_index = nullptr) const;
+  ///
+  /// `rows` limits the table to profiles [0, rows) (count = min(rows, n)):
+  /// only the tiles whose row block reaches those profiles are scheduled —
+  /// a prefix of the row-major upper-triangle schedule, since every pair
+  /// (i < j) touching a queried profile has its i there — and the heaps
+  /// and merge hold rows × k entries. Each returned row is bit-identical
+  /// to the same row of the full table (same pairs, same kernels, same
+  /// i < j orientation). The default computes every profile.
+  NeighborTable top_k_neighbors(
+      std::size_t k, par::ThreadPool& pool, std::size_t min_common = 0,
+      TopKStrategy strategy = TopKStrategy::kAuto, TopKStats* stats = nullptr,
+      const LshParams& lsh = LshParams{}, const LshIndex* lsh_index = nullptr,
+      std::size_t rows = std::numeric_limits<std::size_t>::max()) const;
 
   /// Mean of all n(n-1)/2 pairwise distances, streamed tile by tile (no
   /// matrix materialized; per-tile partials reduced in schedule order, so
@@ -457,6 +467,10 @@ class SimilarityEngine {
   void build(std::span<const float> flat, std::size_t count,
              std::size_t length, Metric metric, Precompute precompute,
              DenseKernel kernel);
+  /// The pooled for_each_tile over schedule positions [0, tiles) only —
+  /// the row-limited top-k streams the prefix through this.
+  void for_each_tile(const std::function<void(const DistanceTile&)>& visit,
+                     par::ThreadPool& pool, std::size_t tiles) const;
   /// Computes tile `t` of the schedule into `scratch` (>= kTile*kTile
   /// floats) and fills `tile` to describe it.
   void compute_tile(std::size_t t, float* scratch, DistanceTile& tile) const;

@@ -6,7 +6,10 @@
 //   * session CRUD with a bounded session table,
 //   * the async job lifecycle (submit 202 → poll → fetch),
 //   * typed fv::Error → HTTP status mapping, malformed JSON → 400,
-//   * cache-hit bit-identity, proven by the compute counter,
+//   * cache-hit bit-identity, proven by the compute counter, and one
+//     compute per key while it is in flight (single flight),
+//   * strict job params: unrecognized fields → 400, rows clamped to n,
+//     and a pinned top-k response hash,
 //   * deterministic request-path fault injection,
 //   * client-abandoned job reaping on the logical request clock,
 //   * the persistent blob cache across service restarts, and results
@@ -38,7 +41,9 @@
 #include "serve/json.hpp"
 #include "serve/service.hpp"
 #include "store/artifact_store.hpp"
+#include "store/fault.hpp"
 #include "store/fsck.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -510,6 +515,186 @@ TEST(Serve, EvictedResultIsServedBitIdentical) {
     EXPECT_EQ(service.stats().computes.load(), with_store ? 3u : 4u);
     fs::remove_all(dir);
   }
+}
+
+TEST(Serve, TopKResponseBytesArePinned) {
+  // Balanced ±1 profiles: every normalized value is ±1/4 and every dot
+  // product a multiple of 1/16, so each distance is exact whether or not
+  // the build contracts multiply-adds, and the pinned bytes do not depend
+  // on the target CPU. The many tied distances exercise the index
+  // tie-break. The hash is the response of the full-table implementation;
+  // rows 100 of 130 profiles is a true prefix (2 of 3 row blocks).
+  constexpr std::size_t kProfiles = 130;
+  constexpr std::size_t kLength = 16;
+  fv::Rng rng(2024);
+  std::vector<float> flat(kProfiles * kLength, -1.0f);
+  for (std::size_t r = 0; r < kProfiles; ++r) {
+    for (const std::size_t c :
+         rng.sample_without_replacement(kLength, kLength / 2)) {
+      flat[r * kLength + c] = 1.0f;
+    }
+  }
+  auto engine = std::make_shared<fv::sim::SimilarityEngine>(
+      fv::sim::SimilarityEngine::from_profiles(flat, kProfiles, kLength,
+                                               fv::sim::Metric::kPearson));
+  AnalysisService service(
+      fv::serve::make_shared_compendium(engine, fixture().datasets),
+      fixture().compute_pool);
+  const std::string body = run_to_result(
+      service, create_session(service),
+      "{\"type\":\"topk\",\"k\":7,\"rows\":100,\"strategy\":\"pruned\"}");
+  EXPECT_EQ(fv::store::KeyBuilder().string(body).key(),
+            0x0b27f629f7b21160ULL);
+  const JsonValue parsed = fv::serve::parse_json(body);
+  EXPECT_EQ(parsed.find("count")->as_number(), 130.0);
+  EXPECT_EQ(parsed.find("neighbors")->items().size(), 100u);
+}
+
+TEST(Serve, UnrecognizedJobFieldsAre400AndCreateNoJob) {
+  AnalysisService service(fixture().compendium, fixture().compute_pool);
+  const std::string sid = create_session(service);
+  const std::string jobs = "/sessions/" + sid + "/jobs";
+  for (const std::string body :
+       {"{\"type\":\"topk\",\"k\":3,\"bogus\":1}",
+        "{\"type\":\"cluster\",\"linkage\":\"average\",\"k\":3}",
+        "{\"type\":\"spell\",\"query\":[\"x\"],\"rows\":4}"}) {
+    SCOPED_TRACE(body);
+    const HttpResponse response =
+        service.handle(make_request("POST", jobs, body));
+    EXPECT_EQ(response.status, 400);
+    EXPECT_NE(response.body.find("unrecognized field"), std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(service.stats().jobs_submitted.load(), 0u);
+  EXPECT_EQ(field(service.handle(make_request("GET", "/stats")), "jobs"), "0");
+  const HttpResponse session =
+      service.handle(make_request("GET", "/sessions/" + sid));
+  EXPECT_EQ(fv::serve::parse_json(session.body).find("jobs")->items().size(),
+            0u);
+}
+
+TEST(Serve, RowsPastProfileCountShareTheFullTableKey) {
+  // rows is clamped to the profile count in the canonical params, so any
+  // rows >= n names the default request's result.
+  AnalysisService service(fixture().compendium, fixture().compute_pool);
+  const std::string sid = create_session(service);
+  const std::string full =
+      run_to_result(service, sid, "{\"type\":\"topk\",\"k\":3}");
+  const HttpResponse submit = service.handle(
+      make_request("POST", "/sessions/" + sid + "/jobs",
+                   "{\"type\":\"topk\",\"k\":3,\"rows\":99999}"));
+  EXPECT_EQ(submit.status, 200);
+  EXPECT_TRUE(fv::serve::parse_json(submit.body).find("cached")->as_bool());
+  const HttpResponse result = service.handle(make_request(
+      "GET", "/sessions/" + sid + "/jobs/" + field(submit, "job") + "/result"));
+  EXPECT_EQ(result.body, full);
+  EXPECT_EQ(service.stats().computes.load(), 1u);
+}
+
+/// Holds a 1-thread compute pool's only worker until release() (or
+/// destruction), so a job submitted meanwhile stays in flight, blocked on
+/// its first compute phase. Declare it after the service: it must release
+/// before the service drains its jobs.
+class PoolBlocker {
+ public:
+  explicit PoolBlocker(fv::par::ThreadPool& pool) {
+    pool.submit([gate = gate_.get_future().share()] { gate.wait(); });
+  }
+  ~PoolBlocker() { release(); }
+  void release() {
+    if (!released_) gate_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> gate_;
+  bool released_ = false;
+};
+
+/// Submits `body` once from each of `sessions` fresh sessions; returns the
+/// (session, job) ids.
+std::vector<std::pair<std::string, std::string>> submit_from_sessions(
+    AnalysisService& service, const std::string& body, int sessions) {
+  std::vector<std::pair<std::string, std::string>> jobs;
+  for (int s = 0; s < sessions; ++s) {
+    const std::string sid = create_session(service);
+    const HttpResponse submit = service.handle(
+        make_request("POST", "/sessions/" + sid + "/jobs", body));
+    EXPECT_EQ(submit.status, 202) << submit.body;
+    EXPECT_FALSE(fv::serve::parse_json(submit.body).find("cached")->as_bool());
+    jobs.emplace_back(sid, field(submit, "job"));
+  }
+  return jobs;
+}
+
+TEST(Serve, SameKeyInFlightComputesOnce) {
+  fv::par::ThreadPool compute_pool(1);
+  AnalysisService service(fixture().compendium, compute_pool);
+  PoolBlocker blocker(compute_pool);
+  const auto jobs = submit_from_sessions(
+      service, "{\"type\":\"topk\",\"k\":5,\"rows\":40}", 3);
+  // One leader holds the only admission slot; the other two attached.
+  EXPECT_EQ(service.active_jobs(), 1u);
+  EXPECT_EQ(service.stats().jobs_coalesced.load(), 2u);
+  blocker.release();
+
+  std::vector<std::string> bodies;
+  for (const auto& [sid, job] : jobs) {
+    service.wait_job(job, std::chrono::seconds(60));
+    const HttpResponse result = service.handle(
+        make_request("GET", "/sessions/" + sid + "/jobs/" + job + "/result"));
+    EXPECT_EQ(result.status, 200);
+    bodies.push_back(result.body);
+  }
+  EXPECT_EQ(service.stats().computes.load(), 1u);
+  EXPECT_EQ(bodies[1], bodies[0]);
+  EXPECT_EQ(bodies[2], bodies[0]);
+  EXPECT_EQ(service.active_jobs(), 0u);
+  EXPECT_EQ(field(service.handle(make_request("GET", "/stats")),
+                  "jobs_coalesced"),
+            "2");
+}
+
+TEST(Serve, FailedLeaderFailsItsFollowers) {
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("fv_serve_coalesce_test." + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  {
+    // crash_at_op = 3 lands inside the leader's result persist.
+    fv::store::FaultSpec faults;
+    faults.crash_at_op = 3;
+    fv::store::ArtifactStore store(dir, faults);
+    AnalysisService::Options options;
+    options.store = &store;
+    fv::par::ThreadPool compute_pool(1);
+    AnalysisService service(fixture().compendium, compute_pool, options);
+    PoolBlocker blocker(compute_pool);
+    const auto jobs = submit_from_sessions(
+        service, "{\"type\":\"topk\",\"k\":4,\"rows\":20}", 3);
+    EXPECT_EQ(service.stats().jobs_coalesced.load(), 2u);
+    blocker.release();
+
+    std::vector<std::string> results;
+    for (const auto& [sid, job] : jobs) {
+      service.wait_job(job, std::chrono::seconds(60));
+      const HttpResponse status = service.handle(
+          make_request("GET", "/sessions/" + sid + "/jobs/" + job));
+      EXPECT_EQ(field(status, "state"), "failed");
+      EXPECT_EQ(field(status, "error_status"), "500");
+      const HttpResponse result = service.handle(make_request(
+          "GET", "/sessions/" + sid + "/jobs/" + job + "/result"));
+      EXPECT_EQ(result.status, 500);
+      results.push_back(result.body);
+    }
+    EXPECT_NE(results[0].find("store crashed"), std::string::npos);
+    EXPECT_EQ(results[1], results[0]);
+    EXPECT_EQ(results[2], results[0]);
+    EXPECT_EQ(service.stats().jobs_failed.load(), 3u);
+    EXPECT_EQ(service.active_jobs(), 0u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Serve, HttpRoundTripOverSockets) {

@@ -5,13 +5,17 @@
 // rows), the min_common filter, the norm-bound pruned top-k strategy
 // (bit-identical to exact on module-structured, all-tied, heavily-masked
 // and k >= n-1 inputs; prune statistics accounting; Euclidean rejection),
-// the streamed mean-pairwise reduction, and the float-accumulator dense
+// the row-prefix tables (each strategy's prefix byte-identical to its full
+// table's first rows; prefix schedule statistics), the streamed
+// mean-pairwise reduction, and the float-accumulator dense
 // kernel's block-flush error bound against the double reference across row
 // lengths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -250,6 +254,28 @@ void expect_tables_identical(const sm::NeighborTable& a,
   EXPECT_EQ(a.valid, b.valid);
 }
 
+/// Whether the first `n` elements of `a` and `b` are the same bytes.
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b,
+                std::size_t n) {
+  return n == 0 || std::memcmp(a.data(), b.data(), n * sizeof(T)) == 0;
+}
+
+/// The prefix table must be the first `rows` rows of the full table, byte
+/// for byte.
+void expect_prefix_of(const sm::NeighborTable& prefix,
+                      const sm::NeighborTable& full, std::size_t rows) {
+  const std::size_t count = std::min(rows, full.count);
+  ASSERT_EQ(prefix.count, count);
+  ASSERT_EQ(prefix.k, full.k);
+  ASSERT_EQ(prefix.valid.size(), count);
+  ASSERT_EQ(prefix.indices.size(), count * full.k);
+  ASSERT_EQ(prefix.distances.size(), count * full.k);
+  EXPECT_TRUE(same_bytes(prefix.valid, full.valid, count));
+  EXPECT_TRUE(same_bytes(prefix.indices, full.indices, count * full.k));
+  EXPECT_TRUE(same_bytes(prefix.distances, full.distances, count * full.k));
+}
+
 TEST(TopKPrunedTest, PrunesCrossModuleTilesAndStaysBitIdentical) {
   // 320 rows = 5 tile blocks over 4 modules with mostly-disjoint dataset
   // supports: cross-module tiles must actually prune under Pearson, and
@@ -360,6 +386,39 @@ TEST(TopKPrunedTest, KPastRowCountIsTheNoPruneDegenerateCase) {
   expect_table_matches_reference(engine, 200, 0, pool);
 }
 
+TEST(TopKPrunedTest, ASkipNeedsTheProofForItsColumnRowsToo) {
+  // Block A (rows 0–63) is one tight module, so its thresholds are near 0
+  // and the (A, B) tile's bound beats every A row. Block B (rows 64–127)
+  // mixes that module's pattern with heavy noise: each B row sits closer
+  // to the A rows than to the other B rows, so its true neighbors live in
+  // the (A, B) tile while its threshold, after its own diagonal tile, is
+  // still far above the bound. Skipping on the A rows' proof alone would
+  // drop them; the full table and every prefix must match kExact.
+  fv::Rng rng(404);
+  ex::ExpressionMatrix m(128, 96);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const bool module = r < 64;
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      const double pattern = c < 32 ? std::sin(0.4 * (c + 1.0)) : 0.0;
+      m.set(r, c,
+            static_cast<float>(module ? pattern + rng.normal(0.0, 0.02)
+                                      : 0.9 * pattern + rng.normal(0.0, 1.0)));
+    }
+  }
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  fv::par::ThreadPool pool(1);
+  const auto exact =
+      engine.top_k_neighbors(5, pool, 0, sm::TopKStrategy::kExact);
+  expect_tables_identical(
+      engine.top_k_neighbors(5, pool, 0, sm::TopKStrategy::kPruned), exact);
+  for (const std::size_t rows : {64u, 100u}) {
+    expect_prefix_of(
+        engine.top_k_neighbors(5, pool, 0, sm::TopKStrategy::kPruned, nullptr,
+                               sm::LshParams{}, nullptr, rows),
+        exact, rows);
+  }
+}
+
 TEST(TopKPrunedTest, EuclideanRejectsPrunedAndAutoFallsBackToExact) {
   const auto m = block_module_matrix(70, 96, 35, 9);
   fv::par::ThreadPool pool(2);
@@ -376,6 +435,132 @@ TEST(TopKPrunedTest, EuclideanRejectsPrunedAndAutoFallsBackToExact) {
   EXPECT_EQ(stats.bounds_checked, 0u);
   EXPECT_EQ(stats.tiles_computed, stats.tiles_total);
   expect_table_matches_reference(engine, 3, 0, pool);
+}
+
+// --- Row-prefix top-k ------------------------------------------------------
+
+/// Module data with masked rows mixed in: every 23rd row misses 1–7 cells,
+/// so min_common = 92 drops some of their pairs and keeps others, and the
+/// pruned strategy meets both prunable and unprunable blocks.
+ex::ExpressionMatrix masked_module_matrix(std::size_t rows) {
+  auto m = block_module_matrix(rows, 96, 50, 63);
+  for (std::size_t r = 5; r < rows; r += 23) {
+    for (std::size_t c = 0; c < 1 + r % 7; ++c) {
+      m.set(r, (11 * c + r) % 96, std::numeric_limits<float>::quiet_NaN());
+    }
+  }
+  return m;
+}
+
+TEST(TopKPrefixTest, EveryStrategyPrefixIsTheFullTablesRows) {
+  // 200 rows = 4 tile blocks, the last one partial; rows around the block
+  // edges, n − 1, n and past n. Each strategy's prefix is checked against
+  // its own full table — kApprox included, whose full table may miss true
+  // neighbors but must miss the same ones on a prefix.
+  const std::size_t n = 200;
+  const auto m = masked_module_matrix(n);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  for (const std::size_t threads : {1u, 4u}) {
+    fv::par::ThreadPool pool(threads);
+    for (const auto strategy :
+         {sm::TopKStrategy::kAuto, sm::TopKStrategy::kExact,
+          sm::TopKStrategy::kPruned, sm::TopKStrategy::kApprox}) {
+      for (const std::size_t min_common : {0u, 92u}) {
+        const auto full =
+            engine.top_k_neighbors(5, pool, min_common, strategy);
+        ASSERT_EQ(full.count, n);
+        for (const std::size_t rows :
+             {std::size_t{0}, std::size_t{1}, std::size_t{63},
+              std::size_t{64}, std::size_t{65}, n - 1, n, n + 5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << threads << " threads, strategy "
+                       << static_cast<int>(strategy) << ", min_common "
+                       << min_common << ", rows " << rows);
+          const auto prefix = engine.top_k_neighbors(
+              5, pool, min_common, strategy, nullptr, sm::LshParams{},
+              nullptr, rows);
+          expect_prefix_of(prefix, full, rows);
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKPrefixTest, EuclideanAndKPastRowCountPrefixes) {
+  // The exact fallbacks: Euclidean (kAuto routes to kExact) and k >= n − 1
+  // (kApprox falls back to kExact) take the prefix schedule too.
+  const auto m = masked_module_matrix(130);
+  fv::par::ThreadPool pool(3);
+  const auto euclid =
+      sm::SimilarityEngine::from_rows(m, sm::Metric::kEuclidean);
+  const auto pearson = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  for (const std::size_t rows : {1u, 64u, 70u, 129u}) {
+    SCOPED_TRACE(::testing::Message() << "rows " << rows);
+    expect_prefix_of(euclid.top_k_neighbors(4, pool, 0, sm::TopKStrategy::kAuto,
+                                            nullptr, sm::LshParams{}, nullptr,
+                                            rows),
+                     euclid.top_k_neighbors(4, pool), rows);
+    expect_prefix_of(
+        pearson.top_k_neighbors(500, pool, 0, sm::TopKStrategy::kApprox,
+                                nullptr, sm::LshParams{}, nullptr, rows),
+        pearson.top_k_neighbors(500, pool, 0, sm::TopKStrategy::kExact),
+        rows);
+  }
+}
+
+TEST(TopKPrefixTest, PrefixStatsCountThePrefixSchedule) {
+  // 320 rows = 5 blocks, 15 tiles. rows = 65 reaches blocks 0 and 1: the
+  // prefix is the 5 + 4 = 9 tiles with ta < 2, while exact_dot_fraction
+  // stays relative to all pairs (tile_count()), so the saving shows.
+  const std::size_t n = 320;
+  const auto m = block_module_matrix(n, 96, 80, 41);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  fv::par::ThreadPool pool(1);  // serial pool: prune stats deterministic
+  ASSERT_EQ(engine.tile_count(), 15u);
+  const auto prefix_stats = [&](sm::TopKStrategy strategy, std::size_t rows) {
+    sm::TopKStats stats;
+    engine.top_k_neighbors(5, pool, 0, strategy, &stats, sm::LshParams{},
+                           nullptr, rows);
+    return stats;
+  };
+
+  const sm::TopKStats exact = prefix_stats(sm::TopKStrategy::kExact, 65);
+  EXPECT_EQ(exact.tiles_total, 9u);
+  EXPECT_EQ(exact.tiles_computed, 9u);
+  EXPECT_DOUBLE_EQ(exact.exact_dot_fraction, 9.0 / 15.0);
+  EXPECT_EQ(prefix_stats(sm::TopKStrategy::kExact, 1).tiles_total, 5u);
+  EXPECT_EQ(prefix_stats(sm::TopKStrategy::kExact, 0).tiles_total, 0u);
+
+  const sm::TopKStats pruned = prefix_stats(sm::TopKStrategy::kPruned, 65);
+  EXPECT_EQ(pruned.tiles_total, 9u);
+  EXPECT_EQ(pruned.tiles_pruned + pruned.tiles_computed, 9u);
+  EXPECT_GT(pruned.tiles_pruned, 0u) << "queried rows still prune";
+  EXPECT_DOUBLE_EQ(pruned.exact_dot_fraction,
+                   static_cast<double>(pruned.tiles_computed) / 15.0);
+
+  // rows >= n is the full call, counter for counter.
+  sm::TopKStats full;
+  engine.top_k_neighbors(5, pool, 0, sm::TopKStrategy::kPruned, &full);
+  for (const std::size_t rows : {n, n + 1}) {
+    const sm::TopKStats same = prefix_stats(sm::TopKStrategy::kPruned, rows);
+    EXPECT_EQ(same.tiles_total, full.tiles_total);
+    EXPECT_EQ(same.tiles_pruned, full.tiles_pruned);
+    EXPECT_EQ(same.bounds_checked, full.bounds_checked);
+    EXPECT_EQ(same.exact_dot_fraction, full.exact_dot_fraction);
+  }
+  EXPECT_LT(pruned.exact_dot_fraction, full.exact_dot_fraction);
+
+  // kApprox generates the same candidates but rescores only pairs with a
+  // queried end; the fraction is over all n(n−1)/2 pairs either way.
+  sm::TopKStats approx_full;
+  engine.top_k_neighbors(5, pool, 0, sm::TopKStrategy::kApprox, &approx_full);
+  const sm::TopKStats approx = prefix_stats(sm::TopKStrategy::kApprox, 65);
+  EXPECT_EQ(approx.candidates_generated, approx_full.candidates_generated);
+  EXPECT_GT(approx.candidates_rescored, 0u);
+  EXPECT_LT(approx.candidates_rescored, approx_full.candidates_rescored);
+  EXPECT_DOUBLE_EQ(approx.exact_dot_fraction,
+                   static_cast<double>(approx.candidates_rescored) /
+                       static_cast<double>(fv::condensed_size(n)));
 }
 
 TEST(ForEachTileTest, DeliversEveryPairOnceWithPairwiseValues) {
