@@ -7,7 +7,8 @@
 // What this bench reports:
 //  * WallFrame/tiles     — end-to-end frame time vs tile count (fixed tile
 //                          size, so total pixels grow with tiles);
-//                          counters: Mpix/s throughput, cull efficiency
+//                          counters: Mpix/s throughput, cull efficiency,
+//                          MB shipped to the nodes per frame
 //  * FixedCanvas/tiles   — same canvas area split across more tiles
 //                          (parallel speedup of the raster stage)
 //  * Broadcast vs P2P    — ablation A2: distribution strategy bytes/time
@@ -83,6 +84,8 @@ void BM_WallFrame_Tiles(benchmark::State& state) {
   state.counters["cull_ratio"] =
       static_cast<double>(last.commands_executed) /
       static_cast<double>(std::max<std::size_t>(1, last.commands_total));
+  state.counters["MB_shipped"] =
+      static_cast<double>(last.bytes_distributed) * 1e-6;
 }
 BENCHMARK(BM_WallFrame_Tiles)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Arg(12)
     ->Arg(24)->Unit(benchmark::kMillisecond)->Iterations(2)->UseRealTime();

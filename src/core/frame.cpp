@@ -1,11 +1,10 @@
 #include "core/frame.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "render/dendrogram.hpp"
 #include "render/font.hpp"
-#include "stats/descriptive.hpp"
+#include "render/heatmap.hpp"
 #include "util/error.hpp"
 
 namespace fv::core {
@@ -21,62 +20,18 @@ constexpr Rgb8 kHeaderText{230, 230, 230};
 constexpr Rgb8 kTreeColor{170, 170, 170};
 constexpr Rgb8 kGapRow{40, 40, 48};  ///< "gene not measured here"
 
-/// Draws the whole-genome global view into `rect` through the canvas,
-/// batching same-color horizontal runs into single fill_rects so the wall
-/// command stream stays compact.
+/// Draws the whole-genome global view into `rect` through the canvas as
+/// one image, so the wall command stream carries one command per pane
+/// instead of one fill per run of same-colored pixels.
 void draw_global_view(Canvas& canvas, const expr::Dataset& dataset,
                       const std::vector<std::size_t>& order,
                       const render::ExpressionColormap& colormap,
                       const layout::Rect& rect) {
-  const std::size_t rows = order.size();
-  const std::size_t cols = dataset.condition_count();
-  if (rows == 0 || cols == 0) {
-    canvas.fill_rect(rect.x, rect.y, rect.width, rect.height,
-                     render::colors::kMissing);
-    return;
-  }
-  const auto width = static_cast<std::size_t>(rect.width);
-  const auto height = static_cast<std::size_t>(rect.height);
-  for (std::size_t py = 0; py < height; ++py) {
-    const std::size_t r0 = py * rows / height;
-    const std::size_t r1 = std::max(r0 + 1, (py + 1) * rows / height);
-    // Run-length batching along the row.
-    long run_start = 0;
-    Rgb8 run_color{};
-    bool run_open = false;
-    for (std::size_t px = 0; px < width; ++px) {
-      const std::size_t c0 = px * cols / width;
-      const std::size_t c1 = std::max(c0 + 1, (px + 1) * cols / width);
-      double sum = 0.0;
-      std::size_t present = 0;
-      for (std::size_t r = r0; r < r1 && r < rows; ++r) {
-        const auto values = dataset.values().row(order[r]);
-        for (std::size_t c = c0; c < c1 && c < cols; ++c) {
-          if (stats::is_missing(values[c])) continue;
-          sum += values[c];
-          ++present;
-        }
-      }
-      const float average =
-          present > 0 ? static_cast<float>(sum / static_cast<double>(present))
-                      : stats::missing_value();
-      const Rgb8 color = colormap.map(average);
-      if (!run_open) {
-        run_open = true;
-        run_start = static_cast<long>(px);
-        run_color = color;
-      } else if (!(color == run_color)) {
-        canvas.fill_rect(rect.x + run_start, rect.y + static_cast<long>(py),
-                         static_cast<long>(px) - run_start, 1, run_color);
-        run_start = static_cast<long>(px);
-        run_color = color;
-      }
-    }
-    if (run_open) {
-      canvas.fill_rect(rect.x + run_start, rect.y + static_cast<long>(py),
-                       static_cast<long>(width) - run_start, 1, run_color);
-    }
-  }
+  canvas.image(rect.x, rect.y, rect.width, rect.height,
+               render::global_view_pixels(
+                   dataset.values(), order, colormap,
+                   static_cast<std::size_t>(rect.width),
+                   static_cast<std::size_t>(rect.height)));
 }
 
 /// Selection tick marks on the global view (the paper: other datasets

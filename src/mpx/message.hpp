@@ -98,7 +98,9 @@ class PayloadWriter {
   std::vector<std::byte> buffer_;
 };
 
-/// Sequentially unpacks values written by PayloadWriter; throws on overrun.
+/// Sequentially unpacks values written by PayloadWriter. Any read past the
+/// end, including a length prefix larger than what remains, throws
+/// fv::InvalidArgument before allocating.
 class PayloadReader {
  public:
   explicit PayloadReader(std::span<const std::byte> payload)
@@ -118,9 +120,15 @@ class PayloadReader {
   template <typename T>
   std::vector<T> read_vector() {
     const auto count = read<std::uint64_t>();
-    require(count * sizeof(T));
+    // Bounded by the bytes left before anything is sized by it, so a
+    // hostile count can neither wrap `count * sizeof(T)` nor allocate.
+    FV_REQUIRE(count <= remaining() / sizeof(T),
+               "payload underrun: vector longer than the message");
     std::vector<T> values(count);
-    std::memcpy(values.data(), payload_.data() + offset_, count * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (count > 0) {
+      std::memcpy(values.data(), payload_.data() + offset_, count * sizeof(T));
+    }
     offset_ += count * sizeof(T);
     return values;
   }
@@ -138,7 +146,8 @@ class PayloadReader {
 
  private:
   void require(std::size_t bytes) const {
-    FV_REQUIRE(offset_ + bytes <= payload_.size(),
+    // Written against what is left, so a huge `bytes` cannot wrap.
+    FV_REQUIRE(bytes <= payload_.size() - offset_,
                "payload underrun: message shorter than expected");
   }
 

@@ -9,6 +9,7 @@
 // which the tests rely on.
 #pragma once
 
+#include <span>
 #include <string_view>
 
 #include "render/draw.hpp"
@@ -29,6 +30,9 @@ class Canvas {
   virtual void line(long x0, long y0, long x1, long y1, Rgb8 color) = 0;
   virtual void text(long x, long y, std::string_view content, Rgb8 color,
                     int scale) = 0;
+  /// Row-major width x height pixel block (see render::draw_image).
+  virtual void image(long x, long y, long width, long height,
+                     std::span<const Rgb8> pixels) = 0;
 
   /// Convenience overload with scale 1.
   void text(long x, long y, std::string_view content, Rgb8 color) {
@@ -61,6 +65,10 @@ class FramebufferCanvas final : public Canvas {
   void text(long x, long y, std::string_view content, Rgb8 color,
             int scale) override {
     render::draw_text(*fb_, x, y, content, color, scale);
+  }
+  void image(long x, long y, long width, long height,
+             std::span<const Rgb8> pixels) override {
+    render::draw_image(*fb_, x, y, width, height, pixels);
   }
 
  private:

@@ -8,18 +8,57 @@
 
 namespace fv::render {
 
+namespace {
+
+/// The part of a width x height rectangle at (x, y) that lies inside `fb`,
+/// as [x0, x1) x [y0, y1); empty when x0 >= x1 or y0 >= y1.
+struct Clip {
+  long x0, y0, x1, y1;
+  bool empty() const noexcept { return x0 >= x1 || y0 >= y1; }
+};
+
+Clip clip_to(const Framebuffer& fb, long x, long y, long width, long height) {
+  return Clip{std::max(x, 0L), std::max(y, 0L),
+              std::min(x + width, static_cast<long>(fb.width())),
+              std::min(y + height, static_cast<long>(fb.height()))};
+}
+
+}  // namespace
+
 void fill_rect(Framebuffer& fb, long x, long y, long width, long height,
                Rgb8 color) {
   if (width <= 0 || height <= 0) return;
-  const long x0 = std::max(x, 0L);
-  const long y0 = std::max(y, 0L);
-  const long x1 = std::min(x + width, static_cast<long>(fb.width()));
-  const long y1 = std::min(y + height, static_cast<long>(fb.height()));
-  for (long py = y0; py < y1; ++py) {
-    for (long px = x0; px < x1; ++px) {
-      fb.set(static_cast<std::size_t>(px), static_cast<std::size_t>(py),
-             color);
-    }
+  const Clip clip = clip_to(fb, x, y, width, height);
+  if (clip.empty()) return;
+  for (long py = clip.y0; py < clip.y1; ++py) {
+    const auto row = fb.row(static_cast<std::size_t>(py));
+    std::fill(row.begin() + clip.x0, row.begin() + clip.x1, color);
+  }
+}
+
+bool image_size_matches(long width, long height, std::size_t pixel_count) {
+  if (width < 0 || height < 0) return false;
+  if (width == 0 || height == 0) return pixel_count == 0;
+  const auto w = static_cast<std::size_t>(width);
+  return pixel_count % w == 0 &&
+         pixel_count / w == static_cast<std::size_t>(height);
+}
+
+void draw_image(Framebuffer& fb, long x, long y, long width, long height,
+                std::span<const Rgb8> pixels) {
+  if (width <= 0 || height <= 0) return;
+  FV_REQUIRE(image_size_matches(width, height, pixels.size()),
+             "image needs exactly width x height pixels");
+  const Clip clip = clip_to(fb, x, y, width, height);
+  if (clip.empty()) return;
+  const auto stride = static_cast<std::size_t>(width);
+  for (long py = clip.y0; py < clip.y1; ++py) {
+    const auto from = pixels.subspan(
+        static_cast<std::size_t>(py - y) * stride +
+            static_cast<std::size_t>(clip.x0 - x),
+        static_cast<std::size_t>(clip.x1 - clip.x0));
+    std::copy(from.begin(), from.end(),
+              fb.row(static_cast<std::size_t>(py)).begin() + clip.x0);
   }
 }
 

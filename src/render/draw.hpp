@@ -1,8 +1,9 @@
-// 2-D drawing primitives over Framebuffer: rectangles, Bresenham lines,
-// bitmap text. These are the only operations the pane renderers and the
-// display-wall command stream need.
+// 2-D drawing primitives over Framebuffer: rectangles, pixel blocks,
+// Bresenham lines, bitmap text. These are the only operations the pane
+// renderers and the display-wall command stream need.
 #pragma once
 
+#include <span>
 #include <string_view>
 
 #include "render/framebuffer.hpp"
@@ -12,6 +13,17 @@ namespace fv::render {
 /// Filled axis-aligned rectangle, clipped to the framebuffer.
 void fill_rect(Framebuffer& fb, long x, long y, long width, long height,
                Rgb8 color);
+
+/// True when a width x height image holds exactly `pixel_count` pixels. A
+/// negative size never does, an empty one only with no pixels, and the check
+/// cannot overflow.
+bool image_size_matches(long width, long height, std::size_t pixel_count);
+
+/// Row-major width x height block of pixels with its top-left corner at
+/// (x, y), clipped to the framebuffer. A non-positive size draws nothing;
+/// otherwise `pixels` must hold exactly width * height entries.
+void draw_image(Framebuffer& fb, long x, long y, long width, long height,
+                std::span<const Rgb8> pixels);
 
 /// 1-pixel rectangle outline, clipped.
 void draw_rect(Framebuffer& fb, long x, long y, long width, long height,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "render/draw.hpp"
 #include "util/error.hpp"
 #include "util/table_io.hpp"
 
@@ -44,33 +45,22 @@ void Framebuffer::clear(Rgb8 color) {
   std::fill(pixels_.begin(), pixels_.end(), color);
 }
 
+std::span<Rgb8> Framebuffer::row(std::size_t y) {
+  FV_REQUIRE(y < height_, "row out of range");
+  return std::span<Rgb8>(pixels_).subspan(y * width_, width_);
+}
+
 void Framebuffer::blit(const Framebuffer& source, long x, long y) {
-  for (std::size_t sy = 0; sy < source.height(); ++sy) {
-    const long dy = y + static_cast<long>(sy);
-    if (dy < 0 || static_cast<std::size_t>(dy) >= height_) continue;
-    for (std::size_t sx = 0; sx < source.width(); ++sx) {
-      const long dx = x + static_cast<long>(sx);
-      if (dx < 0 || static_cast<std::size_t>(dx) >= width_) continue;
-      pixels_[static_cast<std::size_t>(dy) * width_ +
-              static_cast<std::size_t>(dx)] = source.pixels_[sy * source.width_ + sx];
-    }
-  }
+  draw_image(*this, x, y, static_cast<long>(source.width_),
+             static_cast<long>(source.height_), source.pixels_);
 }
 
 Framebuffer Framebuffer::crop(long x, long y, std::size_t width,
                               std::size_t height) const {
   Framebuffer out(width, height);
-  for (std::size_t oy = 0; oy < height; ++oy) {
-    const long sy = y + static_cast<long>(oy);
-    if (sy < 0 || static_cast<std::size_t>(sy) >= height_) continue;
-    for (std::size_t ox = 0; ox < width; ++ox) {
-      const long sx = x + static_cast<long>(ox);
-      if (sx < 0 || static_cast<std::size_t>(sx) >= width_) continue;
-      out.pixels_[oy * width + ox] =
-          pixels_[static_cast<std::size_t>(sy) * width_ +
-                  static_cast<std::size_t>(sx)];
-    }
-  }
+  // This buffer placed at (-x, -y) in the crop's coordinates.
+  draw_image(out, -x, -y, static_cast<long>(width_),
+             static_cast<long>(height_), pixels_);
   return out;
 }
 

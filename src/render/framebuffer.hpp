@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,11 @@ class Framebuffer {
   /// Unclipped accessors; out-of-range indices throw.
   Rgb8 at(std::size_t x, std::size_t y) const;
   void set(std::size_t x, std::size_t y, Rgb8 color);
+
+  /// Row `y` as a width()-pixel span; an out-of-range row throws. Bulk
+  /// primitives clip once and then work on row spans, so the check is paid
+  /// per row, not per pixel.
+  std::span<Rgb8> row(std::size_t y);
 
   /// Clipped write: silently ignores out-of-bounds coordinates (callers
   /// rasterizing primitives near edges rely on this).

@@ -27,16 +27,13 @@ void render_heatmap(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
   }
 }
 
-void render_global_view(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
-                        std::span<const std::size_t> row_order,
-                        const ExpressionColormap& colormap, long x, long y,
-                        std::size_t width, std::size_t height) {
+std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
+                                     std::span<const std::size_t> row_order,
+                                     const ExpressionColormap& colormap,
+                                     std::size_t width, std::size_t height) {
   FV_REQUIRE(width > 0 && height > 0, "global view needs positive size");
-  if (row_order.empty() || matrix.cols() == 0) {
-    fill_rect(fb, x, y, static_cast<long>(width), static_cast<long>(height),
-              colors::kMissing);
-    return;
-  }
+  std::vector<Rgb8> pixels(width * height, colors::kMissing);
+  if (row_order.empty() || matrix.cols() == 0) return pixels;
   const std::size_t rows = row_order.size();
   const std::size_t cols = matrix.cols();
   // Box-filter downsampling: output pixel (px, py) covers source rows
@@ -60,10 +57,10 @@ void render_global_view(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
       const float average =
           present > 0 ? static_cast<float>(sum / static_cast<double>(present))
                       : stats::missing_value();
-      fb.set_clipped(x + static_cast<long>(px), y + static_cast<long>(py),
-                     colormap.map(average));
+      pixels[py * width + px] = colormap.map(average);
     }
   }
+  return pixels;
 }
 
 }  // namespace fv::render

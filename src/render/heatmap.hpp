@@ -3,6 +3,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "expr/expression_matrix.hpp"
 #include "render/colormap.hpp"
@@ -18,13 +19,13 @@ void render_heatmap(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
                     const ExpressionColormap& colormap, long x, long y,
                     int cell_w, int cell_h);
 
-/// Renders the whole matrix (rows in `row_order`) scaled into a width x
-/// height region at (x, y) — the pane's global view. Each output pixel
-/// averages the present expression values it covers; pixels covering only
-/// missing cells use the missing color.
-void render_global_view(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
-                        std::span<const std::size_t> row_order,
-                        const ExpressionColormap& colormap, long x, long y,
-                        std::size_t width, std::size_t height);
+/// The pane's global view: the whole matrix (rows in `row_order`) box-
+/// filtered into a row-major width x height block. Each pixel averages the
+/// present expression values it covers; pixels covering only missing cells,
+/// and every pixel of an empty input, use the missing color.
+std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
+                                     std::span<const std::size_t> row_order,
+                                     const ExpressionColormap& colormap,
+                                     std::size_t width, std::size_t height);
 
 }  // namespace fv::render

@@ -11,6 +11,7 @@ layout::Rect RenderCommand::bounds() const {
   switch (type) {
     case CommandType::kFillRect:
     case CommandType::kDrawRect:
+    case CommandType::kImage:
       return layout::Rect{x0, y0, x1, y1};  // x1/y1 hold width/height
     case CommandType::kHLine: {
       const long lo = std::min(x0, x1);
@@ -42,7 +43,7 @@ void RecordingCanvas::fill_rect(long x, long y, long width, long height,
   if (width <= 0 || height <= 0) return;
   commands_.push_back(
       RenderCommand{CommandType::kFillRect, x, y, width, height, color, 1,
-                    {}});
+                    {}, {}});
 }
 
 void RecordingCanvas::draw_rect(long x, long y, long width, long height,
@@ -50,30 +51,40 @@ void RecordingCanvas::draw_rect(long x, long y, long width, long height,
   if (width <= 0 || height <= 0) return;
   commands_.push_back(
       RenderCommand{CommandType::kDrawRect, x, y, width, height, color, 1,
-                    {}});
+                    {}, {}});
 }
 
 void RecordingCanvas::hline(long x0, long x1, long y, render::Rgb8 color) {
   commands_.push_back(
-      RenderCommand{CommandType::kHLine, x0, y, x1, y, color, 1, {}});
+      RenderCommand{CommandType::kHLine, x0, y, x1, y, color, 1, {}, {}});
 }
 
 void RecordingCanvas::vline(long x, long y0, long y1, render::Rgb8 color) {
   commands_.push_back(
-      RenderCommand{CommandType::kVLine, x, y0, x, y1, color, 1, {}});
+      RenderCommand{CommandType::kVLine, x, y0, x, y1, color, 1, {}, {}});
 }
 
 void RecordingCanvas::line(long x0, long y0, long x1, long y1,
                            render::Rgb8 color) {
   commands_.push_back(
-      RenderCommand{CommandType::kLine, x0, y0, x1, y1, color, 1, {}});
+      RenderCommand{CommandType::kLine, x0, y0, x1, y1, color, 1, {}, {}});
 }
 
 void RecordingCanvas::text(long x, long y, std::string_view content,
                            render::Rgb8 color, int scale) {
   FV_REQUIRE(scale >= 1, "text scale must be at least 1");
   commands_.push_back(RenderCommand{CommandType::kText, x, y, 0, 0, color,
-                                    scale, std::string(content)});
+                                    scale, std::string(content), {}});
+}
+
+void RecordingCanvas::image(long x, long y, long width, long height,
+                            std::span<const render::Rgb8> pixels) {
+  if (width <= 0 || height <= 0) return;
+  FV_REQUIRE(render::image_size_matches(width, height, pixels.size()),
+             "image needs exactly width x height pixels");
+  commands_.push_back(RenderCommand{CommandType::kImage, x, y, width, height,
+                                    {}, 1, {},
+                                    {pixels.begin(), pixels.end()}});
 }
 
 std::size_t replay_commands(render::Framebuffer& fb,
@@ -110,6 +121,9 @@ std::size_t replay_commands(render::Framebuffer& fb,
         canvas.text(x0, y0, command.text, command.color,
                     static_cast<int>(command.scale));
         break;
+      case CommandType::kImage:
+        canvas.image(x0, y0, command.x1, command.y1, command.pixels);
+        break;
     }
   }
   return executed;
@@ -128,16 +142,36 @@ void write_commands(mpx::PayloadWriter& writer, const CommandList& commands) {
     writer.write<std::uint8_t>(command.color.b);
     writer.write<std::int32_t>(command.scale);
     writer.write_string(command.text);
+    if (command.type == CommandType::kImage) {
+      writer.write_span(std::span<const render::Rgb8>(command.pixels));
+    }
   }
 }
 
+namespace {
+
+/// Wire size of the fields every command carries: type, four coordinates,
+/// color, scale and the text length.
+constexpr std::size_t kCommonBytes = 1 + 4 * 8 + 3 + 4 + 8;
+
+}  // namespace
+
 CommandList read_commands(mpx::PayloadReader& reader) {
   const auto count = reader.read<std::uint64_t>();
+  if (count > reader.remaining() / kCommonBytes) {
+    throw ParseError("command stream claims " + std::to_string(count) +
+                     " commands but holds " +
+                     std::to_string(reader.remaining()) + " bytes");
+  }
   CommandList commands;
   commands.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     RenderCommand command;
-    command.type = static_cast<CommandType>(reader.read<std::uint8_t>());
+    const auto type = reader.read<std::uint8_t>();
+    if (type > static_cast<std::uint8_t>(CommandType::kImage)) {
+      throw ParseError("unknown render command type " + std::to_string(type));
+    }
+    command.type = static_cast<CommandType>(type);
     command.x0 = static_cast<long>(reader.read<std::int64_t>());
     command.y0 = static_cast<long>(reader.read<std::int64_t>());
     command.x1 = static_cast<long>(reader.read<std::int64_t>());
@@ -147,6 +181,13 @@ CommandList read_commands(mpx::PayloadReader& reader) {
     command.color.b = reader.read<std::uint8_t>();
     command.scale = reader.read<std::int32_t>();
     command.text = reader.read_string();
+    if (command.type == CommandType::kImage) {
+      command.pixels = reader.read_vector<render::Rgb8>();
+      if (!render::image_size_matches(command.x1, command.y1,
+                              command.pixels.size())) {
+        throw ParseError("image command size does not match its pixels");
+      }
+    }
     commands.push_back(std::move(command));
   }
   return commands;

@@ -20,6 +20,7 @@ enum class CommandType : std::uint8_t {
   kVLine,
   kLine,
   kText,
+  kImage,  ///< appended last: the wire bytes of the other types stay put
 };
 
 struct RenderCommand {
@@ -28,6 +29,8 @@ struct RenderCommand {
   render::Rgb8 color;
   std::int32_t scale = 1;  ///< text scale
   std::string text;        ///< text content (empty for non-text commands)
+  /// Row-major x1 x y1 block of a kImage command (empty otherwise).
+  std::vector<render::Rgb8> pixels;
 
   /// Conservative bounding box in canvas coordinates (for tile culling).
   layout::Rect bounds() const;
@@ -47,6 +50,8 @@ class RecordingCanvas final : public render::Canvas {
   void line(long x0, long y0, long x1, long y1, render::Rgb8 color) override;
   void text(long x, long y, std::string_view content, render::Rgb8 color,
             int scale) override;
+  void image(long x, long y, long width, long height,
+             std::span<const render::Rgb8> pixels) override;
 
   const CommandList& commands() const noexcept { return commands_; }
   CommandList take() { return std::move(commands_); }
@@ -64,7 +69,10 @@ std::size_t replay_commands(render::Framebuffer& fb,
                             const CommandList& commands, long origin_x,
                             long origin_y);
 
-/// Serialization for mpx transport.
+/// Serialization for mpx transport. read_commands rejects a stream that
+/// does not decode to valid commands (an unknown type byte, an image whose
+/// size does not match its pixels) with fv::ParseError; a stream shorter
+/// than it claims fails with the reader's fv::InvalidArgument.
 void write_commands(mpx::PayloadWriter& writer, const CommandList& commands);
 CommandList read_commands(mpx::PayloadReader& reader);
 

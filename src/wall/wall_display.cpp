@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "mpx/communicator.hpp"
+#include "render/draw.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -188,14 +189,8 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
       FV_ASSERT(tile < tile_count, "tile index out of range");
       if (done[tile]) continue;
       const layout::Rect rect = spec.tile_rect(tile);
-      const auto width = static_cast<std::size_t>(rect.width);
-      FV_ASSERT(pixels.size() == width * static_cast<std::size_t>(rect.height),
-                "tile pixel payload has wrong size");
-      for (std::size_t i = 0; i < pixels.size(); ++i) {
-        result.frame.set(static_cast<std::size_t>(rect.x) + i % width,
-                         static_cast<std::size_t>(rect.y) + i / width,
-                         pixels[i]);
-      }
+      render::draw_image(result.frame, rect.x, rect.y, rect.width,
+                         rect.height, pixels);
       mark_done(tile, message->source, executed, seconds);
     }
   };

@@ -26,8 +26,8 @@ namespace rd = fv::render;
 
 using Clock = std::chrono::steady_clock;
 
-/// Deterministic scene exercising every primitive (small: chaos scenarios
-/// re-render tiles several times on a single-core CI box).
+/// Deterministic scene exercising every primitive, images included (small:
+/// chaos scenarios re-render tiles several times on a single-core CI box).
 wl::CommandList chaos_scene(std::uint64_t seed, long width, long height) {
   fv::Rng rng(seed);
   wl::RecordingCanvas canvas;
@@ -41,7 +41,7 @@ wl::CommandList chaos_scene(std::uint64_t seed, long width, long height) {
     const rd::Rgb8 color{static_cast<std::uint8_t>(rng.uniform_u64(256)),
                          static_cast<std::uint8_t>(rng.uniform_u64(256)),
                          static_cast<std::uint8_t>(rng.uniform_u64(256))};
-    switch (rng.uniform_u64(4)) {
+    switch (rng.uniform_u64(5)) {
       case 0:
         canvas.fill_rect(x, y, w, h, color);
         break;
@@ -51,6 +51,15 @@ wl::CommandList chaos_scene(std::uint64_t seed, long width, long height) {
       case 2:
         canvas.line(x, y, x + w, y + h, color);
         break;
+      case 3: {
+        // Off-canvas at negative coordinates and across tile seams.
+        std::vector<rd::Rgb8> pixels(static_cast<std::size_t>(w * h), color);
+        for (std::size_t p = 0; p < pixels.size(); p += 7) {
+          pixels[p] = rd::Rgb8{static_cast<std::uint8_t>(p), color.g, 0};
+        }
+        canvas.image(x - 30, y - 20, w, h, pixels);
+        break;
+      }
       default:
         canvas.text(x, y, "G" + std::to_string(i), color, 1);
         break;

@@ -4,17 +4,24 @@
 // preferences (colormap/contrast) change only their own pane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "core/app.hpp"
 #include "core/session.hpp"
 #include "expr/synth.hpp"
+#include "expr/tree.hpp"
 #include "render/framebuffer.hpp"
 #include "stats/descriptive.hpp"
+#include "util/xxhash.hpp"
+#include "wall/wall_display.hpp"
 
 namespace {
 
 namespace co = fv::core;
 namespace ex = fv::expr;
 namespace rd = fv::render;
+namespace wl = fv::wall;
 
 /// Two datasets over the same genome where dataset B misses gene
 /// "YAL001C" (row 0 of A); values are fixed so colors are predictable.
@@ -169,6 +176,92 @@ TEST(FrameRenderTest, DeterministicRendering) {
   auto session = co::Session(fixture_datasets());
   session.select_by_names({"AAA1", "BBB2", "CCC3"});
   EXPECT_EQ(render(session), render(session));
+}
+
+/// Three datasets whose every value is 0, +-2 (the default contrast) or
+/// missing, with one dyadic gene tree: every color is an exact colormap
+/// endpoint and every dendrogram coordinate exact, so the frame's bytes do
+/// not depend on how the compiler contracts floating-point arithmetic
+/// (native and FV_NATIVE_ARCH=OFF builds must agree).
+std::vector<ex::Dataset> golden_datasets() {
+  const float values[] = {2.0f, -2.0f, 0.0f, fv::stats::missing_value()};
+  std::vector<ex::Dataset> datasets;
+  for (std::size_t d = 0; d < 3; ++d) {
+    const std::size_t rows = 12 - 2 * d;  // later datasets miss genes
+    const std::size_t cols = 5 + d;
+    std::vector<ex::GeneInfo> genes;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::string id = std::to_string(r + d);
+      genes.push_back({"YGL" + id, "GEN" + id, "gene " + id});
+    }
+    std::vector<std::string> conditions;
+    for (std::size_t c = 0; c < cols; ++c) {
+      conditions.push_back("c" + std::to_string(c));
+    }
+    ex::ExpressionMatrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        m.set(r, c, values[(r * 3 + c + d) % 4]);
+      }
+    }
+    datasets.emplace_back("golden" + std::to_string(d), std::move(genes),
+                          std::move(conditions), std::move(m));
+  }
+  ex::HierTree tree(12);
+  int node = tree.add_node(3, 7, 0.75);
+  node = tree.add_node(node, 0, 0.5);
+  for (int leaf : {1, 2, 4, 5, 6, 8, 9, 10, 11}) {
+    node = tree.add_node(leaf, node, 0.25);
+  }
+  datasets[0].attach_gene_tree(std::move(tree));
+  return datasets;
+}
+
+std::uint64_t pixel_hash(const rd::Framebuffer& fb) {
+  return fv::xxhash64_of(std::span<const rd::Rgb8>(fb.pixels()));
+}
+
+// The pinned hashes are the bytes of the fill_rect-per-pixel-run global
+// view that the image command replaced: drawing the strip as one image
+// must not move a single desktop or wall pixel, on either distribution.
+TEST(WallFrameGoldenTest, DesktopAndWallFrameHashesArePinned) {
+  co::Session session(golden_datasets());
+  session.select_by_names({"GEN3", "GEN4", "GEN5", "GEN9", "GEN11"});
+  session.prefs(1).scheme = rd::ColorScheme::kBlueYellow;
+  session.prefs(2).scheme = rd::ColorScheme::kGrayscale;
+  const co::ForestViewApp app(&session);
+  EXPECT_EQ(pixel_hash(app.render_desktop(kConfig)), 0x08352fce6f146081ull);
+  const wl::WallSpec spec{4, 3, 96, 64};
+  for (const auto distribution :
+       {wl::Distribution::kBroadcast, wl::Distribution::kPointToPoint}) {
+    EXPECT_EQ(pixel_hash(app.render_wall(spec, distribution, 2).frame),
+              0x8d03ea42bcec8a7full);
+  }
+}
+
+// Work counter: a 12-pane wall-sized frame records one image per global
+// view; one fill per pixel run would record about 387k commands.
+TEST(FrameRenderTest, WallFrameRecordsOneImagePerGlobalView) {
+  ex::CompendiumSpec spec;
+  spec.genome = ex::GenomeSpec::yeast_like(800);
+  spec.stress_datasets = 4;
+  spec.nutrient_datasets = 4;
+  spec.knockout_datasets = 2;
+  spec.noise_datasets = 2;
+  spec.seed = 18;
+  auto compendium = ex::make_compendium(spec);
+  co::Session session(std::move(compendium.datasets));
+  session.select_region(0, 100, 40);
+  co::FrameConfig config;
+  config.width = 2048;
+  config.height = 1152;
+  const auto commands = co::ForestViewApp(&session).record_frame(config);
+  const auto images =
+      std::count_if(commands.begin(), commands.end(), [](const auto& c) {
+        return c.type == wl::CommandType::kImage;
+      });
+  EXPECT_EQ(images, 12);
+  EXPECT_LT(commands.size(), 20000u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "mpx/communicator.hpp"
+#include "render/color.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -41,6 +42,26 @@ TEST(PayloadTest, UnderrunThrows) {
   mpx::PayloadReader reader(payload);
   reader.read<int>();
   EXPECT_THROW(reader.read<double>(), fv::InvalidArgument);
+}
+
+TEST(PayloadTest, HostileLengthPrefixesThrowTyped) {
+  // count * 3 wraps past 2^64 for this count: the bound must be checked
+  // against the bytes left, not against a wrapped product.
+  mpx::PayloadWriter vector_writer;
+  vector_writer.write<std::uint64_t>(0x5555555555555556ull);
+  vector_writer.write<std::uint64_t>(0);
+  const auto vector_payload = vector_writer.take();
+  mpx::PayloadReader vector_reader(vector_payload);
+  EXPECT_THROW(vector_reader.read_vector<fv::render::Rgb8>(),
+               fv::InvalidArgument);
+
+  // offset + size wraps for a size of 2^64 - 1.
+  mpx::PayloadWriter string_writer;
+  string_writer.write<std::uint64_t>(~std::uint64_t{0});
+  string_writer.write<std::uint64_t>(0);
+  const auto string_payload = string_writer.take();
+  mpx::PayloadReader string_reader(string_payload);
+  EXPECT_THROW(string_reader.read_string(), fv::InvalidArgument);
 }
 
 TEST(MailboxTest, FifoPerSourceAndTag) {

@@ -201,13 +201,26 @@ TEST_P(CullSoundnessTest, CulledEqualsFull) {
   for (int i = 0; i < 60; ++i) {
     const long x = static_cast<long>(rng.uniform_u64(400)) - 50;
     const long y = static_cast<long>(rng.uniform_u64(300)) - 50;
-    switch (rng.uniform_u64(3)) {
+    switch (rng.uniform_u64(4)) {
       case 0:
         canvas.fill_rect(x, y, 1 + static_cast<long>(rng.uniform_u64(60)),
                          1 + static_cast<long>(rng.uniform_u64(40)),
                          fv::render::colors::kRed);
         break;
-      case 1:
+      case 1: {
+        // Images reach negative coordinates (x, y start at -50) and cross
+        // the tile's edges.
+        const long w = 1 + static_cast<long>(rng.uniform_u64(60));
+        const long h = 1 + static_cast<long>(rng.uniform_u64(40));
+        std::vector<fv::render::Rgb8> pixels(static_cast<std::size_t>(w * h));
+        for (std::size_t p = 0; p < pixels.size(); ++p) {
+          pixels[p] = fv::render::Rgb8{static_cast<std::uint8_t>(p),
+                                       static_cast<std::uint8_t>(i), 7};
+        }
+        canvas.image(x, y, w, h, pixels);
+        break;
+      }
+      case 2:
         canvas.line(x, y, x + 70, y + 25, fv::render::colors::kGreen);
         break;
       default:

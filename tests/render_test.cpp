@@ -2,6 +2,7 @@
 // colormaps, heatmaps and dendrograms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "expr/tree.hpp"
@@ -248,18 +249,18 @@ TEST(GlobalViewTest, DownsamplesWithAveraging) {
   std::vector<std::size_t> order(20);
   for (std::size_t i = 0; i < 20; ++i) order[i] = i;
   const rd::ExpressionColormap map(rd::ColorScheme::kRedGreen, 2.0);
-  Framebuffer fb(10, 10);
-  rd::render_global_view(fb, m, order, map, 0, 0, 10, 10);
-  EXPECT_EQ(fb.at(5, 1), rd::colors::kRed);
-  EXPECT_EQ(fb.at(5, 8), rd::colors::kGreen);
+  const auto pixels = rd::global_view_pixels(m, order, map, 10, 10);
+  ASSERT_EQ(pixels.size(), 100u);
+  EXPECT_EQ(pixels[1 * 10 + 5], rd::colors::kRed);
+  EXPECT_EQ(pixels[8 * 10 + 5], rd::colors::kGreen);
 }
 
 TEST(GlobalViewTest, EmptyInputPaintsMissing) {
   fv::expr::ExpressionMatrix m(0, 0);
   const rd::ExpressionColormap map;
-  Framebuffer fb(5, 5);
-  rd::render_global_view(fb, m, {}, map, 0, 0, 5, 5);
-  EXPECT_EQ(count_pixels(fb, rd::colors::kMissing), 25u);
+  const auto pixels = rd::global_view_pixels(m, {}, map, 5, 5);
+  EXPECT_EQ(std::count(pixels.begin(), pixels.end(), rd::colors::kMissing),
+            25);
 }
 
 TEST(DendrogramTest, DrawsConnectedTree) {

@@ -3,7 +3,14 @@
 // composited wall frame and single-pass reference rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "core/app.hpp"
+#include "core/session.hpp"
+#include "expr/synth.hpp"
 #include "render/canvas.hpp"
+#include "render/draw.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wall/command.hpp"
@@ -29,7 +36,7 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
     const rd::Rgb8 color{static_cast<std::uint8_t>(rng.uniform_u64(256)),
                          static_cast<std::uint8_t>(rng.uniform_u64(256)),
                          static_cast<std::uint8_t>(rng.uniform_u64(256))};
-    switch (rng.uniform_u64(6)) {
+    switch (rng.uniform_u64(7)) {
       case 0:
         canvas.fill_rect(x, y, w, h, color);
         break;
@@ -45,6 +52,17 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
       case 4:
         canvas.line(x, y, x + w, y + h, color);
         break;
+      case 5: {
+        // Shifted up-left so some images start off-canvas at negative
+        // coordinates; up to 80x60 they also straddle tile seams.
+        std::vector<rd::Rgb8> pixels(static_cast<std::size_t>(w * h));
+        for (auto& pixel : pixels) {
+          pixel = rd::Rgb8{static_cast<std::uint8_t>(rng.uniform_u64(256)),
+                           color.g, static_cast<std::uint8_t>(i)};
+        }
+        canvas.image(x - 40, y - 30, w, h, pixels);
+        break;
+      }
       default:
         canvas.text(x, y, "GENE" + std::to_string(i), color, 1);
         break;
@@ -58,12 +76,21 @@ TEST(CommandTest, RecordingCapturesPrimitives) {
   canvas.fill_rect(1, 2, 3, 4, rd::colors::kRed);
   canvas.text(5, 6, "ABC", rd::colors::kWhite, 2);
   canvas.fill_rect(0, 0, 0, 5, rd::colors::kRed);  // degenerate: dropped
+  const std::vector<rd::Rgb8> block(6, rd::colors::kBlue);
+  canvas.image(-1, 3, 3, 2, block);
+  canvas.image(0, 0, 0, 2, {});  // 0-width image: dropped
   const auto& commands = canvas.commands();
-  ASSERT_EQ(commands.size(), 2u);
+  ASSERT_EQ(commands.size(), 3u);
   EXPECT_EQ(commands[0].type, wl::CommandType::kFillRect);
   EXPECT_EQ(commands[1].type, wl::CommandType::kText);
   EXPECT_EQ(commands[1].text, "ABC");
   EXPECT_EQ(commands[1].scale, 2);
+  EXPECT_EQ(commands[2].type, wl::CommandType::kImage);
+  EXPECT_EQ(commands[2].pixels, block);
+  EXPECT_EQ(commands[2].bounds(), (fv::layout::Rect{-1, 3, 3, 2}));
+  // The span must hold exactly width x height pixels.
+  EXPECT_THROW(canvas.image(0, 0, 2, 2, block), fv::InvalidArgument);
+  EXPECT_EQ(canvas.commands().size(), 3u);
 }
 
 TEST(CommandTest, BoundsCoverGeometry) {
@@ -82,6 +109,9 @@ TEST(CommandTest, BoundsCoverGeometry) {
 
 TEST(CommandTest, SerializationRoundTrip) {
   const auto commands = random_scene(5, 300, 200, 50);
+  ASSERT_TRUE(std::any_of(commands.begin(), commands.end(), [](const auto& c) {
+    return c.type == wl::CommandType::kImage;
+  }));
   fv::mpx::PayloadWriter writer;
   wl::write_commands(writer, commands);
   const auto payload = writer.take();
@@ -94,8 +124,121 @@ TEST(CommandTest, SerializationRoundTrip) {
     EXPECT_EQ(parsed[i].y1, commands[i].y1);
     EXPECT_EQ(parsed[i].color, commands[i].color);
     EXPECT_EQ(parsed[i].text, commands[i].text);
+    EXPECT_EQ(parsed[i].pixels, commands[i].pixels);
   }
   EXPECT_EQ(wl::serialized_size(commands), payload.size());
+}
+
+/// A hand-built one-command stream: the common fields with width `w` and
+/// height `h`, then, for an image, a span of `image_count` pixels.
+std::vector<std::byte> hand_built_stream(std::uint8_t type, std::int64_t w,
+                                         std::int64_t h,
+                                         std::uint64_t image_count = 0) {
+  fv::mpx::PayloadWriter writer;
+  writer.write<std::uint64_t>(1);
+  writer.write<std::uint8_t>(type);
+  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{0}, w, h}) {
+    writer.write<std::int64_t>(v);
+  }
+  for (int i = 0; i < 3; ++i) writer.write<std::uint8_t>(0);
+  writer.write<std::int32_t>(1);
+  writer.write_string("");
+  if (type == static_cast<std::uint8_t>(wl::CommandType::kImage)) {
+    const std::vector<rd::Rgb8> pixels(image_count);
+    writer.write_span(std::span<const rd::Rgb8>(pixels));
+  }
+  return writer.take();
+}
+
+wl::CommandList decode(const std::vector<std::byte>& bytes) {
+  fv::mpx::PayloadReader reader(bytes);
+  return wl::read_commands(reader);
+}
+
+TEST(CommandTest, HostileStreamsFailTyped) {
+  // A count far beyond the bytes present must not reach reserve().
+  fv::mpx::PayloadWriter huge;
+  huge.write<std::uint64_t>(std::uint64_t{1} << 60);
+  huge.write<std::uint64_t>(0);
+  EXPECT_THROW(decode(huge.take()), fv::ParseError);
+
+  const auto image = static_cast<std::uint8_t>(wl::CommandType::kImage);
+  // The type byte must name a command.
+  EXPECT_THROW(decode(hand_built_stream(image + 1, 1, 1)), fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(0xff, 1, 1)), fv::ParseError);
+  // An image's size must be non-negative and match its pixel count, with
+  // no overflowing product slipping through.
+  EXPECT_THROW(decode(hand_built_stream(image, -2, -3, 6)), fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(image, std::int64_t{1} << 32,
+                                        std::int64_t{1} << 32, 0)),
+               fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(image, 2, 2, 3)), fv::ParseError);
+  // The same shapes, well formed, decode.
+  EXPECT_EQ(decode(hand_built_stream(image, 2, 2, 4))[0].pixels.size(), 4u);
+  EXPECT_EQ(decode(hand_built_stream(0, 2, 2)).size(), 1u);
+}
+
+/// Seeded mutation fuzzing of read_commands over a real recorded frame:
+/// truncations, bit flips and splices must each decode or fail with a
+/// typed fv::Error, never an untyped exception or a crash.
+TEST(CommandFuzzTest, MutatedFrameStreamsDecodeOrFailTyped) {
+  fv::expr::CompendiumSpec spec;
+  spec.genome = fv::expr::GenomeSpec::yeast_like(120);
+  spec.seed = 9;
+  auto compendium = fv::expr::make_compendium(spec);
+  fv::core::Session session(std::move(compendium.datasets));
+  session.select_region(0, 5, 12);
+  fv::core::FrameConfig config;
+  config.width = 240;
+  config.height = 160;
+  fv::mpx::PayloadWriter writer;
+  wl::write_commands(writer,
+                     fv::core::ForestViewApp(&session).record_frame(config));
+  const std::vector<std::byte> stream = writer.take();
+  ASSERT_GT(stream.size(), 1000u);
+
+  fv::Rng rng(0xf022);
+  std::size_t decoded = 0, rejected = 0;
+  for (int iteration = 0; iteration < 1500; ++iteration) {
+    std::vector<std::byte> bytes = stream;
+    switch (rng.uniform_u64(3)) {
+      case 0:  // truncate
+        bytes.resize(rng.uniform_u64(bytes.size()));
+        break;
+      case 1:  // flip a few bits
+        for (auto flips = 1 + rng.uniform_u64(8); flips > 0; --flips) {
+          bytes[rng.uniform_u64(bytes.size())] ^=
+              std::byte{static_cast<unsigned char>(1u << rng.uniform_u64(8))};
+        }
+        break;
+      default: {  // splice a copy of one segment in at another offset
+        const auto from = rng.uniform_u64(bytes.size());
+        const auto length = 1 + rng.uniform_u64(
+                                    std::min<std::uint64_t>(
+                                        256, bytes.size() - from));
+        const std::vector<std::byte> segment(
+            bytes.begin() + static_cast<std::ptrdiff_t>(from),
+            bytes.begin() + static_cast<std::ptrdiff_t>(from + length));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.uniform_u64(bytes.size())),
+                     segment.begin(), segment.end());
+        break;
+      }
+    }
+    try {
+      for (const auto& command : decode(bytes)) {
+        if (command.type == wl::CommandType::kImage) {
+          ASSERT_TRUE(rd::image_size_matches(command.x1, command.y1,
+                                             command.pixels.size()));
+        }
+      }
+      ++decoded;
+    } catch (const fv::Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(CommandTest, ReplayEqualsDirectDrawing) {
