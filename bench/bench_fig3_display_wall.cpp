@@ -11,7 +11,6 @@
 //                          MB shipped to the nodes per frame
 //  * FixedCanvas/tiles   — same canvas area split across more tiles
 //                          (parallel speedup of the raster stage)
-//  * Broadcast vs P2P    — ablation A2: distribution strategy bytes/time
 //  * PixelClaim          — desktop vs Princeton-wall pixel capability
 #include <benchmark/benchmark.h>
 
@@ -98,34 +97,12 @@ void BM_FixedCanvas_Nodes(benchmark::State& state) {
   const auto& commands = commands_for(static_cast<long>(spec.total_width()),
                                       static_cast<long>(spec.total_height()));
   for (auto _ : state) {
-    const auto result = wl::render_wall_frame(
-        commands, spec, wl::Distribution::kBroadcast, nodes);
+    const auto result = wl::render_wall_frame(commands, spec, nodes);
     benchmark::DoNotOptimize(result.frame.pixel_count());
   }
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(BM_FixedCanvas_Nodes)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->Iterations(2)->UseRealTime();
-
-/// Ablation A2: broadcast vs per-node point-to-point distribution.
-void BM_Distribution(benchmark::State& state) {
-  const auto mode = static_cast<wl::Distribution>(state.range(0));
-  const wl::WallSpec spec{4, 3, 256, 192};
-  const auto& commands = commands_for(static_cast<long>(spec.total_width()),
-                                      static_cast<long>(spec.total_height()));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const auto result = wl::render_wall_frame(commands, spec, mode);
-    bytes = result.stats.bytes_distributed;
-    benchmark::DoNotOptimize(result.frame.pixel_count());
-  }
-  state.counters["MB_shipped"] = static_cast<double>(bytes) * 1e-6;
-  state.SetLabel(mode == wl::Distribution::kBroadcast ? "broadcast"
-                                                      : "point-to-point");
-}
-BENCHMARK(BM_Distribution)
-    ->Arg(static_cast<int>(wl::Distribution::kBroadcast))
-    ->Arg(static_cast<int>(wl::Distribution::kPointToPoint))
     ->Unit(benchmark::kMillisecond)->Iterations(2)->UseRealTime();
 
 }  // namespace

@@ -25,15 +25,14 @@ wall::CommandList ForestViewApp::record_frame(
 }
 
 WallRender ForestViewApp::render_wall(
-    const wall::WallSpec& spec, wall::Distribution distribution,
-    std::size_t node_count, const layout::PaneConfig* pane_config) const {
+    const wall::WallSpec& spec, std::size_t node_count,
+    const layout::PaneConfig* pane_config) const {
   FrameConfig config;
   config.width = static_cast<long>(spec.total_width());
   config.height = static_cast<long>(spec.total_height());
   if (pane_config != nullptr) config.pane = *pane_config;
   const wall::CommandList commands = record_frame(config);
-  auto result = wall::render_wall_frame(commands, spec, distribution,
-                                        node_count);
+  auto result = wall::render_wall_frame(commands, spec, node_count);
   return WallRender{std::move(result.frame), result.stats, commands.size()};
 }
 

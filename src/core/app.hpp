@@ -29,8 +29,6 @@ class ForestViewApp {
   /// full resolution, recorded, distributed over mpx, rasterized per tile
   /// and composited.
   WallRender render_wall(const wall::WallSpec& spec,
-                         wall::Distribution distribution =
-                             wall::Distribution::kBroadcast,
                          std::size_t node_count = 0,
                          const layout::PaneConfig* pane_config =
                              nullptr) const;

@@ -25,58 +25,8 @@ void GroupState::install_faults(const FaultSpec& spec) {
   fault_plan_ = std::make_unique<FaultPlan>(spec);
 }
 
-void GroupState::barrier_wait(std::optional<Clock::time_point> deadline) {
-  std::unique_lock lock(barrier_mutex_);
-  if (aborted_) {
-    throw AbortError("mpx group aborted during barrier" +
-                         (abort_reason_.empty() ? std::string()
-                                                : ": " + abort_reason_),
-                     abort_rank_);
-  }
-  const std::uint64_t generation = barrier_generation_;
-  if (++barrier_waiting_ == size_) {
-    barrier_waiting_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-    return;
-  }
-  const auto assembled = [&] {
-    return barrier_generation_ != generation || aborted_;
-  };
-  if (deadline.has_value()) {
-    if (!barrier_cv_.wait_until(lock, *deadline, assembled)) {
-      // Withdraw this rank's arrival so the barrier's count stays honest
-      // for whoever is still waiting.
-      --barrier_waiting_;
-      throw TimeoutError("barrier deadline expired before every rank arrived");
-    }
-  } else {
-    barrier_cv_.wait(lock, assembled);
-  }
-  if (aborted_ && barrier_generation_ == generation) {
-    throw AbortError("mpx group aborted during barrier" +
-                         (abort_reason_.empty() ? std::string()
-                                                : ": " + abort_reason_),
-                     abort_rank_);
-  }
-}
-
 void GroupState::abort(int origin_rank, const std::string& reason) {
-  {
-    std::unique_lock lock(barrier_mutex_);
-    if (!aborted_) {  // first abort wins the attribution
-      aborted_ = true;
-      abort_rank_ = origin_rank;
-      abort_reason_ = reason;
-    }
-  }
-  barrier_cv_.notify_all();
   for (auto& mailbox : mailboxes_) mailbox->abort(origin_rank, reason);
-}
-
-bool GroupState::aborted() const {
-  std::unique_lock lock(barrier_mutex_);
-  return aborted_;
 }
 
 Comm::Comm(GroupState* state, int rank) : state_(state), rank_(rank) {
@@ -95,11 +45,7 @@ void Comm::fault_op() {
 }
 
 void Comm::send(int dest, int tag, std::vector<std::byte> payload) {
-  FV_REQUIRE(tag >= 0, "user messages must use non-negative tags");
-  deliver(dest, tag, std::move(payload));
-}
-
-void Comm::deliver(int dest, int tag, std::vector<std::byte> payload) {
+  FV_REQUIRE(tag >= 0, "message tags must be non-negative");
   FV_REQUIRE(dest >= 0 && dest < size(), "destination rank out of range");
   fault_op();
   Message message;
@@ -152,78 +98,10 @@ Message Comm::recv(int source, int tag) {
   return state_->mailbox(rank_).receive(source, tag);
 }
 
-Message Comm::recv_for(std::chrono::milliseconds timeout, int source,
-                       int tag) {
-  fault_op();
-  return state_->mailbox(rank_).receive_until(Clock::now() + timeout, source,
-                                              tag);
-}
-
-std::optional<Message> Comm::try_recv(int source, int tag) {
-  fault_op();
-  return state_->mailbox(rank_).try_receive(source, tag);
-}
-
 std::optional<Message> Comm::try_recv_until(Clock::time_point deadline,
                                             int source, int tag) {
   fault_op();
   return state_->mailbox(rank_).try_receive_until(deadline, source, tag);
-}
-
-Message Comm::recv_reserved(int source, int tag,
-                            std::optional<Clock::time_point> deadline) {
-  fault_op();
-  if (deadline.has_value()) {
-    return state_->mailbox(rank_).receive_until(*deadline, source, tag);
-  }
-  return state_->mailbox(rank_).receive(source, tag);
-}
-
-void Comm::barrier() {
-  fault_op();
-  state_->barrier_wait();
-}
-
-void Comm::barrier(std::chrono::milliseconds timeout) {
-  fault_op();
-  state_->barrier_wait(Clock::now() + timeout);
-}
-
-void Comm::check_root(int root) const {
-  FV_REQUIRE(root >= 0 && root < size(), "collective root out of range");
-}
-
-double Comm::reduce(int root, double value,
-                    const std::function<double(double, double)>& combine) {
-  check_root(root);
-  if (rank_ != root) {
-    PayloadWriter writer;
-    writer.write(value);
-    deliver(root, reserved_tag::kReduce, writer.take());
-    return value;
-  }
-  double accumulated = 0.0;
-  bool first = true;
-  for (int source = 0; source < size(); ++source) {
-    double contribution;
-    if (source == rank_) {
-      contribution = value;
-    } else {
-      Message message = recv_reserved(source, reserved_tag::kReduce);
-      PayloadReader reader(message.payload);
-      contribution = reader.read<double>();
-    }
-    accumulated = first ? contribution : combine(accumulated, contribution);
-    first = false;
-  }
-  return accumulated;
-}
-
-double Comm::all_reduce_sum(double value) {
-  const std::vector<double> values = all_gather_value(value);
-  double total = 0.0;
-  for (double v : values) total += v;
-  return total;
 }
 
 namespace {

@@ -1,6 +1,6 @@
-// Communicator: the per-rank handle for point-to-point messaging and
-// collective operations, mirroring the MPI subset the display-wall code
-// needs (send/recv, barrier, broadcast, scatter, gather, reduce).
+// Communicator: the per-rank handle for the point-to-point messaging the
+// display wall runs on — tagged sends, blocking and deadline-bounded
+// selective receives, and one thread per rank under run_group.
 //
 // Robustness surface (see src/mpx/README.md for the full contracts):
 //  * under fault injection every send seals an envelope (per-(dest, tag)
@@ -8,8 +8,8 @@
 //    fv::CorruptMessageError at the receiver, duplicates are suppressed by
 //    the mailbox; a trusted group skips sealing (the in-process transport
 //    cannot corrupt bytes on its own, so it would be pure overhead);
-//  * bounded waits: recv_for / try_recv_until, and deadline overloads of
-//    barrier / broadcast / gather that throw fv::TimeoutError;
+//  * the one bounded wait is try_recv_until, which returns nullopt at its
+//    deadline;
 //  * aborts are attributed: victims of a group failure get fv::AbortError
 //    carrying the originating rank and reason;
 //  * a seeded FaultPlan can be installed per group to deterministically
@@ -30,12 +30,10 @@
 
 namespace fv::mpx {
 
-/// State shared by every rank of one group: mailboxes plus barrier
-/// bookkeeping plus the (optional) fault plan.
+/// State shared by every rank of one group: mailboxes plus the (optional)
+/// fault plan.
 class GroupState {
  public:
-  using Clock = std::chrono::steady_clock;
-
   explicit GroupState(int size);
 
   int size() const noexcept { return size_; }
@@ -46,41 +44,15 @@ class GroupState {
   void install_faults(const FaultSpec& spec);
   const FaultPlan* fault_plan() const noexcept { return fault_plan_.get(); }
 
-  /// Sense-reversing central barrier; throws AbortError if the group aborts.
-  /// With a deadline, throws TimeoutError when not every rank arrives in
-  /// time — the timed-out rank withdraws its arrival, so the barrier state
-  /// stays consistent (the surviving ranks keep waiting; a typical caller
-  /// lets the TimeoutError abort the group, unblocking them).
-  void barrier_wait(std::optional<Clock::time_point> deadline = std::nullopt);
-
   /// Marks the group failed and wakes every blocked rank. origin_rank/reason
   /// are carried into the AbortError every victim sees (-1 = unattributed).
   void abort(int origin_rank = -1, const std::string& reason = {});
-  bool aborted() const;
 
  private:
   const int size_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::unique_ptr<const FaultPlan> fault_plan_;
-
-  mutable std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_waiting_ = 0;
-  std::uint64_t barrier_generation_ = 0;
-  bool aborted_ = false;
-  int abort_rank_ = -1;
-  std::string abort_reason_;
 };
-
-/// Reserved (negative) tags used internally by collectives. User tags must
-/// be non-negative. Reserved traffic is never fault-injected.
-namespace reserved_tag {
-inline constexpr int kBroadcast = -2;
-inline constexpr int kGather = -3;
-inline constexpr int kReduce = -4;
-inline constexpr int kScatter = -5;
-inline constexpr int kAllGather = -6;
-}  // namespace reserved_tag
 
 /// More than one rank failed for an independent reason: every per-rank
 /// failure is aggregated here (rank id + what()) instead of silently
@@ -118,23 +90,14 @@ class Comm {
     return plan == nullptr ? nullptr : &plan->stats();
   }
 
-  // -- point to point ------------------------------------------------------
-
-  /// Sends a raw payload; tag must be >= 0 for user traffic. Never blocks
-  /// (in-process delivery is an enqueue). When the group has a fault plan,
-  /// the envelope is sealed (sequence + checksum) before any fault
-  /// injection, so tampering is detectable.
+  /// Sends a raw payload; tag must be >= 0. Never blocks (in-process
+  /// delivery is an enqueue). When the group has a fault plan, the envelope
+  /// is sealed (sequence + checksum) before any fault injection, so
+  /// tampering is detectable.
   void send(int dest, int tag, std::vector<std::byte> payload);
 
   /// Blocking receive; wildcards allowed.
   Message recv(int source = kAnySource, int tag = kAnyTag);
-
-  /// Bounded-wait receive: throws fv::TimeoutError after `timeout`.
-  Message recv_for(std::chrono::milliseconds timeout,
-                   int source = kAnySource, int tag = kAnyTag);
-
-  /// Non-blocking receive.
-  std::optional<Message> try_recv(int source = kAnySource, int tag = kAnyTag);
 
   /// Bounded-wait receive: nullopt once `deadline` passes (never throws
   /// TimeoutError; AbortError / CorruptMessageError still propagate).
@@ -142,172 +105,10 @@ class Comm {
                                         int source = kAnySource,
                                         int tag = kAnyTag);
 
-  template <typename T>
-  void send_value(int dest, int tag, const T& value) {
-    PayloadWriter writer;
-    writer.write(value);
-    send(dest, tag, writer.take());
-  }
-
-  template <typename T>
-  T recv_value(int source = kAnySource, int tag = kAnyTag,
-               int* actual_source = nullptr) {
-    Message message = recv(source, tag);
-    if (actual_source != nullptr) *actual_source = message.source;
-    PayloadReader reader(message.payload);
-    return reader.read<T>();
-  }
-
-  template <typename T>
-  void send_vector(int dest, int tag, std::span<const T> values) {
-    PayloadWriter writer;
-    writer.write_span(values);
-    send(dest, tag, writer.take());
-  }
-
-  template <typename T>
-  std::vector<T> recv_vector(int source = kAnySource, int tag = kAnyTag,
-                             int* actual_source = nullptr) {
-    Message message = recv(source, tag);
-    if (actual_source != nullptr) *actual_source = message.source;
-    PayloadReader reader(message.payload);
-    return reader.read_vector<T>();
-  }
-
-  // -- collectives (every rank of the group must participate) --------------
-
-  void barrier();
-  /// Deadline barrier: throws fv::TimeoutError if the group does not
-  /// assemble within `timeout`.
-  void barrier(std::chrono::milliseconds timeout);
-
-  /// Root's buffer is distributed to every rank (buffer is replaced on
-  /// non-root ranks; sizes may differ per call). The deadline overload
-  /// bounds the non-root wait for the root's message.
-  template <typename T>
-  void broadcast(int root, std::vector<T>& data) {
-    broadcast_impl(root, data, std::nullopt);
-  }
-  template <typename T>
-  void broadcast(int root, std::vector<T>& data,
-                 std::chrono::milliseconds timeout) {
-    broadcast_impl(root, data, Clock::now() + timeout);
-  }
-
-  /// Root collects one vector per rank (ordered by rank); non-roots get {}.
-  /// The deadline overload bounds the root's wait for each contribution.
-  template <typename T>
-  std::vector<std::vector<T>> gather(int root, std::span<const T> mine) {
-    return gather_impl(root, mine, std::nullopt);
-  }
-  template <typename T>
-  std::vector<std::vector<T>> gather(int root, std::span<const T> mine,
-                                     std::chrono::milliseconds timeout) {
-    return gather_impl(root, mine, Clock::now() + timeout);
-  }
-
-  /// Every rank receives every rank's value, ordered by rank.
-  template <typename T>
-  std::vector<T> all_gather_value(const T& value) {
-    for (int dest = 0; dest < size(); ++dest) {
-      if (dest == rank_) continue;
-      PayloadWriter writer;
-      writer.write(value);
-      deliver(dest, reserved_tag::kAllGather, writer.take());
-    }
-    std::vector<T> values(static_cast<std::size_t>(size()));
-    values[static_cast<std::size_t>(rank_)] = value;
-    for (int source = 0; source < size(); ++source) {
-      if (source == rank_) continue;
-      Message message = recv_reserved(source, reserved_tag::kAllGather);
-      PayloadReader reader(message.payload);
-      values[static_cast<std::size_t>(source)] = reader.read<T>();
-    }
-    return values;
-  }
-
-  /// Root receives `combine` folded over all ranks' values (rank order);
-  /// non-roots receive the identity-folded local value unchanged.
-  double reduce(int root, double value,
-                const std::function<double(double, double)>& combine);
-
-  /// Sum-reduction delivered to every rank.
-  double all_reduce_sum(double value);
-
-  /// Root hands parts[r] to rank r; returns this rank's part.
-  template <typename T>
-  std::vector<T> scatter(int root, const std::vector<std::vector<T>>& parts) {
-    check_root(root);
-    if (rank_ == root) {
-      FV_REQUIRE(parts.size() == static_cast<std::size_t>(size()),
-                 "scatter needs exactly one part per rank");
-      for (int dest = 0; dest < size(); ++dest) {
-        if (dest == rank_) continue;
-        PayloadWriter writer;
-        writer.write_span(
-            std::span<const T>(parts[static_cast<std::size_t>(dest)]));
-        deliver(dest, reserved_tag::kScatter, writer.take());
-      }
-      return parts[static_cast<std::size_t>(rank_)];
-    }
-    Message message = recv_reserved(root, reserved_tag::kScatter);
-    PayloadReader reader(message.payload);
-    return reader.read_vector<T>();
-  }
-
  private:
-  void check_root(int root) const;
-  /// Internal delivery used by collectives (reserved tags allowed); seals
-  /// the envelope and applies the fault plan (user tags only).
-  void deliver(int dest, int tag, std::vector<std::byte> payload);
-  Message recv_reserved(int source, int tag,
-                        std::optional<Clock::time_point> deadline =
-                            std::nullopt);
   /// Per-rank op counter for the crash fault; throws RankCrashed at the
   /// configured op. No-op without a fault plan.
   void fault_op();
-
-  template <typename T>
-  void broadcast_impl(int root, std::vector<T>& data,
-                      std::optional<Clock::time_point> deadline) {
-    check_root(root);
-    if (rank_ == root) {
-      for (int dest = 0; dest < size(); ++dest) {
-        if (dest == rank_) continue;
-        PayloadWriter writer;
-        writer.write_span(std::span<const T>(data));
-        deliver(dest, reserved_tag::kBroadcast, writer.take());
-      }
-    } else {
-      Message message =
-          recv_reserved(root, reserved_tag::kBroadcast, deadline);
-      PayloadReader reader(message.payload);
-      data = reader.read_vector<T>();
-    }
-  }
-
-  template <typename T>
-  std::vector<std::vector<T>> gather_impl(
-      int root, std::span<const T> mine,
-      std::optional<Clock::time_point> deadline) {
-    check_root(root);
-    if (rank_ != root) {
-      PayloadWriter writer;
-      writer.write_span(mine);
-      deliver(root, reserved_tag::kGather, writer.take());
-      return {};
-    }
-    std::vector<std::vector<T>> parts(static_cast<std::size_t>(size()));
-    parts[static_cast<std::size_t>(rank_)].assign(mine.begin(), mine.end());
-    for (int source = 0; source < size(); ++source) {
-      if (source == rank_) continue;
-      Message message =
-          recv_reserved(source, reserved_tag::kGather, deadline);
-      PayloadReader reader(message.payload);
-      parts[static_cast<std::size_t>(source)] = reader.read_vector<T>();
-    }
-    return parts;
-  }
 
   GroupState* state_;
   int rank_;

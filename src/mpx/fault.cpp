@@ -44,7 +44,6 @@ FaultPlan::FaultPlan(FaultSpec spec) : spec_(std::move(spec)) {
 
 FaultAction FaultPlan::decide(int source, int dest, int tag,
                               std::uint64_t sequence) const {
-  if (tag < 0) return FaultAction::kNone;  // reserved collective traffic
   if (std::find(spec_.exempt_tags.begin(), spec_.exempt_tags.end(), tag) !=
       spec_.exempt_tags.end()) {
     return FaultAction::kNone;

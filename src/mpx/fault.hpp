@@ -42,9 +42,8 @@ struct FaultSpec {
   int crash_rank = -1;
   std::uint64_t crash_at_op = 1;  ///< 1-based op index on crash_rank
 
-  /// User tags never faulted — control traffic (e.g. the wall's shutdown
-  /// message) that must stay reliable for bounded termination. Reserved
-  /// (negative) collective tags are always exempt.
+  /// Tags never faulted — control traffic (e.g. the wall's shutdown
+  /// message) that must stay reliable for bounded termination.
   std::vector<int> exempt_tags;
 
   /// True when installing this spec would change any behavior.
@@ -74,7 +73,7 @@ class FaultPlan {
   FaultStats& stats() const noexcept { return stats_; }
 
   /// Deterministic decision for the message identified by its envelope
-  /// coordinates. Reserved (negative) and exempt tags always get kNone.
+  /// coordinates. Exempt tags always get kNone.
   FaultAction decide(int source, int dest, int tag,
                      std::uint64_t sequence) const;
 

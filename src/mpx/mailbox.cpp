@@ -71,33 +71,6 @@ Message Mailbox::receive(int source, int tag) {
   }
 }
 
-Message Mailbox::receive_until(Clock::time_point deadline, int source,
-                               int tag) {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    if (auto found = match_locked(source, tag); found.has_value()) {
-      return std::move(*found);
-    }
-    if (aborted_) throw_aborted_locked();
-    if (arrived_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      // Recheck once: the message may have raced the deadline.
-      if (auto found = match_locked(source, tag); found.has_value()) {
-        return std::move(*found);
-      }
-      if (aborted_) throw_aborted_locked();
-      std::ostringstream os;
-      os << "receive(source=" << source << ", tag=" << tag
-         << ") deadline expired";
-      throw TimeoutError(os.str());
-    }
-  }
-}
-
-std::optional<Message> Mailbox::try_receive(int source, int tag) {
-  std::unique_lock lock(mutex_);
-  return match_locked(source, tag);
-}
-
 std::optional<Message> Mailbox::try_receive_until(Clock::time_point deadline,
                                                   int source, int tag) {
   std::unique_lock lock(mutex_);

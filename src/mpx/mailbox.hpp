@@ -1,5 +1,5 @@
 // Per-rank message queue with MPI-style (source, tag) selective receive,
-// bounded-wait variants, and envelope integrity enforcement.
+// a deadline-bounded variant, and envelope integrity enforcement.
 #pragma once
 
 #include <chrono>
@@ -25,7 +25,7 @@ class Mailbox {
   /// it. kAnySource / kAnyTag act as wildcards. Matching preserves per-
   /// (source, tag) FIFO order: the oldest matching message is returned.
   ///
-  /// Envelope enforcement (applies to every receive variant):
+  /// Envelope enforcement (applies to both receive variants):
   ///  * sealed messages (checksum != 0) are re-checksummed; a mismatch
   ///    removes the message and throws CorruptMessageError;
   ///  * sequenced messages (sequence != 0) already seen for their
@@ -35,14 +35,6 @@ class Mailbox {
   /// that already match are still drained after an abort — receivers get the
   /// data that made it before the failure, then the abort.
   Message receive(int source = kAnySource, int tag = kAnyTag);
-
-  /// Like receive, but gives up at `deadline` with TimeoutError.
-  Message receive_until(Clock::time_point deadline, int source = kAnySource,
-                        int tag = kAnyTag);
-
-  /// Non-blocking variant; nullopt when no matching message is queued.
-  std::optional<Message> try_receive(int source = kAnySource,
-                                     int tag = kAnyTag);
 
   /// Bounded-wait variant; nullopt when the deadline passes without a match
   /// (never throws TimeoutError; AbortError / CorruptMessageError still

@@ -22,7 +22,7 @@ namespace fv::mpx {
 
 /// Matches any source rank in receive calls.
 inline constexpr int kAnySource = -1;
-/// Matches any non-reserved tag in receive calls.
+/// Matches any tag in receive calls.
 inline constexpr int kAnyTag = -1;
 
 struct Message {

@@ -2,30 +2,10 @@
 
 #include <algorithm>
 
-#include "render/draw.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
 namespace fv::render {
-
-void render_heatmap(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
-                    std::span<const std::size_t> row_order,
-                    const ExpressionColormap& colormap, long x, long y,
-                    int cell_w, int cell_h) {
-  FV_REQUIRE(cell_w >= 1 && cell_h >= 1, "heatmap cells need positive size");
-  for (std::size_t r = 0; r < row_order.size(); ++r) {
-    const std::size_t row = row_order[r];
-    FV_REQUIRE(row < matrix.rows(), "row order references missing row");
-    const auto values = matrix.row(row);
-    const long cell_y = y + static_cast<long>(r) * cell_h;
-    if (cell_y >= static_cast<long>(fb.height())) break;  // rest is below
-    for (std::size_t c = 0; c < values.size(); ++c) {
-      const long cell_x = x + static_cast<long>(c) * cell_w;
-      if (cell_x >= static_cast<long>(fb.width())) break;
-      fill_rect(fb, cell_x, cell_y, cell_w, cell_h, colormap.map(values[c]));
-    }
-  }
-}
 
 std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
                                      std::span<const std::size_t> row_order,

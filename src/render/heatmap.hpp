@@ -1,5 +1,6 @@
-// Heatmap rasterization: the zoom view (one cell per measurement) and the
-// global view (whole dataset downsampled to a strip) of each ForestView pane.
+// Heatmap rasterization for the global view of each ForestView pane: the
+// whole dataset downsampled to a strip. (The zoom view draws one fill per
+// cell through the canvas, in core/frame.cpp.)
 #pragma once
 
 #include <span>
@@ -7,17 +8,8 @@
 
 #include "expr/expression_matrix.hpp"
 #include "render/colormap.hpp"
-#include "render/framebuffer.hpp"
 
 namespace fv::render {
-
-/// Renders rows `row_order` of `matrix` as a cell grid with top-left corner
-/// (x, y); each cell is cell_w x cell_h pixels. Rows/columns that would fall
-/// outside the framebuffer are clipped.
-void render_heatmap(Framebuffer& fb, const expr::ExpressionMatrix& matrix,
-                    std::span<const std::size_t> row_order,
-                    const ExpressionColormap& colormap, long x, long y,
-                    int cell_w, int cell_h);
 
 /// The pane's global view: the whole matrix (rows in `row_order`) box-
 /// filtered into a row-major width x height block. Each pixel averages the

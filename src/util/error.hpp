@@ -52,8 +52,8 @@ class LogicError : public Error {
   using Error::Error;
 };
 
-/// A bounded-wait operation's deadline expired before it completed
-/// (mpx deadline receives and collectives, future serving-layer job waits).
+/// A bounded-wait operation's deadline expired before it completed (the
+/// serving layer's job waits).
 class TimeoutError : public Error {
  public:
   using Error::Error;

@@ -1,6 +1,6 @@
-// Render-command stream: the unit of work the wall master broadcasts to its
-// tile nodes. Each command is one Canvas primitive with enough geometry to
-// cull it against a tile's viewport before rasterizing.
+// Render-command stream: the unit of work the wall master ships to its tile
+// nodes. Each command is one Canvas primitive with enough geometry to cull
+// it against a tile's rectangle, so each node gets only what it draws.
 #pragma once
 
 #include <cstdint>

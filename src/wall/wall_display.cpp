@@ -33,7 +33,7 @@ constexpr int kTagWork = 4;
 constexpr int kTagShutdown = 5;
 
 /// Commands needed by any tile of `tiles`, in stream order (the "command
-/// substream" a point-to-point, retry or reassignment message ships).
+/// substream" every work message ships).
 CommandList cull_for_tiles(const CommandList& commands, const WallSpec& spec,
                            const std::vector<std::size_t>& tiles) {
   std::vector<layout::Rect> rects;
@@ -105,49 +105,23 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
   const std::size_t tile_count = spec.tile_count();
   const int ranks = static_cast<int>(node_count) + 1;
 
-  // Work message: [command stream][tile ids]. A non-empty `stream` is the
-  // serialized full frame (nodes cull per tile); otherwise the message
-  // carries only the substream the tiles need.
-  const auto send_work = [&](int node, const std::vector<std::size_t>& tiles,
-                             std::span<const std::byte> stream) {
-    mpx::PayloadWriter ids;
-    ids.write<std::uint64_t>(tiles.size());
+  // Work message: [commands the tiles overlap][tile ids]. The first send,
+  // the retry and the reassignment all ship this shape.
+  const auto send_work = [&](int node, const std::vector<std::size_t>& tiles) {
+    mpx::PayloadWriter writer;
+    write_commands(writer, cull_for_tiles(commands, spec, tiles));
+    writer.write<std::uint64_t>(tiles.size());
     for (const std::size_t tile : tiles) {
-      ids.write<std::uint64_t>(static_cast<std::uint64_t>(tile));
+      writer.write<std::uint64_t>(static_cast<std::uint64_t>(tile));
     }
-    const std::vector<std::byte> tail = ids.take();
-    std::vector<std::byte> payload;
-    if (!stream.empty()) {
-      payload.reserve(stream.size() + tail.size());
-      payload.assign(stream.begin(), stream.end());
-    } else {
-      mpx::PayloadWriter writer;
-      write_commands(writer, cull_for_tiles(commands, spec, tiles));
-      payload = writer.take();
-    }
-    payload.insert(payload.end(), tail.begin(), tail.end());
+    std::vector<std::byte> payload = writer.take();
     result.stats.bytes_distributed += payload.size();
     comm.send(node, kTagWork, std::move(payload));
   };
 
-  // Broadcast serializes the frame once and hands every node a copy. The
-  // stream lives only for this block: held to the end of the frame, the
-  // allocator returns its pages on free and the next frame's serialization
-  // faults them back in (fig3's 2-tile frame ran about 2 ms slower that way
-  // on a 4-core x86 VM).
-  {
-    std::vector<std::byte> stream;
-    if (options.distribution == Distribution::kBroadcast) {
-      mpx::PayloadWriter writer;
-      write_commands(writer, commands);
-      stream = writer.take();
-    }
-    for (int node = 1; node < ranks; ++node) {
-      send_work(node,
-                tiles_of_node(static_cast<std::size_t>(node - 1), node_count,
-                              tile_count),
-                stream);
-    }
+  for (int node = 1; node < ranks; ++node) {
+    send_work(node, tiles_of_node(static_cast<std::size_t>(node - 1),
+                                  node_count, tile_count));
   }
 
   std::vector<char> done(tile_count, 0);
@@ -220,7 +194,7 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
     }
     for (int node = 1; node < ranks; ++node) {
       const auto& tiles = by_owner[static_cast<std::size_t>(node)];
-      if (!tiles.empty()) send_work(node, tiles, {});
+      if (!tiles.empty()) send_work(node, tiles);
     }
     collect(deadline_after(options, options.tile_deadline));
   }
@@ -242,7 +216,7 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
       }
       for (std::size_t s = 0; s < survivors.size(); ++s) {
         if (!by_survivor[s].empty()) {
-          send_work(survivors[s], by_survivor[s], {});
+          send_work(survivors[s], by_survivor[s]);
         }
       }
       collect(deadline_after(options, options.tile_deadline));
@@ -324,10 +298,8 @@ render::Framebuffer render_reference(const CommandList& commands,
 }
 
 FrameResult render_wall_frame(const CommandList& commands,
-                              const WallSpec& spec, Distribution distribution,
-                              std::size_t node_count) {
+                              const WallSpec& spec, std::size_t node_count) {
   WallOptions options;
-  options.distribution = distribution;
   options.node_count = node_count;
   return render_wall_frame(commands, spec, options);
 }

@@ -1,8 +1,8 @@
-// The scalable display wall (paper Figure 3, substituted per DESIGN.md):
-// an R x C grid of projector tiles, each owned by one cluster node. The
-// master rank distributes a frame's command stream over mpx, every node
-// culls + rasterizes its tile, and the compositor gathers the tiles back
-// into one frame for inspection (on the physical wall the gather is
+// The scalable display wall (paper Figure 3, simulated in-process): an
+// R x C grid of projector tiles, each owned by one cluster node. The master
+// rank ships each node over mpx only the commands that overlap its tiles,
+// every node rasterizes its tiles, and the compositor gathers the tiles
+// back into one frame for inspection (on the physical wall the gather is
 // replaced by photons; everything before it is the same pipeline).
 #pragma once
 
@@ -41,28 +41,21 @@ struct WallSpec {
   static WallSpec desktop() { return WallSpec{1, 1, 1600, 1200}; }
 };
 
-/// How the master distributes the command stream (ablation A2 in DESIGN.md).
-enum class Distribution {
-  kBroadcast,     ///< one collective broadcast of the full stream
-  kPointToPoint,  ///< per-node send of only the commands its tiles need
-};
-
 /// Knobs for one wall frame, including the fault-tolerance ladder.
 ///
 /// Every frame runs one protocol (see src/wall/README.md): the master sends
-/// each node a work message naming its tiles, nodes answer with one pixel
-/// message per tile, and the master composites. tile_deadline only bounds
-/// the waits. With tile_deadline == 0 (the default) every wait is unbounded,
-/// so the frame simply blocks until all tiles arrive. With tile_deadline > 0
-/// the master walks the degradation ladder when tiles are missing: wait one
-/// deadline window for tile results, then resend the missing tiles' command
-/// substreams to their owner nodes (one bounded retry with backoff), then
-/// reassign still-missing tiles to nodes that have proven alive, and finally
-/// rasterize whatever remains master-side. Every rung re-renders the same
-/// deterministic commands, so a degraded frame stays pixel-identical to
-/// render_reference.
+/// each node a work message carrying the commands its tiles need and the
+/// tile ids, nodes answer with one pixel message per tile, and the master
+/// composites. tile_deadline only bounds the waits. With tile_deadline == 0
+/// (the default) every wait is unbounded, so the frame simply blocks until
+/// all tiles arrive. With tile_deadline > 0 the master walks the degradation
+/// ladder when tiles are missing: wait one deadline window for tile results,
+/// then resend the missing tiles' command substreams to their owner nodes
+/// (one bounded retry with backoff), then reassign still-missing tiles to
+/// nodes that have proven alive, and finally rasterize whatever remains
+/// master-side. Every rung re-renders the same deterministic commands, so a
+/// degraded frame stays pixel-identical to render_reference.
 struct WallOptions {
-  Distribution distribution = Distribution::kBroadcast;
   /// Cluster nodes (mpx ranks beyond the master); 0 = one per tile.
   std::size_t node_count = 0;
   /// Master-side wait per ladder rung; 0 = unbounded waits (no recovery).
@@ -111,8 +104,6 @@ struct FrameResult {
 /// one-PC-per-projector layout).
 FrameResult render_wall_frame(const CommandList& commands,
                               const WallSpec& spec,
-                              Distribution distribution =
-                                  Distribution::kBroadcast,
                               std::size_t node_count = 0);
 
 /// Full-options variant: deadlines, bounded retries, reassignment, and

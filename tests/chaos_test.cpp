@@ -1,17 +1,15 @@
-// Chaos matrix for the fault-tolerant display wall (and the mpx deadline
-// collectives underneath it): seeded fault scenarios sweeping drop / delay /
-// duplicate / corrupt / crash, every one of which must end in one of exactly
-// two ways within bounded time — a frame pixel-identical to the single-pass
-// reference, or a typed fv::Error. Never a deadlock, never a silently wrong
-// frame. Seeds make every scenario replayable: a failure here reproduces
-// with the same seed, every run.
+// Chaos matrix for the fault-tolerant display wall: seeded fault scenarios
+// sweeping drop / delay / duplicate / corrupt / crash, every one of which
+// must end in one of exactly two ways within bounded time — a frame
+// pixel-identical to the single-pass reference, or a typed fv::Error. Never
+// a deadlock, never a silently wrong frame. Seeds make every scenario
+// replayable: a failure here reproduces with the same seed, every run.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <string>
 
-#include "mpx/communicator.hpp"
 #include "render/canvas.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -21,7 +19,6 @@
 namespace {
 
 namespace wl = fv::wall;
-namespace mpx = fv::mpx;
 namespace rd = fv::render;
 
 using Clock = std::chrono::steady_clock;
@@ -171,41 +168,5 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ChaosScenario>& info) {
       return std::string(info.param.name);
     });
-
-// mpx-level chaos: deadline collectives racing a simulated node death must
-// end in success or a typed fv::Error — never a hang. (Reserved collective
-// tags are fault-exempt by design, so the interesting fault is the crash.)
-class MpxChaosTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MpxChaosTest, DeadlineCollectivesSurviveCrashOrFailTyped) {
-  const int crash_op = GetParam();
-  mpx::FaultSpec faults;
-  faults.seed = static_cast<std::uint64_t>(crash_op);
-  faults.crash_rank = 2;
-  faults.crash_at_op = static_cast<std::uint64_t>(crash_op);
-
-  const auto start = Clock::now();
-  try {
-    mpx::run_group(
-        3,
-        [&](mpx::Comm& comm) {
-          std::vector<int> data{comm.rank()};
-          comm.broadcast(0, data, std::chrono::milliseconds(200));
-          comm.barrier(std::chrono::milliseconds(200));
-          comm.gather<int>(0, data, std::chrono::milliseconds(200));
-        },
-        faults);
-  } catch (const fv::Error&) {
-    // Typed failure is an accepted outcome; a hang or a garbage decode is
-    // not. (TimeoutError from a deadline, or GroupFailure when several
-    // survivors time out independently.)
-  }
-  EXPECT_LT(Clock::now() - start, std::chrono::seconds(30));
-}
-
-// Crash points chosen to land before, between, and after the collectives
-// (each rank performs a handful of mpx ops across broadcast/barrier/gather).
-INSTANTIATE_TEST_SUITE_P(CrashPoints, MpxChaosTest,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace

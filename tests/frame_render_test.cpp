@@ -11,8 +11,10 @@
 #include "core/session.hpp"
 #include "expr/synth.hpp"
 #include "expr/tree.hpp"
+#include "render/canvas.hpp"
 #include "render/framebuffer.hpp"
 #include "stats/descriptive.hpp"
+#include "util/error.hpp"
 #include "util/xxhash.hpp"
 #include "wall/wall_display.hpp"
 
@@ -178,6 +180,115 @@ TEST(FrameRenderTest, DeterministicRendering) {
   EXPECT_EQ(render(session), render(session));
 }
 
+// -- the zoom view's heatmap --------------------------------------------------
+
+/// One 3x3 dataset whose cells alternate +2 (saturated red) and -2
+/// (saturated green), with cell (0, 1) missing.
+std::vector<ex::Dataset> checker_dataset() {
+  ex::ExpressionMatrix m(3, 3);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      m.set(r, c, (r + c) % 2 == 0 ? 2.0f : -2.0f);
+    }
+  }
+  m.set(0, 1, fv::stats::missing_value());
+  std::vector<ex::Dataset> datasets;
+  datasets.emplace_back(
+      "checker",
+      std::vector<ex::GeneInfo>{{"YCK000W", "CHK0", "zero"},
+                                {"YCK001W", "CHK1", "one"},
+                                {"YCK002W", "CHK2", "two"}},
+      std::vector<std::string>{"c0", "c1", "c2"}, std::move(m));
+  return datasets;
+}
+
+/// Color at the center of zoom-view cell (row, col) of a one-pane frame.
+rd::Rgb8 zoom_cell(const rd::Framebuffer& fb, const co::Session& session,
+                   std::size_t row, std::size_t col) {
+  const auto pane = fv::layout::split_vertical_panes(
+      kConfig.width, kConfig.height, 1, kConfig.pane_gap)[0];
+  const auto zoom = fv::layout::layout_pane(pane, kConfig.pane).zoom_view;
+  const long cell_h = session.prefs(0).zoom_cell_height;
+  const long cell_w = zoom.width / 3;
+  return fb.at(
+      static_cast<std::size_t>(zoom.x + static_cast<long>(col) * cell_w +
+                               cell_w / 2),
+      static_cast<std::size_t>(zoom.y + static_cast<long>(row) * cell_h +
+                               cell_h / 2));
+}
+
+TEST(HeatmapTest, CellColorsMatchValues) {
+  co::Session session(checker_dataset());
+  session.select_by_names({"CHK0", "CHK1", "CHK2"});
+  const auto fb = render(session);
+  EXPECT_EQ(zoom_cell(fb, session, 0, 0), rd::colors::kRed);    // +2
+  EXPECT_EQ(zoom_cell(fb, session, 1, 0), rd::colors::kGreen);  // -2
+  EXPECT_EQ(zoom_cell(fb, session, 1, 1), rd::colors::kRed);
+  EXPECT_EQ(zoom_cell(fb, session, 2, 2), rd::colors::kRed);
+}
+
+TEST(HeatmapTest, RowOrderPermutesRows) {
+  // The synchronized zoom view draws rows in selection order.
+  co::Session session(checker_dataset());
+  session.select_by_names({"CHK1", "CHK2"});
+  const auto fb = render(session);
+  EXPECT_EQ(zoom_cell(fb, session, 0, 0), rd::colors::kGreen);  // CHK1
+  EXPECT_EQ(zoom_cell(fb, session, 1, 0), rd::colors::kRed);    // CHK2
+}
+
+TEST(HeatmapTest, MissingCellsUseMissingColor) {
+  co::Session session(checker_dataset());
+  session.select_by_names({"CHK0"});
+  const auto fb = render(session);
+  EXPECT_EQ(zoom_cell(fb, session, 0, 1), rd::colors::kMissing);
+}
+
+TEST(HeatmapTest, BadRowOrderThrows) {
+  // A selection naming a gene outside the catalog has no row to draw.
+  co::Session session(checker_dataset());
+  session.select_from_analysis({99}, "test");
+  EXPECT_THROW(render(session), fv::InvalidArgument);
+}
+
+TEST(HeatmapTest, ZoomViewClipsRowsToItsHeight) {
+  // 100 rows of 8 pixels cannot fit: only the rows the zoom view holds
+  // are drawn, and no cell reaches below it.
+  ex::CompendiumSpec spec;
+  spec.genome = ex::GenomeSpec::yeast_like(300);
+  spec.stress_datasets = 1;
+  spec.nutrient_datasets = 0;
+  spec.knockout_datasets = 0;
+  spec.noise_datasets = 0;
+  spec.measured_fraction = 1.0;
+  spec.seed = 9;
+  auto compendium = ex::make_compendium(spec);
+  co::Session session(std::move(compendium.datasets));
+  session.select_region(0, 0, 100);
+  const auto pane = fv::layout::split_vertical_panes(
+      kConfig.width, kConfig.height, 1, kConfig.pane_gap)[0];
+  const auto zoom = fv::layout::layout_pane(pane, kConfig.pane).zoom_view;
+  const long cell_h = session.prefs(0).zoom_cell_height;
+  ASSERT_LT(zoom.height / cell_h, 100);
+
+  rd::Framebuffer fb(static_cast<std::size_t>(kConfig.width),
+                     static_cast<std::size_t>(kConfig.height));
+  rd::FramebufferCanvas canvas(fb);
+  const auto info = co::render_frame(session, canvas, kConfig);
+  EXPECT_EQ(info.zoom_rows_rendered,
+            static_cast<std::size_t>(zoom.height / cell_h));
+
+  const auto commands = co::ForestViewApp(&session).record_frame(kConfig);
+  for (const auto& command : commands) {
+    const auto bounds = command.bounds();
+    // Cells start inside the zoom view; the frame and pane backgrounds
+    // start left of it.
+    if (command.type == wl::CommandType::kFillRect && bounds.x >= zoom.x &&
+        bounds.y >= zoom.y) {
+      EXPECT_LE(bounds.bottom(), zoom.bottom());
+    }
+  }
+}
+
 /// Three datasets whose every value is 0, +-2 (the default contrast) or
 /// missing, with one dyadic gene tree: every color is an exact colormap
 /// endpoint and every dendrogram coordinate exact, so the frame's bytes do
@@ -223,7 +334,7 @@ std::uint64_t pixel_hash(const rd::Framebuffer& fb) {
 
 // The pinned hashes are the bytes of the fill_rect-per-pixel-run global
 // view that the image command replaced: drawing the strip as one image
-// must not move a single desktop or wall pixel, on either distribution.
+// must not move a single desktop or wall pixel.
 TEST(WallFrameGoldenTest, DesktopAndWallFrameHashesArePinned) {
   co::Session session(golden_datasets());
   session.select_by_names({"GEN3", "GEN4", "GEN5", "GEN9", "GEN11"});
@@ -232,11 +343,8 @@ TEST(WallFrameGoldenTest, DesktopAndWallFrameHashesArePinned) {
   const co::ForestViewApp app(&session);
   EXPECT_EQ(pixel_hash(app.render_desktop(kConfig)), 0x08352fce6f146081ull);
   const wl::WallSpec spec{4, 3, 96, 64};
-  for (const auto distribution :
-       {wl::Distribution::kBroadcast, wl::Distribution::kPointToPoint}) {
-    EXPECT_EQ(pixel_hash(app.render_wall(spec, distribution, 2).frame),
-              0x8d03ea42bcec8a7full);
-  }
+  EXPECT_EQ(pixel_hash(app.render_wall(spec, 2).frame),
+            0x8d03ea42bcec8a7full);
 }
 
 // Work counter: a 12-pane wall-sized frame records one image per global

@@ -1,9 +1,8 @@
-// Tests for geometry, viewport scrolling/zooming and pane layout.
+// Tests for geometry and pane layout.
 #include <gtest/gtest.h>
 
 #include "layout/geometry.hpp"
 #include "layout/pane.hpp"
-#include "layout/viewport.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -36,40 +35,6 @@ TEST(RectTest, InsetShrinks) {
   const Rect r{0, 0, 10, 10};
   EXPECT_EQ(ly::inset(r, 2), (Rect{2, 2, 6, 6}));
   EXPECT_TRUE(ly::inset(r, 6).empty());
-}
-
-TEST(ViewportTest, VisibleCountRoundsUp) {
-  ly::Viewport vp(100, 8);
-  EXPECT_EQ(vp.visible_count(), 13u);  // ceil(100/8)
-  vp.set_zoom(10);
-  EXPECT_EQ(vp.visible_count(), 10u);
-}
-
-TEST(ViewportTest, ScrollClampsToEnd) {
-  ly::Viewport vp(80, 8);  // 10 rows fit
-  vp.scroll_to(95, 100);
-  EXPECT_EQ(vp.scroll_offset(), 90u);
-  vp.scroll_to(0, 100);
-  EXPECT_EQ(vp.scroll_offset(), 0u);
-  vp.scroll_to(50, 5);  // fewer items than fit
-  EXPECT_EQ(vp.scroll_offset(), 0u);
-}
-
-TEST(ViewportTest, ItemPixelMappingInverts) {
-  ly::Viewport vp(80, 8);
-  vp.scroll_to(20, 1000);
-  EXPECT_EQ(vp.item_y(20), 0);
-  EXPECT_EQ(vp.item_y(23), 24);
-  EXPECT_EQ(vp.item_at(24), 23u);
-  EXPECT_EQ(vp.item_at(0), 20u);
-  EXPECT_LT(vp.item_y(10), 0);  // above the fold
-}
-
-TEST(ViewportTest, InvalidParamsThrow) {
-  EXPECT_THROW(ly::Viewport(-5, 8), fv::InvalidArgument);
-  EXPECT_THROW(ly::Viewport(10, 0), fv::InvalidArgument);
-  ly::Viewport vp(10, 2);
-  EXPECT_THROW(vp.set_zoom(0), fv::InvalidArgument);
 }
 
 TEST(PaneLayoutTest, PartsAreDisjointAndInsidePane) {

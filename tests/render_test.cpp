@@ -1,5 +1,5 @@
 // Tests for the software rasterizer: framebuffer, primitives, font,
-// colormaps, heatmaps and dendrograms.
+// colormaps, the global-view strip and dendrograms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,58 +182,6 @@ TEST(ColormapTest, GrayscaleMonotone) {
 
 TEST(ColormapTest, InvalidContrastThrows) {
   EXPECT_THROW(rd::ExpressionColormap(rd::ColorScheme::kRedGreen, 0.0),
-               fv::InvalidArgument);
-}
-
-fv::expr::ExpressionMatrix checker_matrix(std::size_t rows,
-                                          std::size_t cols) {
-  fv::expr::ExpressionMatrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      m.set(r, c, (r + c) % 2 == 0 ? 2.0f : -2.0f);
-    }
-  }
-  return m;
-}
-
-TEST(HeatmapTest, CellColorsMatchValues) {
-  const auto m = checker_matrix(3, 3);
-  const rd::ExpressionColormap map(rd::ColorScheme::kRedGreen, 2.0);
-  Framebuffer fb(30, 30);
-  const std::vector<std::size_t> order{0, 1, 2};
-  rd::render_heatmap(fb, m, order, map, 0, 0, 10, 10);
-  EXPECT_EQ(fb.at(5, 5), rd::colors::kRed);     // (0,0) = +2
-  EXPECT_EQ(fb.at(15, 5), rd::colors::kGreen);  // (0,1) = -2
-  EXPECT_EQ(fb.at(15, 15), rd::colors::kRed);   // (1,1) = +2
-}
-
-TEST(HeatmapTest, RowOrderPermutesRows) {
-  fv::expr::ExpressionMatrix m(2, 1);
-  m.set(0, 0, 2.0f);
-  m.set(1, 0, -2.0f);
-  const rd::ExpressionColormap map(rd::ColorScheme::kRedGreen, 2.0);
-  Framebuffer fb(4, 8);
-  const std::vector<std::size_t> order{1, 0};
-  rd::render_heatmap(fb, m, order, map, 0, 0, 4, 4);
-  EXPECT_EQ(fb.at(1, 1), rd::colors::kGreen);  // row 1 drawn first
-  EXPECT_EQ(fb.at(1, 5), rd::colors::kRed);
-}
-
-TEST(HeatmapTest, MissingCellsUseMissingColor) {
-  fv::expr::ExpressionMatrix m(1, 1);
-  const rd::ExpressionColormap map;
-  Framebuffer fb(4, 4);
-  const std::vector<std::size_t> order{0};
-  rd::render_heatmap(fb, m, order, map, 0, 0, 4, 4);
-  EXPECT_EQ(fb.at(2, 2), rd::colors::kMissing);
-}
-
-TEST(HeatmapTest, BadRowOrderThrows) {
-  const auto m = checker_matrix(2, 2);
-  const rd::ExpressionColormap map;
-  Framebuffer fb(10, 10);
-  const std::vector<std::size_t> order{5};
-  EXPECT_THROW(rd::render_heatmap(fb, m, order, map, 0, 0, 2, 2),
                fv::InvalidArgument);
 }
 

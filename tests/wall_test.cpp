@@ -291,16 +291,13 @@ TEST(WallFrameTest, CompositeMatchesReferenceExactly) {
                                      static_cast<long>(spec.total_height()));
   const auto reference = wl::render_reference(commands, spec.total_width(),
                                               spec.total_height());
-  for (const auto distribution :
-       {wl::Distribution::kBroadcast, wl::Distribution::kPointToPoint}) {
-    const auto result = wl::render_wall_frame(commands, spec, distribution);
-    EXPECT_EQ(result.frame, reference)
-        << "wall composite diverged from reference";
-    EXPECT_EQ(result.stats.commands_total, commands.size());
-    EXPECT_GT(result.stats.commands_executed, 0u);
-    EXPECT_GT(result.stats.bytes_distributed, 0u);
-    EXPECT_EQ(result.stats.pixels, spec.total_pixels());
-  }
+  const auto result = wl::render_wall_frame(commands, spec);
+  EXPECT_EQ(result.frame, reference)
+      << "wall composite diverged from reference";
+  EXPECT_EQ(result.stats.commands_total, commands.size());
+  EXPECT_GT(result.stats.commands_executed, 0u);
+  EXPECT_GT(result.stats.bytes_distributed, 0u);
+  EXPECT_EQ(result.stats.pixels, spec.total_pixels());
 }
 
 TEST(WallFrameTest, FewerNodesThanTilesStillExact) {
@@ -310,28 +307,32 @@ TEST(WallFrameTest, FewerNodesThanTilesStillExact) {
   const auto reference = wl::render_reference(commands, spec.total_width(),
                                               spec.total_height());
   for (const std::size_t nodes : {1u, 2u, 3u}) {
-    const auto result = wl::render_wall_frame(
-        commands, spec, wl::Distribution::kBroadcast, nodes);
+    const auto result = wl::render_wall_frame(commands, spec, nodes);
     EXPECT_EQ(result.frame, reference) << nodes << " nodes";
   }
 }
 
 TEST(WallFrameTest, PointToPointShipsFewerBytesForLocalScenes) {
-  // A scene confined to one tile: point-to-point must ship far less than
-  // broadcast (which replicates the full stream to every node).
+  // A scene confined to tile 0: its owner gets the 50 commands, and every
+  // other node gets an empty command list plus its one tile id.
   const wl::WallSpec spec{4, 1, 50, 50};
   wl::RecordingCanvas canvas;
   for (int i = 0; i < 50; ++i) {
     canvas.fill_rect(5 + i % 10, 5 + i / 10, 3, 3, rd::colors::kGreen);
   }
   const auto commands = canvas.take();
-  const auto broadcast = wl::render_wall_frame(
-      commands, spec, wl::Distribution::kBroadcast);
-  const auto p2p = wl::render_wall_frame(commands, spec,
-                                         wl::Distribution::kPointToPoint);
-  EXPECT_EQ(broadcast.frame, p2p.frame);
-  EXPECT_LT(p2p.stats.bytes_distributed,
-            broadcast.stats.bytes_distributed / 2);
+  fv::mpx::PayloadWriter owner;
+  wl::write_commands(owner, commands);
+  const std::size_t scene_bytes = owner.take().size();
+  // u64 command count + u64 tile count + u64 tile id.
+  const std::size_t idle_bytes = 3 * sizeof(std::uint64_t);
+
+  const auto result = wl::render_wall_frame(commands, spec);
+  EXPECT_EQ(result.frame, wl::render_reference(commands, spec.total_width(),
+                                               spec.total_height()));
+  EXPECT_EQ(result.stats.bytes_distributed,
+            scene_bytes + 2 * sizeof(std::uint64_t) +
+                (spec.tile_count() - 1) * idle_bytes);
 }
 
 TEST(WallFrameTest, CullingSkipsOffTileCommands) {
@@ -357,8 +358,7 @@ TEST(WallFrameTest, TileIdsBeyondSixteenBitsCompositeInPlace) {
   const auto commands = canvas.take();
   const auto reference = wl::render_reference(commands, spec.total_width(),
                                               spec.total_height());
-  const auto result = wl::render_wall_frame(
-      commands, spec, wl::Distribution::kBroadcast, 2);
+  const auto result = wl::render_wall_frame(commands, spec, 2);
   EXPECT_EQ(result.frame, reference);
 }
 
@@ -377,8 +377,7 @@ TEST_P(WallEquivalencePropertyTest, ExactComposite) {
   const auto reference = wl::render_reference(commands, spec.total_width(),
                                               spec.total_height());
   const auto result = wl::render_wall_frame(
-      commands, spec, wl::Distribution::kBroadcast,
-      static_cast<std::size_t>(nodes));
+      commands, spec, static_cast<std::size_t>(nodes));
   EXPECT_EQ(result.frame, reference);
 }
 
