@@ -43,13 +43,6 @@ GeneInfo parse_name_cell(std::string_view id, std::string_view name_cell) {
   return info;
 }
 
-void append_value(std::string& out, float value) {
-  if (fv::stats::is_missing(value)) return;
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", static_cast<double>(value));
-  out += buffer;
-}
-
 // Serializes merges as "NODEkX child child similarity" rows, children named
 // after the given leaf-name function.
 template <typename LeafNameFn>
@@ -64,10 +57,10 @@ std::string format_tree(const HierTree& tree, LeafNameFn leaf_name) {
                  ? leaf_name(static_cast<std::size_t>(child))
                  : node_name(static_cast<std::size_t>(child) - leaves);
     };
-    char sim[32];
-    std::snprintf(sim, sizeof(sim), "%.6g", node.similarity);
     out += node_name(m) + '\t' + child_name(node.left) + '\t' +
-           child_name(node.right) + '\t' + sim + '\n';
+           child_name(node.right) + '\t';
+    fv::str::append_g6(out, node.similarity);
+    out += '\n';
   }
   return out;
 }
@@ -161,7 +154,8 @@ CdtBundle format_cdt(const Dataset& dataset) {
     const auto row = dataset.values().row(r);
     for (std::size_t c = 0; c < row.size(); ++c) {
       out += '\t';
-      append_value(out, row[c]);
+      // An empty cell is a missing value.
+      if (!stats::is_missing(row[c])) str::append_g6(out, row[c]);
     }
     out += '\n';
   }

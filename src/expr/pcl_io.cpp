@@ -40,13 +40,6 @@ std::string format_name_cell(const GeneInfo& gene) {
   return gene.common_name + "|" + gene.description;
 }
 
-void append_value(std::string& out, float value) {
-  if (fv::stats::is_missing(value)) return;  // empty cell == missing
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", static_cast<double>(value));
-  out += buffer;
-}
-
 }  // namespace
 
 Dataset parse_pcl(const std::string& content, const std::string& name) {
@@ -142,7 +135,8 @@ std::string format_pcl(const Dataset& dataset) {
     const auto row = dataset.values().row(r);
     for (std::size_t c = 0; c < row.size(); ++c) {
       out += '\t';
-      append_value(out, row[c]);
+      // An empty cell is a missing value.
+      if (!stats::is_missing(row[c])) str::append_g6(out, row[c]);
     }
     out += '\n';
   }

@@ -1,37 +1,36 @@
 #include "render/colormap.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
 namespace fv::render {
 
+namespace {
+
+std::uint32_t channel_mask(Rgb8 color) {
+  return (color.r != 0 ? 0xFFu : 0u) | (color.g != 0 ? 0xFF00u : 0u) |
+         (color.b != 0 ? 0xFF0000u : 0u);
+}
+
+}  // namespace
+
 ExpressionColormap::ExpressionColormap(ColorScheme scheme, double contrast)
     : scheme_(scheme), contrast_(contrast) {
   FV_REQUIRE(contrast > 0.0, "colormap contrast must be positive");
-}
-
-Rgb8 ExpressionColormap::map(float value) const {
-  if (stats::is_missing(value)) return colors::kMissing;
-  const double t = std::clamp(static_cast<double>(value) / contrast_, -1.0,
-                              1.0);
-  const double magnitude = std::abs(t);
   switch (scheme_) {
     case ColorScheme::kRedGreen:
-      return t >= 0.0 ? lerp(colors::kBlack, colors::kRed, magnitude)
-                      : lerp(colors::kBlack, colors::kGreen, magnitude);
+      positive_mask_ = channel_mask(colors::kRed);
+      negative_mask_ = channel_mask(colors::kGreen);
+      return;
     case ColorScheme::kBlueYellow:
-      return t >= 0.0 ? lerp(colors::kBlack, colors::kYellow, magnitude)
-                      : lerp(colors::kBlack, colors::kBlue, magnitude);
-    case ColorScheme::kGrayscale: {
+      positive_mask_ = channel_mask(colors::kYellow);
+      negative_mask_ = channel_mask(colors::kBlue);
+      return;
+    case ColorScheme::kGrayscale:
       // -contrast -> black, 0 -> mid gray, +contrast -> white.
-      return lerp(colors::kBlack, colors::kWhite, (t + 1.0) / 2.0);
-    }
+      positive_mask_ = negative_mask_ = channel_mask(colors::kWhite);
+      return;
   }
-  FV_ASSERT(false, "unhandled color scheme");
-  return colors::kBlack;
+  FV_REQUIRE(false, "unknown color scheme");
 }
 
 ExpressionColormap ExpressionColormap::with_contrast(double contrast) const {

@@ -1,6 +1,7 @@
 #include "render/heatmap.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
@@ -17,18 +18,49 @@ std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
   const std::size_t rows = row_order.size();
   const std::size_t cols = matrix.cols();
   // Box-filter downsampling: output pixel (px, py) covers source rows
-  // [py*rows/height, (py+1)*rows/height) and analogous columns.
+  // [py*rows/height, (py+1)*rows/height) and analogous columns, at least
+  // one of each (so c0 < c1 <= cols and r0 < r1 <= rows). Upsampling
+  // repeats a span or band in neighbouring pixels; each repeat is copied
+  // instead of averaged and colored again.
+  struct Span {
+    std::size_t c0;
+    std::size_t c1;
+  };
+  std::vector<Span> spans(width);
+  for (std::size_t px = 0; px < width; ++px) {
+    const std::size_t c0 = px * cols / width;
+    spans[px] = {c0, std::max(c0 + 1, (px + 1) * cols / width)};
+  }
+  std::vector<const float*> band;
+  std::size_t band_r0 = 0;
+  std::size_t band_r1 = 0;
   for (std::size_t py = 0; py < height; ++py) {
     const std::size_t r0 = py * rows / height;
     const std::size_t r1 = std::max(r0 + 1, (py + 1) * rows / height);
+    Rgb8* out = pixels.data() + py * width;
+    if (py > 0 && r0 == band_r0 && r1 == band_r1) {
+      std::memcpy(out, out - width, width * sizeof(Rgb8));
+      continue;
+    }
+    band_r0 = r0;
+    band_r1 = r1;
+    band.clear();
+    for (std::size_t r = r0; r < r1; ++r) {
+      band.push_back(matrix.row(row_order[r]).data());
+    }
     for (std::size_t px = 0; px < width; ++px) {
-      const std::size_t c0 = px * cols / width;
-      const std::size_t c1 = std::max(c0 + 1, (px + 1) * cols / width);
+      const Span span = spans[px];
+      if (px > 0 && span.c0 == spans[px - 1].c0 &&
+          span.c1 == spans[px - 1].c1) {
+        out[px] = out[px - 1];
+        continue;
+      }
+      // Rows outer, columns inner, accumulated in double: the order and
+      // rounding every pixel's bytes are pinned to.
       double sum = 0.0;
       std::size_t present = 0;
-      for (std::size_t r = r0; r < r1 && r < rows; ++r) {
-        const auto values = matrix.row(row_order[r]);
-        for (std::size_t c = c0; c < c1 && c < cols; ++c) {
+      for (const float* values : band) {
+        for (std::size_t c = span.c0; c < span.c1; ++c) {
           if (stats::is_missing(values[c])) continue;
           sum += values[c];
           ++present;
@@ -37,7 +69,7 @@ std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
       const float average =
           present > 0 ? static_cast<float>(sum / static_cast<double>(present))
                       : stats::missing_value();
-      pixels[py * width + px] = colormap.map(average);
+      out[px] = colormap.map(average);
     }
   }
   return pixels;

@@ -77,6 +77,13 @@ bool icontains(std::string_view haystack, std::string_view needle) {
   return false;
 }
 
+void append_g6(std::string& out, double value) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 6);
+  out.append(buffer, result.ptr);
+}
+
 std::optional<double> parse_double(std::string_view text) {
   text = trim(text);
   if (text.empty()) return std::nullopt;

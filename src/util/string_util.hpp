@@ -31,6 +31,11 @@ bool iequals(std::string_view a, std::string_view b);
 /// True when `haystack` contains `needle` ignoring ASCII case.
 bool icontains(std::string_view haystack, std::string_view needle);
 
+/// Appends `value` exactly as printf's "%.6g" formats it (std::to_chars in
+/// the general format at precision 6 is defined to match it), without
+/// printf's locale and format-string overhead.
+void append_g6(std::string& out, double value);
+
 /// Strict floating-point parse of the whole field; nullopt on any junk.
 std::optional<double> parse_double(std::string_view text);
 

@@ -347,6 +347,31 @@ TEST(WallFrameGoldenTest, DesktopAndWallFrameHashesArePinned) {
             0x8d03ea42bcec8a7full);
 }
 
+// The same pins at the fig6 size, where every global view downsamples
+// hundreds of rows and up to 120 conditions into its strip. The hashes
+// are the bytes of the one-colormap-call-per-pixel box filter that the
+// deduplicating one replaced.
+TEST(WallFrameGoldenTest, Fig6DesktopAndWallFrameHashesArePinned) {
+  ex::CompendiumSpec spec;
+  spec.genome = ex::GenomeSpec::yeast_like(800);
+  spec.stress_datasets = 4;
+  spec.nutrient_datasets = 4;
+  spec.knockout_datasets = 2;
+  spec.noise_datasets = 2;
+  spec.seed = 18;
+  auto compendium = ex::make_compendium(spec);
+  co::Session session(std::move(compendium.datasets));
+  session.select_region(0, 100, 40);
+  session.prefs(1).scheme = rd::ColorScheme::kBlueYellow;
+  session.prefs(2).scheme = rd::ColorScheme::kGrayscale;
+  session.prefs(3).contrast = 0.7;
+  const co::ForestViewApp app(&session);
+  EXPECT_EQ(pixel_hash(app.render_desktop(co::FrameConfig{1600, 1200, 4, {}})),
+            0x80b8f0487d26cdcfull);
+  EXPECT_EQ(pixel_hash(app.render_wall(wl::WallSpec{4, 3, 512, 384}, 4).frame),
+            0x7cb93162201fd860ull);
+}
+
 // Work counter: a 12-pane wall-sized frame records one image per global
 // view; one fill per pixel run would record about 387k commands.
 TEST(FrameRenderTest, WallFrameRecordsOneImagePerGlobalView) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <random>
 
 #include "expr/tree.hpp"
 #include "render/colormap.hpp"
@@ -209,6 +214,185 @@ TEST(GlobalViewTest, EmptyInputPaintsMissing) {
   const auto pixels = rd::global_view_pixels(m, {}, map, 5, 5);
   EXPECT_EQ(std::count(pixels.begin(), pixels.end(), rd::colors::kMissing),
             25);
+}
+
+/// The lerp-based colormap the branch-free inline `map` replaced: the
+/// reference every byte of the inline one must match.
+Rgb8 reference_map(const rd::ExpressionColormap& colormap, float value) {
+  if (fv::stats::is_missing(value)) return rd::colors::kMissing;
+  const double t = std::clamp(
+      static_cast<double>(value) / colormap.contrast(), -1.0, 1.0);
+  const double magnitude = std::abs(t);
+  switch (colormap.scheme()) {
+    case rd::ColorScheme::kRedGreen:
+      return t >= 0.0 ? rd::lerp(rd::colors::kBlack, rd::colors::kRed,
+                                 magnitude)
+                      : rd::lerp(rd::colors::kBlack, rd::colors::kGreen,
+                                 magnitude);
+    case rd::ColorScheme::kBlueYellow:
+      return t >= 0.0 ? rd::lerp(rd::colors::kBlack, rd::colors::kYellow,
+                                 magnitude)
+                      : rd::lerp(rd::colors::kBlack, rd::colors::kBlue,
+                                 magnitude);
+    case rd::ColorScheme::kGrayscale:
+      return rd::lerp(rd::colors::kBlack, rd::colors::kWhite,
+                      (t + 1.0) / 2.0);
+  }
+  return rd::colors::kBlack;
+}
+
+/// The global view box filter before it deduplicated repeated boxes: one
+/// average and one colormap lookup per output pixel.
+std::vector<Rgb8> reference_global_view(
+    const fv::expr::ExpressionMatrix& matrix,
+    std::span<const std::size_t> row_order,
+    const rd::ExpressionColormap& colormap, std::size_t width,
+    std::size_t height) {
+  std::vector<Rgb8> pixels(width * height, rd::colors::kMissing);
+  if (row_order.empty() || matrix.cols() == 0) return pixels;
+  const std::size_t rows = row_order.size();
+  const std::size_t cols = matrix.cols();
+  for (std::size_t py = 0; py < height; ++py) {
+    const std::size_t r0 = py * rows / height;
+    const std::size_t r1 = std::max(r0 + 1, (py + 1) * rows / height);
+    for (std::size_t px = 0; px < width; ++px) {
+      const std::size_t c0 = px * cols / width;
+      const std::size_t c1 = std::max(c0 + 1, (px + 1) * cols / width);
+      double sum = 0.0;
+      std::size_t present = 0;
+      for (std::size_t r = r0; r < r1 && r < rows; ++r) {
+        const auto values = matrix.row(row_order[r]);
+        for (std::size_t c = c0; c < c1 && c < cols; ++c) {
+          if (fv::stats::is_missing(values[c])) continue;
+          sum += values[c];
+          ++present;
+        }
+      }
+      const float average =
+          present > 0 ? static_cast<float>(sum / static_cast<double>(present))
+                      : fv::stats::missing_value();
+      pixels[py * width + px] = reference_map(colormap, average);
+    }
+  }
+  return pixels;
+}
+
+constexpr rd::ColorScheme kSchemes[] = {rd::ColorScheme::kRedGreen,
+                                        rd::ColorScheme::kBlueYellow,
+                                        rd::ColorScheme::kGrayscale};
+
+TEST(ColormapTest, InlineMapMatchesLerpReferenceEverywhere) {
+  std::vector<float> inputs{0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest()};
+  std::mt19937 rng(22);
+  for (std::size_t i = 0; i < (std::size_t{1} << 20); ++i) {
+    inputs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+  }
+  std::size_t checked = 0;
+  for (const double contrast : {0.001, 0.5, 1.0, 2.0, 3.7}) {
+    // Every level boundary k/255 of both magnitude maps, +-2 ulps, plus
+    // uniform values across the whole unsaturated range.
+    std::vector<float> near = inputs;
+    const auto add_with_ulps = [&near](double value) {
+      const float center = static_cast<float>(value);
+      float down = center;
+      float up = center;
+      near.push_back(center);
+      for (int ulp = 0; ulp < 2; ++ulp) {
+        down = std::nextafter(down, -std::numeric_limits<float>::infinity());
+        up = std::nextafter(up, std::numeric_limits<float>::infinity());
+        near.push_back(down);
+        near.push_back(up);
+      }
+    };
+    for (int k = 0; k <= 255; ++k) {
+      const double level = k / 255.0;
+      add_with_ulps(level * contrast);
+      add_with_ulps(-level * contrast);
+      add_with_ulps((2.0 * level - 1.0) * contrast);  // grayscale
+    }
+    std::uniform_real_distribution<double> uniform(-1.5 * contrast,
+                                                   1.5 * contrast);
+    for (int i = 0; i < (1 << 16); ++i) {
+      near.push_back(static_cast<float>(uniform(rng)));
+    }
+    for (const rd::ColorScheme scheme : kSchemes) {
+      const rd::ExpressionColormap colormap(scheme, contrast);
+      for (const float value : near) {
+        const Rgb8 got = colormap.map(value);
+        const Rgb8 want = reference_map(colormap, value);
+        if (got != want) {
+          ADD_FAILURE() << "scheme " << static_cast<int>(scheme)
+                        << " contrast " << contrast << " value "
+                        << std::bit_cast<std::uint32_t>(value) << " got ("
+                        << int{got.r} << "," << int{got.g} << ","
+                        << int{got.b} << ") want (" << int{want.r} << ","
+                        << int{want.g} << "," << int{want.b} << ")";
+          return;
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, std::size_t{15} << 20);
+}
+
+TEST(GlobalViewTest, MatchesPerPixelReferenceBitForBit) {
+  std::mt19937 rng(2022);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  std::uniform_real_distribution<float> value(-3.0f, 3.0f);
+  std::bernoulli_distribution missing(0.2);
+  std::bernoulli_distribution all_missing_row(0.05);
+  // Rows, columns, width and height each come out as 1, as at most half
+  // the size they are drawn against, or as one to three times it: every
+  // mix of down- and up-sampling on both axes.
+  const auto size = [&](std::size_t variant, std::size_t other) {
+    switch (variant % 3) {
+      case 0:
+        return std::size_t{1};
+      case 1:
+        return pick(1, std::max<std::size_t>(1, other / 2));
+      default:
+        return pick(other, 3 * other);
+    }
+  };
+  std::size_t cases = 0;
+  for (std::size_t variant = 0; variant < 81 * 3; ++variant) {
+    const std::size_t rows = size(variant, 60);
+    const std::size_t cols = size(variant / 3, 40);
+    const std::size_t height = size(variant / 9, rows);
+    const std::size_t width = size(variant / 27, cols);
+    fv::expr::ExpressionMatrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const bool row_missing = all_missing_row(rng);
+      for (std::size_t c = 0; c < cols; ++c) {
+        m.set(r, c, row_missing || missing(rng) ? fv::stats::missing_value()
+                                                : value(rng));
+      }
+    }
+    // A shuffled display order, sometimes over only part of the rows.
+    std::vector<std::size_t> order(rows);
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin(), order.end(), rng);
+    order.resize(pick(1, rows));
+    const rd::ExpressionColormap colormap(kSchemes[variant / 81],
+                                          0.25 + pick(0, 12) * 0.25);
+    ASSERT_EQ(rd::global_view_pixels(m, order, colormap, width, height),
+              reference_global_view(m, order, colormap, width, height))
+        << rows << "x" << cols << " rows (" << order.size()
+        << " shown) into " << width << "x" << height;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 243u);
 }
 
 TEST(DendrogramTest, DrawsConnectedTree) {

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <span>
 #include <string_view>
@@ -190,6 +192,43 @@ TEST(StringTest, ParseIntStrict) {
   EXPECT_EQ(*fv::str::parse_int("-7"), -7);
   EXPECT_FALSE(fv::str::parse_int("4.2").has_value());
   EXPECT_FALSE(fv::str::parse_int("").has_value());
+}
+
+TEST(StringTest, AppendG6MatchesPrintf) {
+  // The PCL and CDT writers format every value and similarity this way;
+  // their files must stay byte-identical to printf's "%.6g".
+  std::vector<double> values{0.0,
+                             -0.0,
+                             1.0,
+                             -2.5,
+                             0.1,
+                             123456.0,
+                             1234567.0,
+                             0.0001,
+                             0.00001,
+                             999999.5,
+                             1e-300,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(622);
+  for (int i = 0; i < (1 << 18); ++i) {
+    // Float bit patterns (what the writers format) and doubles in [-4, 4].
+    values.push_back(static_cast<double>(std::bit_cast<float>(
+        static_cast<std::uint32_t>(rng.next_u64()))));
+    values.push_back(rng.uniform(-4.0, 4.0));
+  }
+  for (const double value : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.6g", value);
+    std::string got = "x";
+    fv::str::append_g6(got, value);
+    ASSERT_EQ(got, std::string("x") + expected)
+        << std::bit_cast<std::uint64_t>(value);
+  }
 }
 
 TEST(ErrorTest, RequireThrowsInvalidArgument) {
