@@ -69,32 +69,49 @@ inline std::uint64_t payload_checksum(
 /// Sequentially packs trivially copyable values into a byte buffer.
 class PayloadWriter {
  public:
+  /// Room for `bytes` more bytes: a writer that knows its payload's exact
+  /// size fills it without reallocating.
+  void reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "payloads carry trivially copyable types only");
-    const auto* bytes = reinterpret_cast<const std::byte*>(&value);
-    buffer_.insert(buffer_.end(), bytes, bytes + sizeof(T));
+    append(&value, sizeof(T));
   }
 
+  /// A u64 count, then the values.
   template <typename T>
   void write_span(std::span<const T> values) {
+    write<std::uint64_t>(values.size());
+    write_values(values);
+  }
+
+  /// The values without a count: the pieces of a span whose count was
+  /// written first.
+  template <typename T>
+  void write_values(std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "payloads carry trivially copyable types only");
-    write<std::uint64_t>(values.size());
-    const auto* bytes = reinterpret_cast<const std::byte*>(values.data());
-    buffer_.insert(buffer_.end(), bytes, bytes + values.size_bytes());
+    append(values.data(), values.size_bytes());
   }
 
   void write_string(std::string_view text) {
     write<std::uint64_t>(text.size());
-    const auto* bytes = reinterpret_cast<const std::byte*>(text.data());
-    buffer_.insert(buffer_.end(), bytes, bytes + text.size());
+    append(text.data(), text.size());
   }
 
   std::vector<std::byte> take() { return std::move(buffer_); }
 
  private:
+  void append(const void* data, std::size_t size) {
+    // An empty span's data() may be null, which memcpy must not get.
+    if (size == 0) return;
+    const std::size_t offset = buffer_.size();
+    buffer_.resize(offset + size);
+    std::memcpy(buffer_.data() + offset, data, size);
+  }
+
   std::vector<std::byte> buffer_;
 };
 
@@ -131,6 +148,23 @@ class PayloadReader {
     }
     offset_ += count * sizeof(T);
     return values;
+  }
+
+  /// A span written by PayloadWriter::write_span, borrowed from the
+  /// payload rather than copied: valid while the payload is. Bounded like
+  /// read_vector. Byte-aligned types only, since message bytes promise no
+  /// more alignment than that.
+  template <typename T>
+  std::span<const T> read_span() {
+    static_assert(std::is_trivially_copyable_v<T> && alignof(T) == 1,
+                  "a borrowed span needs a trivially copyable, byte-aligned "
+                  "type");
+    const auto count = read<std::uint64_t>();
+    FV_REQUIRE(count <= remaining() / sizeof(T),
+               "payload underrun: span longer than the message");
+    const auto* first = reinterpret_cast<const T*>(payload_.data() + offset_);
+    offset_ += count * sizeof(T);
+    return {first, static_cast<std::size_t>(count)};
   }
 
   std::string read_string() {

@@ -129,32 +129,74 @@ std::size_t replay_commands(render::Framebuffer& fb,
   return executed;
 }
 
-void write_commands(mpx::PayloadWriter& writer, const CommandList& commands) {
-  writer.write<std::uint64_t>(commands.size());
-  for (const RenderCommand& command : commands) {
-    writer.write<std::uint8_t>(static_cast<std::uint8_t>(command.type));
-    writer.write<std::int64_t>(command.x0);
-    writer.write<std::int64_t>(command.y0);
-    writer.write<std::int64_t>(command.x1);
-    writer.write<std::int64_t>(command.y1);
-    writer.write<std::uint8_t>(command.color.r);
-    writer.write<std::uint8_t>(command.color.g);
-    writer.write<std::uint8_t>(command.color.b);
-    writer.write<std::int32_t>(command.scale);
-    writer.write_string(command.text);
-    if (command.type == CommandType::kImage) {
-      writer.write_span(std::span<const render::Rgb8>(command.pixels));
-    }
-  }
-}
-
 namespace {
 
 /// Wire size of the fields every command carries: type, four coordinates,
 /// color, scale and the text length.
 constexpr std::size_t kCommonBytes = 1 + 4 * 8 + 3 + 4 + 8;
 
+/// The geometry fields as a Rect (for an image: its position and size).
+layout::Rect geometry_of(const RenderCommand& command) {
+  return layout::Rect{command.x0, command.y0, command.x1, command.y1};
+}
+
+/// The fields every command carries, with `geometry` as x0, y0, x1, y1.
+void write_common(mpx::PayloadWriter& writer, const RenderCommand& command,
+                  const layout::Rect& geometry) {
+  writer.write<std::uint8_t>(static_cast<std::uint8_t>(command.type));
+  writer.write<std::int64_t>(geometry.x);
+  writer.write<std::int64_t>(geometry.y);
+  writer.write<std::int64_t>(geometry.width);
+  writer.write<std::int64_t>(geometry.height);
+  writer.write<std::uint8_t>(command.color.r);
+  writer.write<std::uint8_t>(command.color.g);
+  writer.write<std::uint8_t>(command.color.b);
+  writer.write<std::int32_t>(command.scale);
+  writer.write_string(command.text);
+}
+
+void write_whole(mpx::PayloadWriter& writer, const RenderCommand& command) {
+  write_common(writer, command, geometry_of(command));
+  if (command.type == CommandType::kImage) {
+    writer.write_span(std::span<const render::Rgb8>(command.pixels));
+  }
+}
+
 }  // namespace
+
+void write_commands(mpx::PayloadWriter& writer, const CommandList& commands) {
+  writer.write<std::uint64_t>(commands.size());
+  for (const RenderCommand& command : commands) write_whole(writer, command);
+}
+
+void write_command(mpx::PayloadWriter& writer, const RenderCommand& command,
+                   const layout::Rect& crop) {
+  const layout::Rect whole = geometry_of(command);
+  const layout::Rect kept = layout::intersect(whole, crop);
+  if (command.type != CommandType::kImage || kept == whole) {
+    write_whole(writer, command);
+    return;
+  }
+  write_common(writer, command, kept);
+  const auto width = static_cast<std::size_t>(kept.width);
+  writer.write<std::uint64_t>(width * static_cast<std::size_t>(kept.height));
+  const std::span<const render::Rgb8> pixels(command.pixels);
+  for (long y = kept.y; y < kept.bottom(); ++y) {
+    writer.write_values(pixels.subspan(
+        static_cast<std::size_t>((y - whole.y) * whole.width +
+                                 (kept.x - whole.x)),
+        width));
+  }
+}
+
+std::size_t wire_size(const RenderCommand& command, const layout::Rect& crop) {
+  const std::size_t common = kCommonBytes + command.text.size();
+  if (command.type != CommandType::kImage) return common;
+  const layout::Rect kept = layout::intersect(geometry_of(command), crop);
+  return common + sizeof(std::uint64_t) +
+         static_cast<std::size_t>(kept.width * kept.height) *
+             sizeof(render::Rgb8);
+}
 
 CommandList read_commands(mpx::PayloadReader& reader) {
   const auto count = reader.read<std::uint64_t>();
@@ -191,12 +233,6 @@ CommandList read_commands(mpx::PayloadReader& reader) {
     commands.push_back(std::move(command));
   }
   return commands;
-}
-
-std::size_t serialized_size(const CommandList& commands) {
-  mpx::PayloadWriter writer;
-  write_commands(writer, commands);
-  return writer.take().size();
 }
 
 }  // namespace fv::wall

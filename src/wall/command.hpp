@@ -76,7 +76,14 @@ std::size_t replay_commands(render::Framebuffer& fb,
 void write_commands(mpx::PayloadWriter& writer, const CommandList& commands);
 CommandList read_commands(mpx::PayloadReader& reader);
 
-/// Total serialized size in bytes (for bandwidth accounting).
-std::size_t serialized_size(const CommandList& commands);
+/// Writes one command as write_commands does, except that an image is cut
+/// to its intersection with `crop`, which must overlap it. A tile inside
+/// `crop` rasters the same pixels from the cut image, and the cut image
+/// overlaps the same tiles. Other types are written whole.
+void write_command(mpx::PayloadWriter& writer, const RenderCommand& command,
+                   const layout::Rect& crop);
+
+/// Bytes write_command writes for the same arguments.
+std::size_t wire_size(const RenderCommand& command, const layout::Rect& crop);
 
 }  // namespace fv::wall

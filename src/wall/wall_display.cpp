@@ -32,35 +32,12 @@ constexpr int kTagPixels = 2;
 constexpr int kTagWork = 4;
 constexpr int kTagShutdown = 5;
 
-/// Commands needed by any tile of `tiles`, in stream order (the "command
-/// substream" every work message ships).
-CommandList cull_for_tiles(const CommandList& commands, const WallSpec& spec,
-                           const std::vector<std::size_t>& tiles) {
-  std::vector<layout::Rect> rects;
-  rects.reserve(tiles.size());
-  for (const std::size_t tile : tiles) rects.push_back(spec.tile_rect(tile));
-  CommandList kept;
-  for (const RenderCommand& command : commands) {
-    const layout::Rect bounds = command.bounds();
-    for (const layout::Rect& rect : rects) {
-      if (layout::overlaps(bounds, rect)) {
-        kept.push_back(command);
-        break;
-      }
-    }
-  }
-  return kept;
-}
-
-/// Tiles handled by a node (round-robin assignment, master excluded).
-std::vector<std::size_t> tiles_of_node(std::size_t node,
-                                       std::size_t node_count,
-                                       std::size_t tile_count) {
-  std::vector<std::size_t> tiles;
-  for (std::size_t t = node; t < tile_count; t += node_count) {
-    tiles.push_back(t);
-  }
-  return tiles;
+/// Smallest rectangle holding both.
+layout::Rect bounding_box(const layout::Rect& a, const layout::Rect& b) {
+  const long x = std::min(a.x, b.x);
+  const long y = std::min(a.y, b.y);
+  return layout::Rect{x, y, std::max(a.right(), b.right()) - x,
+                      std::max(a.bottom(), b.bottom()) - y};
 }
 
 struct TileRaster {
@@ -80,6 +57,30 @@ TileRaster raster_tile(const CommandList& commands, const layout::Rect& rect) {
   raster.executed = replay_commands(raster.pixels, commands, rect.x, rect.y);
   raster.seconds = timer.seconds();
   return raster;
+}
+
+/// A node's share of the frame: decodes a work message, rasters each tile
+/// it names and hands `reply` one pixel message per tile,
+/// [tile, executed, raster seconds, pixels].
+template <typename Reply>
+void raster_work(std::vector<std::byte> work, const WallSpec& spec,
+                 const Reply& reply) {
+  mpx::PayloadReader reader(work);
+  const CommandList node_commands = read_commands(reader);
+  const auto tiles = reader.read_vector<std::uint64_t>();
+  // Every node of a frame works at once, so a message is freed once it is
+  // decoded rather than kept alive through the rasters.
+  work = std::vector<std::byte>();
+  for (const std::uint64_t tile : tiles) {
+    const TileRaster raster = raster_tile(
+        node_commands, spec.tile_rect(static_cast<std::size_t>(tile)));
+    mpx::PayloadWriter writer;
+    writer.write<std::uint64_t>(tile);
+    writer.write<std::uint64_t>(raster.executed);
+    writer.write<double>(raster.seconds);
+    writer.write_span(std::span<const render::Rgb8>(raster.pixels.pixels()));
+    reply(writer.take());
+  }
 }
 
 /// `span` from now, or no deadline at all when the frame has none
@@ -104,34 +105,57 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
                 std::size_t node_count, FrameResult& result) {
   const std::size_t tile_count = spec.tile_count();
   const int ranks = static_cast<int>(node_count) + 1;
-
-  // Work message: [commands the tiles overlap][tile ids]. The first send,
-  // the retry and the reassignment all ship this shape.
-  const auto send_work = [&](int node, const std::vector<std::size_t>& tiles) {
-    mpx::PayloadWriter writer;
-    write_commands(writer, cull_for_tiles(commands, spec, tiles));
-    writer.write<std::uint64_t>(tiles.size());
-    for (const std::size_t tile : tiles) {
-      writer.write<std::uint64_t>(static_cast<std::uint64_t>(tile));
-    }
-    std::vector<std::byte> payload = writer.take();
-    result.stats.bytes_distributed += payload.size();
-    comm.send(node, kTagWork, std::move(payload));
-  };
-
-  for (int node = 1; node < ranks; ++node) {
-    send_work(node, tiles_of_node(static_cast<std::size_t>(node - 1),
-                                  node_count, tile_count));
-  }
+  std::vector<int> nodes;
+  for (int node = 1; node < ranks; ++node) nodes.push_back(node);
 
   std::vector<char> done(tile_count, 0);
   std::vector<char> alive(static_cast<std::size_t>(ranks), 0);
   std::vector<double> raster_seconds(static_cast<std::size_t>(ranks), 0.0);
   std::size_t remaining = tile_count;
 
-  // Stats count composited tiles only, so they are exact on every frame.
-  const auto mark_done = [&](std::size_t tile, int source,
-                             std::uint64_t executed, double seconds) {
+  // Destination of each tile still missing: the k-th of them, in tile
+  // order, goes to pick(tile, k); composited tiles go nowhere.
+  const auto route_pending = [&](const auto& pick) {
+    std::vector<std::size_t> route(tile_count, kNoDestination);
+    std::size_t k = 0;
+    for (std::size_t tile = 0; tile < tile_count; ++tile) {
+      if (!done[tile]) route[tile] = pick(tile, k++);
+    }
+    return route;
+  };
+  // Round-robin ownership: the first send and the retry route by it.
+  const auto owner = [&](std::size_t tile, std::size_t) {
+    return tile % node_count;
+  };
+
+  // Every rung that sends work splits the stream once over its
+  // destinations (destination d is rank to[d]) and writes and sends one
+  // work message at a time.
+  const auto send_work = [&](const std::vector<std::size_t>& route,
+                             const std::vector<int>& to) {
+    const std::vector<WorkSplit> splits = split_work(commands, spec, route);
+    for (std::size_t d = 0; d < splits.size(); ++d) {
+      if (splits[d].tiles.empty()) continue;
+      std::vector<std::byte> payload = write_work(commands, splits[d]);
+      result.stats.bytes_distributed += payload.size();
+      comm.send(to[d], kTagWork, std::move(payload));
+    }
+  };
+
+  // Composites a pixel message straight from its bytes. Stats count
+  // composited tiles only, so they are exact on every frame; a late
+  // re-render of an already-composited tile is ignored.
+  const auto composite = [&](std::span<const std::byte> message, int source) {
+    mpx::PayloadReader reader(message);
+    const auto tile = static_cast<std::size_t>(reader.read<std::uint64_t>());
+    const auto executed = reader.read<std::uint64_t>();
+    const auto seconds = reader.read<double>();
+    const auto pixels = reader.read_span<render::Rgb8>();
+    FV_ASSERT(tile < tile_count, "tile index out of range");
+    if (done[tile]) return;
+    const layout::Rect rect = spec.tile_rect(tile);
+    render::draw_image(result.frame, rect.x, rect.y, rect.width, rect.height,
+                       pixels);
     done[tile] = 1;
     --remaining;
     result.stats.commands_executed += static_cast<std::size_t>(executed);
@@ -141,8 +165,7 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
   // Drains pixel messages until every tile landed or the window closes
   // (without a deadline the first call drains them all, so no later rung
   // fires). Corrupt messages are dropped (their tiles stay pending — the
-  // ladder recovers them); duplicates are suppressed by the mailbox and late
-  // re-renders of an already-composited tile are ignored here.
+  // ladder recovers them); duplicates are suppressed by the mailbox.
   const auto collect = [&](std::optional<Clock::time_point> until) {
     while (remaining > 0) {
       std::optional<mpx::Message> message;
@@ -154,28 +177,11 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
       }
       if (!message.has_value()) return;
       alive[static_cast<std::size_t>(message->source)] = 1;
-      // Pixel message: [tile, executed, raster seconds, pixels].
-      mpx::PayloadReader reader(message->payload);
-      const auto tile = static_cast<std::size_t>(reader.read<std::uint64_t>());
-      const auto executed = reader.read<std::uint64_t>();
-      const auto seconds = reader.read<double>();
-      const auto pixels = reader.read_vector<render::Rgb8>();
-      FV_ASSERT(tile < tile_count, "tile index out of range");
-      if (done[tile]) continue;
-      const layout::Rect rect = spec.tile_rect(tile);
-      render::draw_image(result.frame, rect.x, rect.y, rect.width,
-                         rect.height, pixels);
-      mark_done(tile, message->source, executed, seconds);
+      composite(message->payload, message->source);
     }
   };
 
-  const auto pending_tiles = [&] {
-    std::vector<std::size_t> pending;
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      if (!done[t]) pending.push_back(t);
-    }
-    return pending;
-  };
+  send_work(route_pending(owner), nodes);
 
   // Rung 1: the healthy window.
   collect(deadline_after(options, options.tile_deadline));
@@ -187,55 +193,42 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
     result.stats.degraded = true;
     result.stats.retries += remaining;
     std::this_thread::sleep_for(options.retry_backoff);
-    std::vector<std::vector<std::size_t>> by_owner(
-        static_cast<std::size_t>(ranks));
-    for (const std::size_t tile : pending_tiles()) {
-      by_owner[1 + tile % node_count].push_back(tile);
-    }
-    for (int node = 1; node < ranks; ++node) {
-      const auto& tiles = by_owner[static_cast<std::size_t>(node)];
-      if (!tiles.empty()) send_work(node, tiles);
-    }
+    send_work(route_pending(owner), nodes);
     collect(deadline_after(options, options.tile_deadline));
   }
 
-  // Rung 3: reassign orphaned tiles to nodes that have proven alive (they
-  // delivered at least one pixel message this frame).
+  // Rung 3: reassign orphaned tiles round-robin to nodes that have proven
+  // alive (they delivered at least one pixel message this frame).
   if (remaining > 0) {
     std::vector<int> survivors;
-    for (int node = 1; node < ranks; ++node) {
+    for (const int node : nodes) {
       if (alive[static_cast<std::size_t>(node)]) survivors.push_back(node);
     }
     if (!survivors.empty()) {
       result.stats.degraded = true;
       result.stats.reassigned_tiles += remaining;
-      std::vector<std::vector<std::size_t>> by_survivor(survivors.size());
-      std::size_t next = 0;
-      for (const std::size_t tile : pending_tiles()) {
-        by_survivor[next++ % survivors.size()].push_back(tile);
-      }
-      for (std::size_t s = 0; s < survivors.size(); ++s) {
-        if (!by_survivor[s].empty()) {
-          send_work(survivors[s], by_survivor[s]);
-        }
-      }
+      send_work(route_pending([&](std::size_t, std::size_t k) {
+                  return k % survivors.size();
+                }),
+                survivors);
       collect(deadline_after(options, options.tile_deadline));
     }
   }
 
-  // Rung 4: the master rasters whatever is still missing itself. Tile
+  // Rung 4: the master does a node's work on whatever is still missing:
+  // it splits off those tiles' work message and rasters it itself. Tile
   // rasterization is deterministic, so this is pixel-identical to what the
   // lost node would have produced — the frame completes, always.
   if (remaining > 0) {
     result.stats.degraded = true;
-    for (const std::size_t tile : pending_tiles()) {
-      const layout::Rect rect = spec.tile_rect(tile);
-      const TileRaster raster =
-          raster_tile(cull_for_tiles(commands, spec, {tile}), rect);
-      result.frame.blit(raster.pixels, rect.x, rect.y);
-      mark_done(tile, comm.rank(), raster.executed, raster.seconds);
-      ++result.stats.master_rastered_tiles;
-    }
+    result.stats.master_rastered_tiles += remaining;
+    const std::vector<WorkSplit> splits = split_work(
+        commands, spec,
+        route_pending([](std::size_t, std::size_t) { return std::size_t{0}; }));
+    raster_work(write_work(commands, splits.front()), spec,
+                [&](const std::vector<std::byte>& message) {
+                  composite(message, comm.rank());
+                });
   }
 
   result.stats.max_node_render_seconds =
@@ -243,9 +236,7 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
 
   // Orderly shutdown (the control tag is fault-exempt, so this always
   // arrives; the node-side watchdog is only a backstop for a dead master).
-  for (int node = 1; node < ranks; ++node) {
-    comm.send(node, kTagShutdown, {});
-  }
+  for (const int node : nodes) comm.send(node, kTagShutdown, {});
 }
 
 void run_node(mpx::Comm& comm, const WallSpec& spec,
@@ -270,25 +261,91 @@ void run_node(mpx::Comm& comm, const WallSpec& spec,
     }
     if (!message.has_value() || message->tag == kTagShutdown) break;
     if (message->tag != kTagWork) continue;
-
-    mpx::PayloadReader reader(message->payload);
-    const CommandList node_commands = read_commands(reader);
-    const auto tile_ids = reader.read<std::uint64_t>();
-    for (std::uint64_t i = 0; i < tile_ids; ++i) {
-      const auto tile = reader.read<std::uint64_t>();
-      const TileRaster raster = raster_tile(
-          node_commands, spec.tile_rect(static_cast<std::size_t>(tile)));
-      mpx::PayloadWriter writer;
-      writer.write<std::uint64_t>(tile);
-      writer.write<std::uint64_t>(raster.executed);
-      writer.write<double>(raster.seconds);
-      writer.write_span(std::span<const render::Rgb8>(raster.pixels.pixels()));
-      comm.send(0, kTagPixels, writer.take());
-    }
+    raster_work(std::move(message->payload), spec,
+                [&](std::vector<std::byte> pixels) {
+                  comm.send(0, kTagPixels, std::move(pixels));
+                });
   }
 }
 
 }  // namespace
+
+std::vector<WorkSplit> split_work(
+    const CommandList& commands, const WallSpec& spec,
+    const std::vector<std::size_t>& destination_of_tile) {
+  FV_REQUIRE(destination_of_tile.size() == spec.tile_count(),
+             "a split routes every tile");
+  std::size_t destinations = 0;
+  for (const std::size_t d : destination_of_tile) {
+    if (d != kNoDestination) destinations = std::max(destinations, d + 1);
+  }
+  std::vector<WorkSplit> splits(destinations);
+  for (std::size_t tile = 0; tile < destination_of_tile.size(); ++tile) {
+    const std::size_t d = destination_of_tile[tile];
+    if (d == kNoDestination) continue;
+    WorkSplit& split = splits[d];
+    const layout::Rect rect = spec.tile_rect(tile);
+    split.crop = split.tiles.empty() ? rect : bounding_box(split.crop, rect);
+    split.tiles.push_back(tile);
+  }
+  for (WorkSplit& split : splits) {
+    // The command count, the tile count and the tile ids.
+    split.payload_bytes = (2 + split.tiles.size()) * sizeof(std::uint64_t);
+  }
+  // Empty tiles overlap nothing.
+  if (spec.tile_width == 0 || spec.tile_height == 0) return splits;
+
+  const auto width = static_cast<long>(spec.tile_width);
+  const auto height = static_cast<long>(spec.tile_height);
+  const auto cols = static_cast<long>(spec.tile_cols);
+  const auto rows = static_cast<long>(spec.tile_rows);
+  // The last command each destination took, so a command that overlaps
+  // several of its tiles is taken once.
+  std::vector<std::size_t> last(destinations, kNoDestination);
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    const layout::Rect bounds = commands[i].bounds();
+    if (bounds.empty() || bounds.right() <= 0 || bounds.bottom() <= 0) {
+      continue;
+    }
+    // The grid cells the bounds cover, clamped to the grid: exactly the
+    // tiles whose rect layout::overlaps them.
+    const long col0 = std::max(bounds.x, 0L) / width;
+    const long row0 = std::max(bounds.y, 0L) / height;
+    if (col0 >= cols || row0 >= rows) continue;
+    const long col1 = std::min((bounds.right() - 1) / width, cols - 1);
+    const long row1 = std::min((bounds.bottom() - 1) / height, rows - 1);
+    for (long row = row0; row <= row1; ++row) {
+      for (long col = col0; col <= col1; ++col) {
+        const std::size_t d =
+            destination_of_tile[static_cast<std::size_t>(row * cols + col)];
+        if (d == kNoDestination || last[d] == i) continue;
+        last[d] = i;
+        WorkSplit& split = splits[d];
+        split.commands.push_back(i);
+        split.payload_bytes += wire_size(commands[i], split.crop);
+      }
+    }
+  }
+  return splits;
+}
+
+std::vector<std::byte> write_work(const CommandList& commands,
+                                  const WorkSplit& split) {
+  mpx::PayloadWriter writer;
+  writer.reserve(split.payload_bytes);
+  writer.write<std::uint64_t>(split.commands.size());
+  for (const std::size_t i : split.commands) {
+    write_command(writer, commands[i], split.crop);
+  }
+  writer.write<std::uint64_t>(split.tiles.size());
+  for (const std::size_t tile : split.tiles) {
+    writer.write<std::uint64_t>(static_cast<std::uint64_t>(tile));
+  }
+  std::vector<std::byte> payload = writer.take();
+  FV_ASSERT(payload.size() == split.payload_bytes,
+            "a work message is exactly the size its split computed");
+  return payload;
+}
 
 render::Framebuffer render_reference(const CommandList& commands,
                                      std::size_t width, std::size_t height) {

@@ -114,6 +114,32 @@ FrameResult render_wall_frame(const CommandList& commands,
                               const WallSpec& spec,
                               const WallOptions& options);
 
+/// Marks a tile that a split sends nowhere.
+inline constexpr std::size_t kNoDestination = static_cast<std::size_t>(-1);
+
+/// One destination's share of a command stream (its work message).
+struct WorkSplit {
+  std::vector<std::size_t> tiles;     ///< ascending tile ids
+  layout::Rect crop;                  ///< bounding box of `tiles`
+  std::vector<std::size_t> commands;  ///< stream indices, ascending
+  std::size_t payload_bytes = 0;      ///< exact size of write_work's bytes
+};
+
+/// Splits `commands` among destinations in one pass over the stream:
+/// destination d gets every command whose bounds overlap one of the tiles
+/// with destination_of_tile[tile] == d (kNoDestination: none), in stream
+/// order. Entry d of the result is destination d's share; there are as many
+/// as the largest destination named, plus one.
+std::vector<WorkSplit> split_work(
+    const CommandList& commands, const WallSpec& spec,
+    const std::vector<std::size_t>& destination_of_tile);
+
+/// The work message of `split`: `split.commands` as write_commands lays
+/// them out, each image cut to `split.crop`, then a u64 tile count and the
+/// u64 tile ids.
+std::vector<std::byte> write_work(const CommandList& commands,
+                                  const WorkSplit& split);
+
 /// Single-pass reference rendering of the same command stream (desktop
 /// path); wall output must match it pixel for pixel.
 render::Framebuffer render_reference(const CommandList& commands,

@@ -368,8 +368,34 @@ TEST(WallFrameGoldenTest, Fig6DesktopAndWallFrameHashesArePinned) {
   const co::ForestViewApp app(&session);
   EXPECT_EQ(pixel_hash(app.render_desktop(co::FrameConfig{1600, 1200, 4, {}})),
             0x80b8f0487d26cdcfull);
-  EXPECT_EQ(pixel_hash(app.render_wall(wl::WallSpec{4, 3, 512, 384}, 4).frame),
-            0x7cb93162201fd860ull);
+  const wl::WallSpec wall{4, 3, 512, 384};
+  const auto four = app.render_wall(wall, 4);
+  EXPECT_EQ(pixel_hash(four.frame), 0x7cb93162201fd860ull);
+
+  // Wire bytes per frame. Each node is sent the commands its tiles overlap
+  // with every image cut to the bounding box of those tiles; uncut, the
+  // same split would ship `uncut` bytes. At 4 nodes a node's tiles are one
+  // full column, which holds each global view whole, so nothing is cut;
+  // at one node per tile each view is cut at the row seams it crosses.
+  const auto commands = app.record_frame(co::FrameConfig{2048, 1152, 4, {}});
+  const auto uncut = [&](std::size_t nodes) {
+    std::vector<std::size_t> route(wall.tile_count());
+    for (std::size_t t = 0; t < route.size(); ++t) route[t] = t % nodes;
+    std::size_t bytes = 0;
+    for (const auto& split : wl::split_work(commands, wall, route)) {
+      bytes += (2 + split.tiles.size()) * sizeof(std::uint64_t);
+      for (const std::size_t i : split.commands) {
+        bytes += wl::wire_size(commands[i], commands[i].bounds());
+      }
+    }
+    return bytes;
+  };
+  const auto twelve = app.render_wall(wall, 12);
+  EXPECT_EQ(twelve.frame, four.frame);
+  EXPECT_EQ(four.stats.bytes_distributed, 2831978u);
+  EXPECT_EQ(twelve.stats.bytes_distributed, 2834986u);
+  EXPECT_EQ(uncut(4), 2831978u);
+  EXPECT_EQ(uncut(12), 6767914u);
 }
 
 // Work counter: a 12-pane wall-sized frame records one image per global

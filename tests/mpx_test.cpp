@@ -3,6 +3,7 @@
 // fault injection, and failure propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -11,6 +12,7 @@
 #include "mpx/communicator.hpp"
 #include "render/color.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -74,6 +76,107 @@ TEST(PayloadTest, HostileLengthPrefixesThrowTyped) {
   const auto string_payload = string_writer.take();
   mpx::PayloadReader string_reader(string_payload);
   EXPECT_THROW(string_reader.read_string(), fv::InvalidArgument);
+}
+
+TEST(PayloadTest, ReadSpanBorrowsTheMessageBytes) {
+  const std::vector<fv::render::Rgb8> pixels{{1, 2, 3}, {4, 5, 6}};
+  mpx::PayloadWriter writer;
+  writer.write<std::uint64_t>(9);
+  writer.write_span(std::span<const fv::render::Rgb8>(pixels));
+  writer.write_span(std::span<const fv::render::Rgb8>());
+  const auto payload = writer.take();
+  mpx::PayloadReader reader(payload);
+  EXPECT_EQ(reader.read<std::uint64_t>(), 9u);
+  const auto view = reader.read_span<fv::render::Rgb8>();
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_EQ(reinterpret_cast<const std::byte*>(view.data()),
+            payload.data() + 2 * sizeof(std::uint64_t));
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), pixels.begin()));
+  EXPECT_TRUE(reader.read_span<fv::render::Rgb8>().empty());
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(PayloadTest, PixelReplyLongerThanItsMessageThrowsTyped) {
+  // A pixel reply, [tile, executed, raster seconds, pixels], whose pixel
+  // count claims more than the message holds: the borrowed read must
+  // refuse it before forming a view past the end.
+  const std::vector<fv::render::Rgb8> pixels(10);
+  for (const std::uint64_t claimed :
+       {std::uint64_t{11}, std::uint64_t{1} << 40,
+        std::uint64_t{0x5555555555555556ull}}) {
+    mpx::PayloadWriter writer;
+    writer.write<std::uint64_t>(3);
+    writer.write<std::uint64_t>(7);
+    writer.write<double>(0.25);
+    writer.write<std::uint64_t>(claimed);
+    writer.write_values(std::span<const fv::render::Rgb8>(pixels));
+    const auto payload = writer.take();
+    mpx::PayloadReader reader(payload);
+    reader.read<std::uint64_t>();
+    reader.read<std::uint64_t>();
+    reader.read<double>();
+    EXPECT_THROW(reader.read_span<fv::render::Rgb8>(), fv::InvalidArgument)
+        << claimed;
+  }
+}
+
+/// Seeded mutation fuzzing of PayloadReader: truncated, bit-flipped and
+/// spliced payloads must decode or throw fv::InvalidArgument through every
+/// read, and a borrowed span must lie inside the payload.
+TEST(PayloadFuzzTest, MutatedPayloadsDecodeOrFailTyped) {
+  const std::vector<fv::render::Rgb8> pixels(40, fv::render::Rgb8{1, 2, 3});
+  const std::vector<float> values{1.0f, 2.0f, 3.0f};
+  mpx::PayloadWriter writer;
+  writer.write<std::uint64_t>(5);
+  writer.write_string("tile");
+  writer.write_span(std::span<const float>(values));
+  writer.write<double>(0.5);
+  writer.write_span(std::span<const fv::render::Rgb8>(pixels));
+  const std::vector<std::byte> payload = writer.take();
+
+  fv::Rng rng(0x5eed);
+  std::size_t decoded = 0, rejected = 0;
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    std::vector<std::byte> bytes = payload;
+    switch (rng.uniform_u64(3)) {
+      case 0:  // truncate
+        bytes.resize(rng.uniform_u64(bytes.size()));
+        break;
+      case 1:  // flip a few bits
+        for (auto flips = 1 + rng.uniform_u64(4); flips > 0; --flips) {
+          bytes[rng.uniform_u64(bytes.size())] ^=
+              std::byte{static_cast<unsigned char>(1u << rng.uniform_u64(8))};
+        }
+        break;
+      default: {  // splice a copy of one segment in at another offset
+        const auto from = rng.uniform_u64(bytes.size());
+        const auto length = 1 + rng.uniform_u64(bytes.size() - from);
+        const std::vector<std::byte> segment(
+            bytes.begin() + static_cast<std::ptrdiff_t>(from),
+            bytes.begin() + static_cast<std::ptrdiff_t>(from + length));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.uniform_u64(bytes.size())),
+                     segment.begin(), segment.end());
+        break;
+      }
+    }
+    try {
+      mpx::PayloadReader reader(bytes);
+      reader.read<std::uint64_t>();
+      reader.read_string();
+      reader.read_vector<float>();
+      reader.read<double>();
+      const auto view = reader.read_span<fv::render::Rgb8>();
+      const auto* first = reinterpret_cast<const std::byte*>(view.data());
+      ASSERT_GE(first, bytes.data());
+      ASSERT_LE(first + view.size_bytes(), bytes.data() + bytes.size());
+      ++decoded;
+    } catch (const fv::InvalidArgument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(MailboxTest, FifoPerSourceAndTag) {

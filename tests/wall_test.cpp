@@ -126,7 +126,13 @@ TEST(CommandTest, SerializationRoundTrip) {
     EXPECT_EQ(parsed[i].text, commands[i].text);
     EXPECT_EQ(parsed[i].pixels, commands[i].pixels);
   }
-  EXPECT_EQ(wl::serialized_size(commands), payload.size());
+  // The exact size a work message reserves: the count, then each command
+  // uncropped.
+  std::size_t expected = sizeof(std::uint64_t);
+  for (const auto& command : commands) {
+    expected += wl::wire_size(command, command.bounds());
+  }
+  EXPECT_EQ(payload.size(), expected);
 }
 
 /// A hand-built one-command stream: the common fields with width `w` and
@@ -446,6 +452,195 @@ TEST(WallFaultToleranceTest, FaultsWithoutDeadlineAreRejected) {
   options.tile_deadline = std::chrono::milliseconds(100);
   options.faults.crash_rank = 0;  // the master must survive
   EXPECT_THROW(wl::render_wall_frame({}, spec, options), fv::InvalidArgument);
+}
+
+// -- the one-pass split, against a per-tile reference cull -----------------
+
+/// Indices of the commands whose bounds overlap one of `tiles`, in stream
+/// order: the cull split_work must reproduce, one tile rect at a time.
+std::vector<std::size_t> reference_cull(const wl::CommandList& commands,
+                                        const wl::WallSpec& spec,
+                                        const std::vector<std::size_t>& tiles) {
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    for (const std::size_t tile : tiles) {
+      if (fv::layout::overlaps(commands[i].bounds(), spec.tile_rect(tile))) {
+        kept.push_back(i);
+        break;
+      }
+    }
+  }
+  return kept;
+}
+
+/// A scene whose commands start up to 60 px off every side of the canvas,
+/// with text at several scales, lines, images centred on tile corners (the
+/// canvas corners included), and zero- and negative-size commands that the
+/// recording canvas would have dropped.
+wl::CommandList split_scene(std::uint64_t seed, const wl::WallSpec& spec) {
+  fv::Rng rng(seed);
+  const auto coordinate = [&](std::size_t extent) {
+    return static_cast<long>(rng.uniform_u64(extent + 120)) - 60;
+  };
+  wl::RecordingCanvas canvas;
+  for (int i = 0; i < 150; ++i) {
+    const long x = coordinate(spec.total_width());
+    const long y = coordinate(spec.total_height());
+    const long w = 1 + static_cast<long>(rng.uniform_u64(90));
+    const long h = 1 + static_cast<long>(rng.uniform_u64(70));
+    const rd::Rgb8 color{static_cast<std::uint8_t>(rng.uniform_u64(256)),
+                         static_cast<std::uint8_t>(i), 99};
+    switch (rng.uniform_u64(5)) {
+      case 0:
+        canvas.fill_rect(x, y, w, h, color);
+        break;
+      case 1:
+        canvas.text(x, y, "ORF" + std::to_string(i), color,
+                    1 + static_cast<int>(rng.uniform_u64(3)));
+        break;
+      case 2:
+        canvas.line(x, y, x + w - 45, y + h - 35, color);
+        break;
+      case 3: {
+        const auto col = static_cast<long>(rng.uniform_u64(spec.tile_cols + 1));
+        const auto row = static_cast<long>(rng.uniform_u64(spec.tile_rows + 1));
+        std::vector<rd::Rgb8> pixels(static_cast<std::size_t>(w * h));
+        for (std::size_t p = 0; p < pixels.size(); ++p) {
+          pixels[p] = rd::Rgb8{static_cast<std::uint8_t>(p),
+                               static_cast<std::uint8_t>(p >> 8),
+                               static_cast<std::uint8_t>(i)};
+        }
+        canvas.image(col * static_cast<long>(spec.tile_width) - w / 2,
+                     row * static_cast<long>(spec.tile_height) - h / 2, w, h,
+                     pixels);
+        break;
+      }
+      default:
+        canvas.hline(x, x + w, y, color);
+        canvas.vline(x, y, y + h, color);
+        break;
+    }
+  }
+  wl::CommandList commands = canvas.take();
+  const auto at = [&] {
+    return commands.begin() +
+           static_cast<std::ptrdiff_t>(rng.uniform_u64(commands.size()));
+  };
+  commands.insert(at(), wl::RenderCommand{wl::CommandType::kFillRect, 10, 10,
+                                          0, 5, rd::colors::kRed, 1, {}, {}});
+  commands.insert(at(), wl::RenderCommand{wl::CommandType::kDrawRect, 5, 5,
+                                          -3, 4, rd::colors::kRed, 1, {}, {}});
+  commands.insert(at(), wl::RenderCommand{wl::CommandType::kImage, 20, 20, 0,
+                                          0, rd::colors::kRed, 1, {}, {}});
+  return commands;
+}
+
+/// Tiles of node d under the round-robin assignment.
+std::vector<std::size_t> round_robin_tiles(std::size_t node,
+                                           std::size_t nodes,
+                                           std::size_t tile_count) {
+  std::vector<std::size_t> tiles;
+  for (std::size_t t = node; t < tile_count; t += nodes) tiles.push_back(t);
+  return tiles;
+}
+
+/// Node count of the split; 0 = one node per tile.
+class WorkSplitTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WorkSplitTest, MatchesPerTileCullWithOnlyImagesCut) {
+  const wl::WallSpec spec{4, 3, 40, 30};
+  const std::size_t nodes = GetParam() == 0 ? spec.tile_count() : GetParam();
+  std::size_t cut_images = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const auto commands = split_scene(seed + 40 * nodes, spec);
+    std::vector<std::size_t> route(spec.tile_count());
+    for (std::size_t t = 0; t < route.size(); ++t) route[t] = t % nodes;
+    const auto splits = wl::split_work(commands, spec, route);
+    ASSERT_EQ(splits.size(), nodes);
+    for (std::size_t d = 0; d < nodes; ++d) {
+      const wl::WorkSplit& split = splits[d];
+      const auto tiles = round_robin_tiles(d, nodes, spec.tile_count());
+      ASSERT_EQ(split.tiles, tiles);
+      const auto expected = reference_cull(commands, spec, tiles);
+      ASSERT_EQ(split.commands, expected) << "node " << d;
+
+      const auto payload = wl::write_work(commands, split);
+      EXPECT_EQ(payload.size(), split.payload_bytes);
+      fv::mpx::PayloadReader reader(payload);
+      const auto sent = wl::read_commands(reader);
+      ASSERT_EQ(sent.size(), expected.size());
+      EXPECT_EQ(reader.read<std::uint64_t>(), tiles.size());
+      for (const std::size_t tile : tiles) {
+        EXPECT_EQ(reader.read<std::uint64_t>(), tile);
+      }
+      EXPECT_EQ(reader.remaining(), 0u);
+
+      // The same commands in the same order; an image may be cut to a
+      // sub-rectangle of itself, and keeps its pixels there.
+      wl::CommandList whole;
+      for (std::size_t k = 0; k < sent.size(); ++k) {
+        const wl::RenderCommand& original = commands[expected[k]];
+        const wl::RenderCommand& got = sent[k];
+        whole.push_back(original);
+        EXPECT_EQ(got.type, original.type);
+        EXPECT_EQ(got.color, original.color);
+        EXPECT_EQ(got.scale, original.scale);
+        EXPECT_EQ(got.text, original.text);
+        if (original.type != wl::CommandType::kImage) {
+          EXPECT_EQ(got.bounds(), original.bounds());
+          EXPECT_EQ(got.x1, original.x1);
+          EXPECT_EQ(got.y1, original.y1);
+          continue;
+        }
+        const fv::layout::Rect from = original.bounds();
+        const fv::layout::Rect kept = got.bounds();
+        ASSERT_EQ(fv::layout::intersect(kept, from), kept);
+        if (kept != from) ++cut_images;
+        std::size_t mismatched = 0;
+        for (long y = kept.y; y < kept.bottom(); ++y) {
+          for (long x = kept.x; x < kept.right(); ++x) {
+            mismatched += got.pixels[static_cast<std::size_t>(
+                         (y - kept.y) * kept.width + (x - kept.x))] !=
+                     original.pixels[static_cast<std::size_t>(
+                         (y - from.y) * from.width + (x - from.x))];
+          }
+        }
+        EXPECT_EQ(mismatched, 0u);
+      }
+
+      // Every tile of the node rasters the same pixels, and executes the
+      // same commands, from the cut substream as from the uncut one.
+      for (const std::size_t tile : tiles) {
+        const fv::layout::Rect rect = spec.tile_rect(tile);
+        rd::Framebuffer from_sent(spec.tile_width, spec.tile_height);
+        rd::Framebuffer from_whole(spec.tile_width, spec.tile_height);
+        EXPECT_EQ(wl::replay_commands(from_sent, sent, rect.x, rect.y),
+                  wl::replay_commands(from_whole, whole, rect.x, rect.y));
+        EXPECT_EQ(from_sent, from_whole) << "node " << d << " tile " << tile;
+      }
+    }
+  }
+  EXPECT_GT(cut_images, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(NodeCounts, WorkSplitTest,
+                         ::testing::Values(1, 2, 3, 5, 0));
+
+TEST(WorkSplitRouteTest, UnroutedTilesGetNothing) {
+  const wl::WallSpec spec{3, 1, 10, 10};
+  wl::RecordingCanvas canvas;
+  canvas.fill_rect(0, 0, 30, 10, rd::colors::kRed);  // every tile
+  canvas.fill_rect(2, 2, 3, 3, rd::colors::kGreen);  // tile 0 only
+  const auto commands = canvas.take();
+  const auto splits =
+      wl::split_work(commands, spec, {wl::kNoDestination, 1, wl::kNoDestination});
+  ASSERT_EQ(splits.size(), 2u);
+  EXPECT_TRUE(splits[0].tiles.empty());
+  EXPECT_TRUE(splits[0].commands.empty());
+  EXPECT_EQ(splits[1].tiles, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(splits[1].commands, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(splits[1].crop, spec.tile_rect(1));
+  EXPECT_THROW(wl::split_work(commands, spec, {0, 0}), fv::InvalidArgument);
 }
 
 }  // namespace
