@@ -22,16 +22,17 @@ constexpr Rgb8 kGapRow{40, 40, 48};  ///< "gene not measured here"
 
 /// Draws the whole-genome global view into `rect` through the canvas as
 /// one image, so the wall command stream carries one command per pane
-/// instead of one fill per run of same-colored pixels.
+/// instead of one fill per run of same-colored pixels. `pixels` is the
+/// frame's scratch buffer for the strip; both canvases are done with it
+/// when image() returns (the recording canvas copies it).
 void draw_global_view(Canvas& canvas, const expr::Dataset& dataset,
                       const std::vector<std::size_t>& order,
                       const render::ExpressionColormap& colormap,
-                      const layout::Rect& rect) {
-  canvas.image(rect.x, rect.y, rect.width, rect.height,
-               render::global_view_pixels(
-                   dataset.values(), order, colormap,
-                   static_cast<std::size_t>(rect.width),
-                   static_cast<std::size_t>(rect.height)));
+                      const layout::Rect& rect, std::vector<Rgb8>& pixels) {
+  render::global_view_pixels(dataset.values(), order, colormap,
+                             static_cast<std::size_t>(rect.width),
+                             static_cast<std::size_t>(rect.height), pixels);
+  canvas.image(rect.x, rect.y, rect.width, rect.height, pixels);
 }
 
 /// Selection tick marks on the global view (the paper: other datasets
@@ -67,7 +68,8 @@ struct PaneRenderStats {
 PaneRenderStats render_pane(const Session& session, Canvas& canvas,
                             std::size_t dataset_index,
                             const layout::Rect& pane_rect,
-                            const layout::PaneConfig& pane_config) {
+                            const layout::PaneConfig& pane_config,
+                            std::vector<Rgb8>& strip) {
   PaneRenderStats stats;
   const expr::Dataset& dataset = session.dataset(dataset_index);
   const DisplayPrefs& prefs = session.prefs(dataset_index);
@@ -85,7 +87,7 @@ PaneRenderStats render_pane(const Session& session, Canvas& canvas,
   const auto display_order = dataset.display_order();
   if (!parts.global_view.empty()) {
     draw_global_view(canvas, dataset, display_order, colormap,
-                     parts.global_view);
+                     parts.global_view, strip);
     draw_selection_marks(canvas, session, dataset_index, display_order,
                          parts.global_view);
   }
@@ -155,10 +157,12 @@ FrameInfo render_frame(const Session& session, render::Canvas& canvas,
   const auto panes = layout::split_vertical_panes(
       config.width, config.height, session.pane_order().size(),
       config.pane_gap);
+  // One strip buffer for every pane's global view.
+  std::vector<Rgb8> strip;
   for (std::size_t p = 0; p < panes.size(); ++p) {
     const std::size_t dataset_index = session.pane_order()[p];
     const auto stats = render_pane(session, canvas, dataset_index, panes[p],
-                                   config.pane);
+                                   config.pane, strip);
     ++info.panes_rendered;
     info.zoom_rows_rendered += stats.zoom_rows;
     info.cells_rendered += stats.cells;

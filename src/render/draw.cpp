@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <utility>
 
 #include "render/font.hpp"
 #include "util/error.hpp"
@@ -17,10 +20,35 @@ struct Clip {
   bool empty() const noexcept { return x0 >= x1 || y0 >= y1; }
 };
 
+/// min(start + length, limit) for length > 0 and limit >= 0. The sum is only
+/// formed when it is below `limit`, so it cannot overflow.
+long clipped_end(long start, long length, long limit) {
+  return start >= limit - length ? limit : start + length;
+}
+
+/// Needs width > 0 and height > 0; any long coordinates and sizes clip
+/// exactly.
 Clip clip_to(const Framebuffer& fb, long x, long y, long width, long height) {
+  const auto fb_width = static_cast<long>(fb.width());
+  const auto fb_height = static_cast<long>(fb.height());
   return Clip{std::max(x, 0L), std::max(y, 0L),
-              std::min(x + width, static_cast<long>(fb.width())),
-              std::min(y + height, static_cast<long>(fb.height()))};
+              clipped_end(x, width, fb_width),
+              clipped_end(y, height, fb_height)};
+}
+
+/// start + length - 1 for length > 0, saturated at LONG_MAX (which lies
+/// past every framebuffer, so the clipped pixels are the same).
+long last_of(long start, long length) {
+  return start > std::numeric_limits<long>::max() - (length - 1)
+             ? std::numeric_limits<long>::max()
+             : start + (length - 1);
+}
+
+/// The inclusive span [a, b] (endpoints in either order) clipped to
+/// [0, limit), as its first and last coordinate; empty when first > last.
+std::pair<long, long> clip_span(long a, long b, long limit) {
+  if (a > b) std::swap(a, b);
+  return {std::max(a, 0L), std::min(b, limit - 1)};
 }
 
 }  // namespace
@@ -30,9 +58,15 @@ void fill_rect(Framebuffer& fb, long x, long y, long width, long height,
   if (width <= 0 || height <= 0) return;
   const Clip clip = clip_to(fb, x, y, width, height);
   if (clip.empty()) return;
-  for (long py = clip.y0; py < clip.y1; ++py) {
-    const auto row = fb.row(static_cast<std::size_t>(py));
-    std::fill(row.begin() + clip.x0, row.begin() + clip.x1, color);
+  // Every row of the rectangle is the same: fill the first clipped row span
+  // and copy it into the rest.
+  const auto x0 = static_cast<std::size_t>(clip.x0);
+  const auto span = static_cast<std::size_t>(clip.x1 - clip.x0);
+  Rgb8* const first = fb.row(static_cast<std::size_t>(clip.y0)).data() + x0;
+  std::fill_n(first, span, color);
+  for (long py = clip.y0 + 1; py < clip.y1; ++py) {
+    std::memcpy(fb.row(static_cast<std::size_t>(py)).data() + x0, first,
+                span * sizeof(Rgb8));
   }
 }
 
@@ -65,20 +99,28 @@ void draw_image(Framebuffer& fb, long x, long y, long width, long height,
 void draw_rect(Framebuffer& fb, long x, long y, long width, long height,
                Rgb8 color) {
   if (width <= 0 || height <= 0) return;
-  draw_hline(fb, x, x + width - 1, y, color);
-  draw_hline(fb, x, x + width - 1, y + height - 1, color);
-  draw_vline(fb, x, y, y + height - 1, color);
-  draw_vline(fb, x + width - 1, y, y + height - 1, color);
+  const long right = last_of(x, width);
+  const long bottom = last_of(y, height);
+  draw_hline(fb, x, right, y, color);
+  draw_hline(fb, x, right, bottom, color);
+  draw_vline(fb, x, y, bottom, color);
+  draw_vline(fb, right, y, bottom, color);
 }
 
 void draw_hline(Framebuffer& fb, long x0, long x1, long y, Rgb8 color) {
-  if (x0 > x1) std::swap(x0, x1);
-  for (long x = x0; x <= x1; ++x) fb.set_clipped(x, y, color);
+  if (y < 0 || y >= static_cast<long>(fb.height())) return;
+  const auto [first, last] = clip_span(x0, x1, static_cast<long>(fb.width()));
+  if (first > last) return;
+  const auto row = fb.row(static_cast<std::size_t>(y));
+  std::fill(row.begin() + first, row.begin() + last + 1, color);
 }
 
 void draw_vline(Framebuffer& fb, long x, long y0, long y1, Rgb8 color) {
-  if (y0 > y1) std::swap(y0, y1);
-  for (long y = y0; y <= y1; ++y) fb.set_clipped(x, y, color);
+  if (x < 0 || x >= static_cast<long>(fb.width())) return;
+  const auto [first, last] = clip_span(y0, y1, static_cast<long>(fb.height()));
+  for (long y = first; y <= last; ++y) {
+    fb.row(static_cast<std::size_t>(y))[static_cast<std::size_t>(x)] = color;
+  }
 }
 
 void draw_line(Framebuffer& fb, long x0, long y0, long x1, long y1,

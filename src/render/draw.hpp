@@ -1,6 +1,12 @@
 // 2-D drawing primitives over Framebuffer: rectangles, pixel blocks,
 // Bresenham lines, bitmap text. These are the only operations the pane
 // renderers and the display-wall command stream need.
+//
+// fill_rect, draw_image, draw_rect and the horizontal and vertical lines
+// clip once and then write whole row spans. Their clipping cannot overflow:
+// any long coordinates and sizes draw exactly the pixels of the rectangle
+// or span that lie inside the framebuffer, and their cost depends on those
+// pixels, not on the requested extent.
 #pragma once
 
 #include <span>
@@ -10,7 +16,9 @@
 
 namespace fv::render {
 
-/// Filled axis-aligned rectangle, clipped to the framebuffer.
+/// Filled axis-aligned rectangle, clipped to the framebuffer. The one fill
+/// kernel: Framebuffer's constructor and clear() fill through it too. It
+/// fills the first clipped row and copies that row into the others.
 void fill_rect(Framebuffer& fb, long x, long y, long width, long height,
                Rgb8 color);
 
@@ -33,7 +41,9 @@ void draw_rect(Framebuffer& fb, long x, long y, long width, long height,
 void draw_line(Framebuffer& fb, long x0, long y0, long x1, long y1,
                Rgb8 color);
 
-/// Horizontal / vertical fast paths (dendrograms are all axis-aligned).
+/// Horizontal / vertical lines between inclusive endpoints in either order
+/// (dendrograms are all axis-aligned): the endpoints are clipped first, then
+/// the clipped span is written.
 void draw_hline(Framebuffer& fb, long x0, long x1, long y, Rgb8 color);
 void draw_vline(Framebuffer& fb, long x, long y0, long y1, Rgb8 color);
 

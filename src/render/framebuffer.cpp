@@ -1,6 +1,7 @@
 #include "render/framebuffer.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "render/draw.hpp"
 #include "util/error.hpp"
@@ -20,7 +21,10 @@ Rgb8 lerp(Rgb8 a, Rgb8 b, double t) {
 }
 
 Framebuffer::Framebuffer(std::size_t width, std::size_t height, Rgb8 fill)
-    : width_(width), height_(height), pixels_(width * height, fill) {}
+    : width_(width), height_(height), pixels_(width * height) {
+  // The pixels start zeroed, which is kBlack.
+  if (fill != colors::kBlack) clear(fill);
+}
 
 Rgb8 Framebuffer::at(std::size_t x, std::size_t y) const {
   FV_REQUIRE(x < width_ && y < height_, "pixel out of range");
@@ -42,7 +46,8 @@ void Framebuffer::set_clipped(long x, long y, Rgb8 color) {
 }
 
 void Framebuffer::clear(Rgb8 color) {
-  std::fill(pixels_.begin(), pixels_.end(), color);
+  fill_rect(*this, 0, 0, static_cast<long>(width_), static_cast<long>(height_),
+            color);
 }
 
 std::span<Rgb8> Framebuffer::row(std::size_t y) {
@@ -77,12 +82,10 @@ std::size_t Framebuffer::diff_count(const Framebuffer& other) const {
 std::string format_ppm(const Framebuffer& fb) {
   std::string out = "P6\n" + std::to_string(fb.width()) + " " +
                     std::to_string(fb.height()) + "\n255\n";
-  out.reserve(out.size() + fb.pixel_count() * 3);
-  for (const Rgb8& pixel : fb.pixels()) {
-    out.push_back(static_cast<char>(pixel.r));
-    out.push_back(static_cast<char>(pixel.g));
-    out.push_back(static_cast<char>(pixel.b));
-  }
+  // The pixel array is the P6 body: r, g, b bytes row by row.
+  static_assert(sizeof(Rgb8) == 3 && std::is_trivially_copyable_v<Rgb8>);
+  out.append(reinterpret_cast<const char*>(fb.pixels().data()),
+             fb.pixel_count() * sizeof(Rgb8));
   return out;
 }
 

@@ -18,6 +18,8 @@ namespace fv::render {
 class Framebuffer {
  public:
   Framebuffer() = default;
+  /// Starts zeroed, which is kBlack; any other `fill` is then written
+  /// through render::fill_rect, the one fill kernel.
   Framebuffer(std::size_t width, std::size_t height,
               Rgb8 fill = colors::kBlack);
 
@@ -38,6 +40,7 @@ class Framebuffer {
   /// rasterizing primitives near edges rely on this).
   void set_clipped(long x, long y, Rgb8 color);
 
+  /// Sets every pixel to `color` (through render::fill_rect).
   void clear(Rgb8 color);
 
   /// Copies `source` with its top-left corner at (x, y); parts that fall

@@ -8,13 +8,18 @@
 
 namespace fv::render {
 
-std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
-                                     std::span<const std::size_t> row_order,
-                                     const ExpressionColormap& colormap,
-                                     std::size_t width, std::size_t height) {
+void global_view_pixels(const expr::ExpressionMatrix& matrix,
+                        std::span<const std::size_t> row_order,
+                        const ExpressionColormap& colormap, std::size_t width,
+                        std::size_t height, std::vector<Rgb8>& pixels) {
   FV_REQUIRE(width > 0 && height > 0, "global view needs positive size");
-  std::vector<Rgb8> pixels(width * height, colors::kMissing);
-  if (row_order.empty() || matrix.cols() == 0) return pixels;
+  // Every pixel below is written, so what the buffer held before is never
+  // read.
+  pixels.resize(width * height);
+  if (row_order.empty() || matrix.cols() == 0) {
+    std::fill(pixels.begin(), pixels.end(), colors::kMissing);
+    return;
+  }
   const std::size_t rows = row_order.size();
   const std::size_t cols = matrix.cols();
   // Box-filter downsampling: output pixel (px, py) covers source rows
@@ -55,6 +60,11 @@ std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
         out[px] = out[px - 1];
         continue;
       }
+      if (band.size() == 1 && span.c1 - span.c0 == 1) {
+        // A one-cell box averages to its own value (NaN stays missing).
+        out[px] = colormap.map(band.front()[span.c0]);
+        continue;
+      }
       // Rows outer, columns inner, accumulated in double: the order and
       // rounding every pixel's bytes are pinned to.
       double sum = 0.0;
@@ -72,7 +82,6 @@ std::vector<Rgb8> global_view_pixels(const expr::ExpressionMatrix& matrix,
       out[px] = colormap.map(average);
     }
   }
-  return pixels;
 }
 
 }  // namespace fv::render

@@ -9,6 +9,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <utility>
 
 #include "expr/tree.hpp"
 #include "render/colormap.hpp"
@@ -34,11 +35,45 @@ std::size_t count_pixels(const Framebuffer& fb, Rgb8 color) {
   return n;
 }
 
+/// A width x height framebuffer of random pixels, so a kernel that skips a
+/// pixel it should write leaves a visible difference.
+Framebuffer noise_framebuffer(std::size_t width, std::size_t height,
+                              std::mt19937& rng) {
+  Framebuffer fb(width, height);
+  for (std::size_t y = 0; y < height; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      const auto bits = static_cast<std::uint32_t>(rng());
+      fb.set(x, y,
+             Rgb8{static_cast<std::uint8_t>(bits),
+                  static_cast<std::uint8_t>(bits >> 8),
+                  static_cast<std::uint8_t>(bits >> 16)});
+    }
+  }
+  return fb;
+}
+
 TEST(FramebufferTest, ConstructionAndFill) {
   Framebuffer fb(10, 5, rd::colors::kBlue);
   EXPECT_EQ(fb.width(), 10u);
   EXPECT_EQ(fb.height(), 5u);
   EXPECT_EQ(count_pixels(fb, rd::colors::kBlue), 50u);
+}
+
+TEST(FramebufferTest, ConstructionAndClearFillEveryPixel) {
+  const Rgb8 teal{0, 128, 128};
+  std::mt19937 rng(25);
+  for (const auto [width, height] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {1, 9}, {9, 1}, {13, 7},
+        {37, 23}, {0, 5}, {5, 0}}) {
+    const std::size_t n = width * height;
+    EXPECT_EQ(count_pixels(Framebuffer(width, height), rd::colors::kBlack), n);
+    EXPECT_EQ(count_pixels(Framebuffer(width, height, teal), teal), n);
+    Framebuffer fb = noise_framebuffer(width, height, rng);
+    fb.clear(teal);
+    EXPECT_EQ(count_pixels(fb, teal), n) << width << "x" << height;
+    fb.clear(rd::colors::kBlack);
+    EXPECT_EQ(fb, Framebuffer(width, height)) << width << "x" << height;
+  }
 }
 
 TEST(FramebufferTest, SetGetAndBounds) {
@@ -127,6 +162,162 @@ TEST(DrawTest, HlineVlineInclusiveAndSwapped) {
   EXPECT_EQ(count_pixels(fb, rd::colors::kGreen), 5u);
 }
 
+/// fill_rect one pixel at a time: every pixel of [x, x + width) x
+/// [y, y + height) through set_clipped.
+void reference_fill_rect(Framebuffer& fb, long x, long y, long width,
+                         long height, Rgb8 color) {
+  for (long py = y; py < y + height; ++py) {
+    for (long px = x; px < x + width; ++px) fb.set_clipped(px, py, color);
+  }
+}
+
+TEST(DrawTest, FillRectMatchesPerPixelReference) {
+  std::mt19937 rng(2507);
+  const auto pick = [&rng](long lo, long hi) {
+    return std::uniform_int_distribution<long>(lo, hi)(rng);
+  };
+  std::size_t filled = 0;
+  for (const auto [width, height] :
+       {std::pair<long, long>{1, 1}, {1, 7}, {7, 1}, {13, 11}, {37, 23}}) {
+    Framebuffer fb = noise_framebuffer(static_cast<std::size_t>(width),
+                                       static_cast<std::size_t>(height), rng);
+    Framebuffer want = fb;
+    for (int i = 0; i < 400; ++i) {
+      long x = pick(-width - 3, width + 3);
+      long y = pick(-height - 3, height + 3);
+      long w = pick(-3, width + 6);
+      long h = pick(-3, height + 6);
+      switch (i % 8) {
+        case 0:  // the full frame
+          x = 0, y = 0, w = width, h = height;
+          break;
+        case 1:  // one pixel wide
+          w = 1;
+          break;
+        case 2:  // one pixel tall
+          h = 1;
+          break;
+        default:
+          break;
+      }
+      const Rgb8 color{static_cast<std::uint8_t>(i), 7,
+                       static_cast<std::uint8_t>(255 - i)};
+      rd::fill_rect(fb, x, y, w, h, color);
+      reference_fill_rect(want, x, y, w, h, color);
+      ASSERT_EQ(fb, want) << "fill_rect(" << x << ", " << y << ", " << w
+                          << ", " << h << ") on " << width << "x" << height;
+      ++filled;
+    }
+  }
+  EXPECT_EQ(filled, 2000u);
+}
+
+// Exact arithmetic for the reference below, which forms sums of longs.
+__extension__ typedef __int128 Wide;
+
+/// `value` clamped to [-1, limit]: every coordinate outside a framebuffer
+/// of that extent collapses onto one just outside it, so per-pixel loops
+/// stay short and draw the same pixels.
+long clamp_to_frame(Wide value, std::size_t limit) {
+  return static_cast<long>(
+      std::clamp<Wide>(value, -1, static_cast<Wide>(limit)));
+}
+
+TEST(DrawTest, ExtremeCoordinatesClipExactly) {
+  constexpr long kMin = std::numeric_limits<long>::min();
+  constexpr long kMax = std::numeric_limits<long>::max();
+  constexpr long kHuge = long{1} << 62;
+  const long values[] = {kMin,  kMin + 1, -kHuge, -kHuge + 5, -1,   0,
+                         3,     22,       36,     37,         kHuge,
+                         kHuge - 5, kMax - 1, kMax};
+  std::mt19937 rng(37);
+  const Framebuffer noise = noise_framebuffer(37, 23, rng);
+  const std::size_t fw = noise.width();
+  const std::size_t fh = noise.height();
+  const Rgb8 color{1, 2, 3};
+  const auto hline_ref = [&](Framebuffer& fb, long x0, long x1, long y) {
+    x0 = clamp_to_frame(x0, fw);
+    x1 = clamp_to_frame(x1, fw);
+    y = clamp_to_frame(y, fh);
+    for (long x = std::min(x0, x1); x <= std::max(x0, x1); ++x) {
+      fb.set_clipped(x, y, color);
+    }
+  };
+  const auto vline_ref = [&](Framebuffer& fb, long x, long y0, long y1) {
+    x = clamp_to_frame(x, fw);
+    y0 = clamp_to_frame(y0, fh);
+    y1 = clamp_to_frame(y1, fh);
+    for (long y = std::min(y0, y1); y <= std::max(y0, y1); ++y) {
+      fb.set_clipped(x, y, color);
+    }
+  };
+  std::size_t checked = 0;
+  for (const long a : values) {
+    for (const long b : values) {
+      for (const long c : values) {
+        Framebuffer got = noise;
+        Framebuffer want = noise;
+        rd::draw_hline(got, a, b, c, color);
+        hline_ref(want, a, b, c);
+        ASSERT_EQ(got, want) << "hline " << a << " " << b << " " << c;
+        rd::draw_vline(got, a, b, c, color);
+        vline_ref(want, a, b, c);
+        ASSERT_EQ(got, want) << "vline " << a << " " << b << " " << c;
+        for (const long d : values) {
+          got = noise;
+          want = noise;
+          rd::fill_rect(got, a, b, c, d, color);
+          if (c > 0 && d > 0) {
+            const long x0 = clamp_to_frame(a, fw);
+            const long y0 = clamp_to_frame(b, fh);
+            reference_fill_rect(want, x0, y0,
+                                clamp_to_frame(Wide{a} + c, fw) - x0,
+                                clamp_to_frame(Wide{b} + d, fh) - y0, color);
+          }
+          ASSERT_EQ(got, want)
+              << "fill_rect " << a << " " << b << " " << c << " " << d;
+          rd::draw_rect(got, a, b, c, d, color);
+          if (c > 0 && d > 0) {
+            const long right = clamp_to_frame(Wide{a} + c - 1, fw);
+            const long bottom = clamp_to_frame(Wide{b} + d - 1, fh);
+            hline_ref(want, a, right, b);
+            hline_ref(want, a, right, bottom);
+            vline_ref(want, a, b, bottom);
+            vline_ref(want, right, b, bottom);
+          }
+          ASSERT_EQ(got, want)
+              << "draw_rect " << a << " " << b << " " << c << " " << d;
+          ++checked;
+        }
+        // A small image anywhere, including where x + width overflows.
+        for (const auto [w, h] : {std::pair<long, long>{5, 4}, {1, 1}}) {
+          std::vector<Rgb8> image(static_cast<std::size_t>(w * h));
+          for (std::size_t i = 0; i < image.size(); ++i) {
+            image[i] = Rgb8{static_cast<std::uint8_t>(i), 9, 9};
+          }
+          got = noise;
+          want = noise;
+          rd::draw_image(got, a, b, w, h, image);
+          for (long py = 0; py < h; ++py) {
+            for (long px = 0; px < w; ++px) {
+              const Wide x = Wide{a} + px;
+              const Wide y = Wide{b} + py;
+              if (x >= 0 && x < static_cast<Wide>(fw) && y >= 0 &&
+                  y < static_cast<Wide>(fh)) {
+                want.set(static_cast<std::size_t>(x),
+                         static_cast<std::size_t>(y),
+                         image[static_cast<std::size_t>(py * w + px)]);
+              }
+            }
+          }
+          ASSERT_EQ(got, want) << "draw_image " << a << " " << b;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size_t{14 * 14 * 14 * 14});
+}
+
 TEST(FontTest, KnownGlyphsExist) {
   for (char c : std::string("ABCXYZ0189-_.:()HSP26yal001c")) {
     EXPECT_TRUE(rd::has_glyph(c)) << "missing glyph for " << c;
@@ -202,7 +393,8 @@ TEST(GlobalViewTest, DownsamplesWithAveraging) {
   std::vector<std::size_t> order(20);
   for (std::size_t i = 0; i < 20; ++i) order[i] = i;
   const rd::ExpressionColormap map(rd::ColorScheme::kRedGreen, 2.0);
-  const auto pixels = rd::global_view_pixels(m, order, map, 10, 10);
+  std::vector<Rgb8> pixels;
+  rd::global_view_pixels(m, order, map, 10, 10, pixels);
   ASSERT_EQ(pixels.size(), 100u);
   EXPECT_EQ(pixels[1 * 10 + 5], rd::colors::kRed);
   EXPECT_EQ(pixels[8 * 10 + 5], rd::colors::kGreen);
@@ -211,7 +403,9 @@ TEST(GlobalViewTest, DownsamplesWithAveraging) {
 TEST(GlobalViewTest, EmptyInputPaintsMissing) {
   fv::expr::ExpressionMatrix m(0, 0);
   const rd::ExpressionColormap map;
-  const auto pixels = rd::global_view_pixels(m, {}, map, 5, 5);
+  std::vector<Rgb8> pixels(3, rd::colors::kRed);
+  rd::global_view_pixels(m, {}, map, 5, 5, pixels);
+  ASSERT_EQ(pixels.size(), 25u);
   EXPECT_EQ(std::count(pixels.begin(), pixels.end(), rd::colors::kMissing),
             25);
 }
@@ -344,14 +538,32 @@ TEST(ColormapTest, InlineMapMatchesLerpReferenceEverywhere) {
   EXPECT_GT(checked, std::size_t{15} << 20);
 }
 
+/// A rows x cols matrix of values in [-3, 3] with some missing cells, some
+/// -0 cells and some all-missing rows.
+fv::expr::ExpressionMatrix random_matrix(std::size_t rows, std::size_t cols,
+                                         std::mt19937& rng) {
+  std::uniform_real_distribution<float> value(-3.0f, 3.0f);
+  std::bernoulli_distribution missing(0.2);
+  std::bernoulli_distribution negative_zero(0.05);
+  std::bernoulli_distribution all_missing_row(0.05);
+  fv::expr::ExpressionMatrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const bool row_missing = all_missing_row(rng);
+    for (std::size_t c = 0; c < cols; ++c) {
+      float cell = value(rng);
+      if (negative_zero(rng)) cell = -0.0f;
+      m.set(r, c, row_missing || missing(rng) ? fv::stats::missing_value()
+                                              : cell);
+    }
+  }
+  return m;
+}
+
 TEST(GlobalViewTest, MatchesPerPixelReferenceBitForBit) {
   std::mt19937 rng(2022);
   const auto pick = [&rng](std::size_t lo, std::size_t hi) {
     return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
   };
-  std::uniform_real_distribution<float> value(-3.0f, 3.0f);
-  std::bernoulli_distribution missing(0.2);
-  std::bernoulli_distribution all_missing_row(0.05);
   // Rows, columns, width and height each come out as 1, as at most half
   // the size they are drawn against, or as one to three times it: every
   // mix of down- and up-sampling on both axes.
@@ -366,19 +578,16 @@ TEST(GlobalViewTest, MatchesPerPixelReferenceBitForBit) {
     }
   };
   std::size_t cases = 0;
+  // Cases whose boxes are all one cell (upsampled or equal on both axes)
+  // with a missing cell among those shown: the one-cell path's NaN case.
+  std::size_t one_cell_cases_with_missing = 0;
+  std::vector<Rgb8> pixels;
   for (std::size_t variant = 0; variant < 81 * 3; ++variant) {
     const std::size_t rows = size(variant, 60);
     const std::size_t cols = size(variant / 3, 40);
     const std::size_t height = size(variant / 9, rows);
     const std::size_t width = size(variant / 27, cols);
-    fv::expr::ExpressionMatrix m(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const bool row_missing = all_missing_row(rng);
-      for (std::size_t c = 0; c < cols; ++c) {
-        m.set(r, c, row_missing || missing(rng) ? fv::stats::missing_value()
-                                                : value(rng));
-      }
-    }
+    const auto m = random_matrix(rows, cols, rng);
     // A shuffled display order, sometimes over only part of the rows.
     std::vector<std::size_t> order(rows);
     std::iota(order.begin(), order.end(), 0);
@@ -386,13 +595,62 @@ TEST(GlobalViewTest, MatchesPerPixelReferenceBitForBit) {
     order.resize(pick(1, rows));
     const rd::ExpressionColormap colormap(kSchemes[variant / 81],
                                           0.25 + pick(0, 12) * 0.25);
-    ASSERT_EQ(rd::global_view_pixels(m, order, colormap, width, height),
-              reference_global_view(m, order, colormap, width, height))
+    rd::global_view_pixels(m, order, colormap, width, height, pixels);
+    ASSERT_EQ(pixels, reference_global_view(m, order, colormap, width, height))
         << rows << "x" << cols << " rows (" << order.size()
         << " shown) into " << width << "x" << height;
+    if (height >= order.size() && width >= cols &&
+        std::any_of(order.begin(), order.end(), [&](std::size_t r) {
+          const auto row = m.row(r);
+          return std::any_of(row.begin(), row.end(), fv::stats::is_missing);
+        })) {
+      ++one_cell_cases_with_missing;
+    }
     ++cases;
   }
   EXPECT_EQ(cases, 243u);
+  EXPECT_GE(one_cell_cases_with_missing, 20u);
+}
+
+TEST(GlobalViewTest, ReusedBufferMatchesFreshBuffer) {
+  std::mt19937 rng(7);
+  const auto m = random_matrix(50, 30, rng);
+  std::vector<std::size_t> order(50);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), rng);
+  const rd::ExpressionColormap colormap(rd::ColorScheme::kBlueYellow, 1.5);
+  const fv::expr::ExpressionMatrix empty(0, 0);
+  struct Strip {
+    const fv::expr::ExpressionMatrix* matrix;
+    std::size_t width;
+    std::size_t height;
+    bool dirty;  ///< scribble over the buffer's whole capacity first
+  };
+  // Grow, shrink, equal size, dirty, and the missing-only empty input.
+  const Strip strips[] = {{&m, 7, 9, false},    {&m, 61, 130, false},
+                          {&m, 12, 20, false},  {&m, 12, 20, true},
+                          {&m, 3, 200, true},   {&empty, 9, 9, true},
+                          {&m, 30, 50, true}};
+  std::vector<Rgb8> reused;
+  for (const Strip& strip : strips) {
+    if (strip.dirty) {
+      reused.resize(reused.capacity());
+      for (Rgb8& pixel : reused) {
+        pixel = Rgb8{static_cast<std::uint8_t>(rng()), 1, 2};
+      }
+    }
+    const std::span<const std::size_t> shown =
+        strip.matrix->rows() == 0 ? std::span<const std::size_t>{}
+                                  : std::span<const std::size_t>(order);
+    std::vector<Rgb8> fresh;
+    rd::global_view_pixels(*strip.matrix, shown, colormap, strip.width,
+                           strip.height, fresh);
+    rd::global_view_pixels(*strip.matrix, shown, colormap, strip.width,
+                           strip.height, reused);
+    ASSERT_EQ(reused, fresh) << strip.width << "x" << strip.height;
+    ASSERT_EQ(fresh, reference_global_view(*strip.matrix, shown, colormap,
+                                           strip.width, strip.height));
+  }
 }
 
 TEST(DendrogramTest, DrawsConnectedTree) {
