@@ -9,7 +9,13 @@
 //  * RenderFrame/selection  — render time vs selection size
 //  * SyncOn vs SyncOff      — ablation A1: the synchronization layer's cost
 //    (aligned gap rows vs per-dataset order)
+//  * RenderFrame_Cold       — the same frame from a fresh app, which colors
+//    every pane's global view (the first frame, or one after a resize)
 //  * RecordFrame            — command-stream recording cost (wall path)
+//
+// An app keeps each pane's global-view strip across frames, so every bench
+// that reuses one app measures warm frames: after the first iteration they
+// draw the kept strips and color none.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -97,6 +103,17 @@ void BM_RenderFrame_SyncOff(benchmark::State& state) {
   if (!session.sync().synchronized()) session.toggle_sync();  // restore
 }
 BENCHMARK(BM_RenderFrame_SyncOff)->Unit(benchmark::kMillisecond);
+
+void BM_RenderFrame_Cold(benchmark::State& state) {
+  auto& session = session_for(static_cast<std::size_t>(state.range(0)), 100);
+  for (auto _ : state) {
+    co::ForestViewApp app(&session);
+    benchmark::DoNotOptimize(app.render_desktop(kDesktop));
+  }
+  state.counters["panes"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_RenderFrame_Cold)->Arg(1)->Arg(4)->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SelectionPropagation(benchmark::State& state) {
   // The interactive-latency path: user drags a new region; every pane's

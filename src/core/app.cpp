@@ -9,24 +9,23 @@ ForestViewApp::ForestViewApp(Session* session) : session_(session) {
 }
 
 render::Framebuffer ForestViewApp::render_desktop(
-    const FrameConfig& config) const {
+    const FrameConfig& config) {
   render::Framebuffer fb(static_cast<std::size_t>(config.width),
                          static_cast<std::size_t>(config.height));
   render::FramebufferCanvas canvas(fb);
-  render_frame(*session_, canvas, config);
+  render_frame(*session_, canvas, config, desktop_strips_);
   return fb;
 }
 
-wall::CommandList ForestViewApp::record_frame(
-    const FrameConfig& config) const {
+wall::CommandList ForestViewApp::record_frame(const FrameConfig& config) {
   wall::RecordingCanvas canvas;
-  render_frame(*session_, canvas, config);
+  render_frame(*session_, canvas, config, wall_strips_);
   return canvas.take();
 }
 
 WallRender ForestViewApp::render_wall(
     const wall::WallSpec& spec, std::size_t node_count,
-    const layout::PaneConfig* pane_config) const {
+    const layout::PaneConfig* pane_config) {
   FrameConfig config;
   config.width = static_cast<long>(spec.total_width());
   config.height = static_cast<long>(spec.total_height());

@@ -20,28 +20,14 @@ constexpr Rgb8 kHeaderText{230, 230, 230};
 constexpr Rgb8 kTreeColor{170, 170, 170};
 constexpr Rgb8 kGapRow{40, 40, 48};  ///< "gene not measured here"
 
-/// Draws the whole-genome global view into `rect` through the canvas as
-/// one image, so the wall command stream carries one command per pane
-/// instead of one fill per run of same-colored pixels. `pixels` is the
-/// frame's scratch buffer for the strip; both canvases are done with it
-/// when image() returns (the recording canvas copies it).
-void draw_global_view(Canvas& canvas, const expr::Dataset& dataset,
-                      const std::vector<std::size_t>& order,
-                      const render::ExpressionColormap& colormap,
-                      const layout::Rect& rect, std::vector<Rgb8>& pixels) {
-  render::global_view_pixels(dataset.values(), order, colormap,
-                             static_cast<std::size_t>(rect.width),
-                             static_cast<std::size_t>(rect.height), pixels);
-  canvas.image(rect.x, rect.y, rect.width, rect.height, pixels);
-}
-
 /// Selection tick marks on the global view (the paper: other datasets
 /// "highlight their position in the global view with a line").
 void draw_selection_marks(Canvas& canvas, const Session& session,
                           std::size_t dataset_index,
-                          const std::vector<std::size_t>& order,
                           const layout::Rect& rect) {
-  if (order.empty() || session.selection().empty()) return;
+  if (session.selection().empty()) return;
+  const auto order = session.dataset(dataset_index).display_order();
+  if (order.empty()) return;
   // Position of each display row in the strip.
   std::vector<std::size_t> position_of_row(
       session.dataset(dataset_index).gene_count(), 0);
@@ -63,13 +49,14 @@ void draw_selection_marks(Canvas& canvas, const Session& session,
 struct PaneRenderStats {
   std::size_t zoom_rows = 0;
   std::size_t cells = 0;
+  bool strip_computed = false;
 };
 
 PaneRenderStats render_pane(const Session& session, Canvas& canvas,
                             std::size_t dataset_index,
                             const layout::Rect& pane_rect,
                             const layout::PaneConfig& pane_config,
-                            std::vector<Rgb8>& strip) {
+                            GlobalViewStrips& strips) {
   PaneRenderStats stats;
   const expr::Dataset& dataset = session.dataset(dataset_index);
   const DisplayPrefs& prefs = session.prefs(dataset_index);
@@ -84,12 +71,15 @@ PaneRenderStats render_pane(const Session& session, Canvas& canvas,
                 kHeaderText, 1);
   }
 
-  const auto display_order = dataset.display_order();
   if (!parts.global_view.empty()) {
-    draw_global_view(canvas, dataset, display_order, colormap,
-                     parts.global_view, strip);
-    draw_selection_marks(canvas, session, dataset_index, display_order,
-                         parts.global_view);
+    // The whole-genome global view goes out as one image, so the wall
+    // command stream carries one command per pane instead of one fill per
+    // run of same-colored pixels.
+    const auto& rect = parts.global_view;
+    canvas.image(rect.x, rect.y, rect.width, rect.height,
+                 strips.strip(session, dataset_index, colormap, rect.width,
+                              rect.height, stats.strip_computed));
+    draw_selection_marks(canvas, session, dataset_index, rect);
   }
 
   if (!parts.gene_tree.empty() && dataset.gene_tree().has_value() &&
@@ -147,8 +137,47 @@ PaneRenderStats render_pane(const Session& session, Canvas& canvas,
 
 }  // namespace
 
+std::span<const Rgb8> GlobalViewStrips::strip(
+    const Session& session, std::size_t dataset_index,
+    const render::ExpressionColormap& colormap, long width, long height,
+    bool& computed) {
+  FV_REQUIRE(dataset_index < session.dataset_count(),
+             "dataset index out of range");
+  FV_REQUIRE(width > 0 && height > 0, "a strip needs a positive size");
+  strips_.resize(std::max(strips_.size(), session.dataset_count()));
+  Strip& held = strips_[dataset_index];
+  computed = held.pixels.empty() || held.scheme != colormap.scheme() ||
+             held.contrast != colormap.contrast() || held.width != width ||
+             held.height != height;
+  if (computed) {
+    const expr::Dataset& dataset = session.dataset(dataset_index);
+    render::global_view_pixels(dataset.values(), dataset.display_order(),
+                               colormap, static_cast<std::size_t>(width),
+                               static_cast<std::size_t>(height), held.pixels);
+    // A smaller strip must not keep a larger one's storage.
+    held.pixels.shrink_to_fit();
+    held.scheme = colormap.scheme();
+    held.contrast = colormap.contrast();
+    held.width = width;
+    held.height = height;
+  }
+  return held.pixels;
+}
+
+std::size_t GlobalViewStrips::size() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(strips_.begin(), strips_.end(),
+                    [](const Strip& s) { return !s.pixels.empty(); }));
+}
+
+std::size_t GlobalViewStrips::bytes() const noexcept {
+  std::size_t total = 0;
+  for (const Strip& s : strips_) total += s.pixels.capacity() * sizeof(Rgb8);
+  return total;
+}
+
 FrameInfo render_frame(const Session& session, render::Canvas& canvas,
-                       const FrameConfig& config) {
+                       const FrameConfig& config, GlobalViewStrips& strips) {
   FV_REQUIRE(config.width > 0 && config.height > 0,
              "frame needs a positive size");
   FrameInfo info;
@@ -157,15 +186,14 @@ FrameInfo render_frame(const Session& session, render::Canvas& canvas,
   const auto panes = layout::split_vertical_panes(
       config.width, config.height, session.pane_order().size(),
       config.pane_gap);
-  // One strip buffer for every pane's global view.
-  std::vector<Rgb8> strip;
   for (std::size_t p = 0; p < panes.size(); ++p) {
     const std::size_t dataset_index = session.pane_order()[p];
     const auto stats = render_pane(session, canvas, dataset_index, panes[p],
-                                   config.pane, strip);
+                                   config.pane, strips);
     ++info.panes_rendered;
     info.zoom_rows_rendered += stats.zoom_rows;
     info.cells_rendered += stats.cells;
+    info.strips_computed += stats.strip_computed ? 1 : 0;
   }
   return info;
 }

@@ -9,6 +9,9 @@
 // stream (RecordingCanvas).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "core/session.hpp"
 #include "layout/pane.hpp"
 #include "render/canvas.hpp"
@@ -26,10 +29,54 @@ struct FrameInfo {
   std::size_t panes_rendered = 0;
   std::size_t zoom_rows_rendered = 0;  ///< summed over panes
   std::size_t cells_rendered = 0;      ///< zoom-view heatmap cells
+  /// Global-view strips colored this frame; a pane whose strip was kept
+  /// from an earlier frame adds nothing.
+  std::size_t strips_computed = 0;
 };
 
-/// Renders one full frame of the session onto the canvas.
+/// The global-view strips of one output (a desktop window, a wall), kept
+/// across the frames of one session: at most one strip per dataset.
+///
+/// A strip is keyed by everything render::global_view_pixels reads: the
+/// dataset index, the colormap's scheme and contrast, and the strip's width
+/// and height. A session's datasets are immutable and append-only, so an
+/// index names the same matrix and display order for the session's
+/// lifetime. A frame recolors a strip only when its key changed; a new size
+/// replaces the dataset's old strip, so memory stays at one strip per
+/// dataset however often the output is resized.
+///
+/// Use one instance with one session. It is not thread-safe: one thread
+/// renders through it at a time.
+class GlobalViewStrips {
+ public:
+  /// The strip of `dataset_index` at width x height (both > 0) in
+  /// `colormap`, colored now unless the same key was colored before. Sets
+  /// `computed` to whether it was. The span is valid until the next call.
+  std::span<const render::Rgb8> strip(
+      const Session& session, std::size_t dataset_index,
+      const render::ExpressionColormap& colormap, long width, long height,
+      bool& computed);
+
+  /// Strips held, at most one per dataset.
+  std::size_t size() const noexcept;
+  /// Bytes of pixel storage held across all strips.
+  std::size_t bytes() const noexcept;
+
+ private:
+  struct Strip {
+    render::ColorScheme scheme = render::ColorScheme::kRedGreen;
+    double contrast = 0.0;
+    long width = 0;
+    long height = 0;
+    std::vector<render::Rgb8> pixels;  ///< empty: nothing held
+  };
+  std::vector<Strip> strips_;  ///< indexed by dataset
+};
+
+/// Renders one full frame of the session onto the canvas, drawing each
+/// global view from `strips` (see GlobalViewStrips). Every pixel is the
+/// same whatever `strips` already holds.
 FrameInfo render_frame(const Session& session, render::Canvas& canvas,
-                       const FrameConfig& config);
+                       const FrameConfig& config, GlobalViewStrips& strips);
 
 }  // namespace fv::core

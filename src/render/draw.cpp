@@ -148,25 +148,48 @@ void draw_line(Framebuffer& fb, long x0, long y0, long x1, long y1,
 long draw_text(Framebuffer& fb, long x, long y, std::string_view text,
                Rgb8 color, int scale) {
   FV_REQUIRE(scale >= 1, "text scale must be at least 1");
+  const long s = scale;
+  const long advance = kGlyphAdvance * s;  // at most 6 * INT_MAX
+  const auto fb_width = static_cast<long>(fb.width());
+  const auto fb_height = static_cast<long>(fb.height());
+  // Where the text ends, saturated at LONG_MAX.
+  const long max = std::numeric_limits<long>::max();
+  const auto count = static_cast<long>(text.size());  // size() < LONG_MAX
+  const long end = count > (max - std::max(x, 0L)) / advance
+                       ? max
+                       : x + count * advance;
+  // y < fb_height, so the glyph rows below cannot overflow.
+  if (y >= fb_height || y + kGlyphHeight * s <= 0) return end;
   long cursor = x;
-  for (char c : text) {
-    const auto& rows = glyph_rows(c);
-    for (int gy = 0; gy < kGlyphHeight; ++gy) {
-      const std::uint8_t bits = rows[static_cast<std::size_t>(gy)];
-      for (int gx = 0; gx < kGlyphWidth; ++gx) {
-        if ((bits & (1u << (kGlyphWidth - 1 - gx))) == 0) continue;
-        // Each font pixel becomes a scale x scale block.
-        for (int by = 0; by < scale; ++by) {
-          for (int bx = 0; bx < scale; ++bx) {
-            fb.set_clipped(cursor + gx * scale + bx, y + gy * scale + by,
-                           color);
+  for (const char c : text) {
+    // cursor < fb_width on each pass, so cursor + advance cannot overflow.
+    if (cursor >= fb_width) break;
+    if (cursor + kGlyphWidth * s > 0) {
+      const auto& rows = glyph_rows(c);
+      for (int gy = 0; gy < kGlyphHeight; ++gy) {
+        const std::uint8_t bits = rows[static_cast<std::size_t>(gy)];
+        if (bits == 0) continue;
+        // Each font pixel is a scale x scale block, written clipped; blocks
+        // do not overlap, so no pixel is written twice.
+        const long top = y + gy * s;
+        const long row_end = std::min(top + s, fb_height);
+        for (long py = std::max(top, 0L); py < row_end; ++py) {
+          const auto row = fb.row(static_cast<std::size_t>(py));
+          for (int gx = 0; gx < kGlyphWidth; ++gx) {
+            if ((bits & (1u << (kGlyphWidth - 1 - gx))) == 0) continue;
+            const long left = cursor + gx * s;
+            const long col0 = std::max(left, 0L);
+            const long col1 = std::min(left + s, fb_width);
+            if (col0 < col1) {
+              std::fill(row.begin() + col0, row.begin() + col1, color);
+            }
           }
         }
       }
     }
-    cursor += static_cast<long>(kGlyphAdvance) * scale;
+    cursor += advance;
   }
-  return cursor;
+  return end;
 }
 
 }  // namespace fv::render

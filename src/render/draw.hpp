@@ -3,10 +3,11 @@
 // renderers and the display-wall command stream need.
 //
 // fill_rect, draw_image, draw_rect and the horizontal and vertical lines
-// clip once and then write whole row spans. Their clipping cannot overflow:
-// any long coordinates and sizes draw exactly the pixels of the rectangle
-// or span that lie inside the framebuffer, and their cost depends on those
-// pixels, not on the requested extent.
+// clip once and then write whole row spans; draw_text clips each glyph
+// block the same way. Their clipping cannot overflow: any long coordinates
+// and sizes draw exactly the pixels of the rectangle or span that lie
+// inside the framebuffer, and their cost depends on those pixels, not on
+// the requested extent.
 #pragma once
 
 #include <span>
@@ -48,7 +49,12 @@ void draw_hline(Framebuffer& fb, long x0, long x1, long y, Rgb8 color);
 void draw_vline(Framebuffer& fb, long x, long y0, long y1, Rgb8 color);
 
 /// Renders text with the 5x7 font at integer scale >= 1; (x, y) is the
-/// top-left corner. Returns the x coordinate just past the rendered text.
+/// top-left corner. Returns the x coordinate just past the rendered text,
+/// x + text.size() * kGlyphAdvance * scale saturated at LONG_MAX. Each font
+/// pixel's scale x scale block is clipped before it is written and the
+/// walk stops at the right edge, so no pixel is written twice and the cost
+/// is the pixels written plus the characters left of the edge, whatever
+/// the scale and coordinates.
 long draw_text(Framebuffer& fb, long x, long y, std::string_view text,
                Rgb8 color, int scale = 1);
 

@@ -21,6 +21,11 @@ namespace fv::render {
 /// every pixel is overwritten, so one buffer serves strip after strip of any
 /// size and nothing of its previous contents shows.
 ///
+/// The result depends only on the matrix, `row_order`, the colormap's
+/// scheme and contrast, and the size. core::GlobalViewStrips relies on
+/// that: a frame keeps each pane's strip and calls this again only when
+/// one of those changed.
+///
 /// Each distinct (row band, column span) box is averaged and colored once;
 /// the pixels that repeat it when a strip upsamples are copies. The average
 /// sums rows outer, columns inner, in double, so every pixel is bit-identical

@@ -43,14 +43,14 @@ layout::Rect bounding_box(const layout::Rect& a, const layout::Rect& b) {
 struct TileRaster {
   render::Framebuffer pixels;
   std::uint64_t executed = 0;  ///< commands that touched the tile
-  double seconds = 0.0;        ///< raster time
+  double seconds = 0.0;        ///< raster CPU time of the thread
 };
 
 /// Rasterizes one tile of the command stream (deterministic — this is what
 /// makes every recovery rung pixel-identical: any node, or the master, can
 /// re-render any tile and produce the same bytes).
 TileRaster raster_tile(const CommandList& commands, const layout::Rect& rect) {
-  Timer timer;
+  const ThreadCpuTimer timer;
   TileRaster raster;
   raster.pixels = render::Framebuffer(static_cast<std::size_t>(rect.width),
                                       static_cast<std::size_t>(rect.height));

@@ -76,6 +76,8 @@ struct FrameStats {
   double total_seconds = 0.0;          ///< wall-clock for the whole frame
   /// Largest per-source sum of tile raster time over composited tiles
   /// (raster only: command decode, pixel packing and sends are excluded).
+  /// Each tile's time is the rastering thread's CPU time, so it measures
+  /// the raster work, not how many node threads shared the cores.
   double max_node_render_seconds = 0.0;
   std::size_t commands_total = 0;      ///< commands in the stream
   std::size_t commands_executed = 0;   ///< sum over composited tiles

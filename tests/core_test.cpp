@@ -319,13 +319,15 @@ TEST(SessionTest, SharedSessionsConcurrentRenderAndSpellAreRaceFree) {
   render_session.select_region(0, 0, 3);
 
   std::thread renderer([&render_session] {
+    co::GlobalViewStrips strips;
     for (int i = 0; i < 8; ++i) {
       fv::render::Framebuffer fb(400, 300);
       fv::render::FramebufferCanvas canvas(fb);
       co::FrameConfig config;
       config.width = 400;
       config.height = 300;
-      const auto info = co::render_frame(render_session, canvas, config);
+      const auto info =
+          co::render_frame(render_session, canvas, config, strips);
       EXPECT_EQ(info.panes_rendered, 2u);
     }
   });
@@ -348,7 +350,8 @@ TEST(FrameTest, RendersPanesAndRows) {
   co::FrameConfig config;
   config.width = 800;
   config.height = 600;
-  const auto info = co::render_frame(session, canvas, config);
+  co::GlobalViewStrips strips;
+  const auto info = co::render_frame(session, canvas, config, strips);
   EXPECT_EQ(info.panes_rendered, 2u);
   EXPECT_GT(info.zoom_rows_rendered, 0u);
   EXPECT_GT(info.cells_rendered, 0u);

@@ -5,16 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <span>
+#include <utility>
 
+#include "cluster/hclust.hpp"
 #include "core/app.hpp"
 #include "core/session.hpp"
 #include "expr/synth.hpp"
 #include "expr/tree.hpp"
+#include "par/thread_pool.hpp"
 #include "render/canvas.hpp"
 #include "render/framebuffer.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/xxhash.hpp"
 #include "wall/wall_display.hpp"
 
@@ -273,7 +278,8 @@ TEST(HeatmapTest, ZoomViewClipsRowsToItsHeight) {
   rd::Framebuffer fb(static_cast<std::size_t>(kConfig.width),
                      static_cast<std::size_t>(kConfig.height));
   rd::FramebufferCanvas canvas(fb);
-  const auto info = co::render_frame(session, canvas, kConfig);
+  co::GlobalViewStrips strips;
+  const auto info = co::render_frame(session, canvas, kConfig, strips);
   EXPECT_EQ(info.zoom_rows_rendered,
             static_cast<std::size_t>(zoom.height / cell_h));
 
@@ -340,7 +346,7 @@ TEST(WallFrameGoldenTest, DesktopAndWallFrameHashesArePinned) {
   session.select_by_names({"GEN3", "GEN4", "GEN5", "GEN9", "GEN11"});
   session.prefs(1).scheme = rd::ColorScheme::kBlueYellow;
   session.prefs(2).scheme = rd::ColorScheme::kGrayscale;
-  const co::ForestViewApp app(&session);
+  co::ForestViewApp app(&session);
   EXPECT_EQ(pixel_hash(app.render_desktop(kConfig)), 0x08352fce6f146081ull);
   const wl::WallSpec spec{4, 3, 96, 64};
   EXPECT_EQ(pixel_hash(app.render_wall(spec, 2).frame),
@@ -365,7 +371,7 @@ TEST(WallFrameGoldenTest, Fig6DesktopAndWallFrameHashesArePinned) {
   session.prefs(1).scheme = rd::ColorScheme::kBlueYellow;
   session.prefs(2).scheme = rd::ColorScheme::kGrayscale;
   session.prefs(3).contrast = 0.7;
-  const co::ForestViewApp app(&session);
+  co::ForestViewApp app(&session);
   EXPECT_EQ(pixel_hash(app.render_desktop(co::FrameConfig{1600, 1200, 4, {}})),
             0x80b8f0487d26cdcfull);
   const wl::WallSpec wall{4, 3, 512, 384};
@@ -421,6 +427,203 @@ TEST(FrameRenderTest, WallFrameRecordsOneImagePerGlobalView) {
       });
   EXPECT_EQ(images, 12);
   EXPECT_LT(commands.size(), 20000u);
+}
+
+/// A frame rendered with nothing retained: a fresh framebuffer and fresh
+/// strips, plus the frame's counters.
+std::pair<rd::Framebuffer, co::FrameInfo> fresh_frame(
+    const co::Session& session, const co::FrameConfig& config) {
+  rd::Framebuffer fb(static_cast<std::size_t>(config.width),
+                     static_cast<std::size_t>(config.height));
+  rd::FramebufferCanvas canvas(fb);
+  co::GlobalViewStrips strips;
+  const auto info = co::render_frame(session, canvas, config, strips);
+  return {std::move(fb), info};
+}
+
+/// Bytes of one strip per dataset at `config`'s global-view sizes: what an
+/// output's retained strips may hold after a frame at that size.
+std::size_t strip_bytes(const co::Session& session,
+                        const co::FrameConfig& config) {
+  std::size_t bytes = 0;
+  for (const auto& pane : fv::layout::split_vertical_panes(
+           config.width, config.height, session.pane_order().size(),
+           config.pane_gap)) {
+    const auto view = fv::layout::layout_pane(pane, config.pane).global_view;
+    bytes += static_cast<std::size_t>(view.width * view.height) *
+             sizeof(rd::Rgb8);
+  }
+  return bytes;
+}
+
+// Work counter: a frame colors a pane's strip only when the strip's key
+// (dataset, scheme, contrast, size) changed since the last frame.
+TEST(FrameRetentionTest, CountsOnlyTheStripsAFrameRecolors) {
+  co::Session session(golden_datasets());
+  session.select_by_names({"GEN3", "GEN4"});
+  co::GlobalViewStrips strips;
+  rd::Framebuffer fb(static_cast<std::size_t>(kConfig.width),
+                     static_cast<std::size_t>(kConfig.height));
+  rd::FramebufferCanvas canvas(fb);
+  const auto computed = [&] {
+    return co::render_frame(session, canvas, kConfig, strips)
+        .strips_computed;
+  };
+  EXPECT_EQ(computed(), 3u);  // one per pane on the first frame
+  EXPECT_EQ(computed(), 0u);  // an identical frame recolors nothing
+  session.prefs(1).contrast = 1.5;
+  EXPECT_EQ(computed(), 1u);
+  session.prefs(2).scheme = rd::ColorScheme::kBlueYellow;
+  EXPECT_EQ(computed(), 1u);
+  // Selection, sync and scroll leave every global view as it was.
+  session.select_by_names({"GEN5", "GEN9", "GEN11"});
+  session.toggle_sync();
+  session.scroll_to(1);
+  EXPECT_EQ(computed(), 0u);
+  // Setting the same values again is no change.
+  session.prefs(1).contrast = 1.5;
+  EXPECT_EQ(computed(), 0u);
+  EXPECT_EQ(strips.size(), 3u);
+  EXPECT_EQ(strips.bytes(), strip_bytes(session, kConfig));
+  EXPECT_EQ(fb, fresh_frame(session, kConfig).first);
+}
+
+// One output keeps one strip per dataset: resizing the window replaces a
+// dataset's strip rather than adding one, and a smaller strip does not keep
+// a larger one's storage.
+TEST(FrameRetentionTest, ResizingKeepsOneStripPerDataset) {
+  co::Session session(golden_datasets());
+  co::ForestViewApp app(&session);
+  for (const long width : {800L, 1200L, 640L, 1200L, 300L}) {
+    const co::FrameConfig config{width, width / 2, 4, {}};
+    EXPECT_EQ(app.render_desktop(config), fresh_frame(session, config).first);
+    EXPECT_EQ(app.desktop_strips().size(), session.dataset_count());
+    EXPECT_EQ(app.desktop_strips().bytes(), strip_bytes(session, config));
+  }
+  EXPECT_EQ(app.wall_strips().size(), 0u);
+}
+
+/// A small compendium whose first dataset is clustered, so its display
+/// order is a tree's leaf order rather than the row order.
+std::vector<ex::Dataset> retention_datasets(std::uint64_t seed) {
+  ex::CompendiumSpec spec;
+  spec.genome = ex::GenomeSpec::yeast_like(160);
+  spec.stress_datasets = 2;
+  spec.nutrient_datasets = 1;
+  spec.knockout_datasets = 1;
+  spec.noise_datasets = 1;
+  spec.seed = seed;
+  auto compendium = ex::make_compendium(spec);
+  fv::par::ThreadPool pool(1);
+  fv::cluster::cluster_genes(compendium.datasets[0],
+                             fv::cluster::Metric::kPearson,
+                             fv::cluster::Linkage::kAverage, pool);
+  return std::move(compendium.datasets);
+}
+
+// Differential check of retention: one app runs a seeded sequence of the
+// actions that do and do not change a global view, with desktop and wall
+// frames interleaved. After every step its desktop frame equals a frame
+// rendered with nothing retained, byte for byte, and its wall frame equals
+// render_reference of a freshly recorded stream.
+TEST(FrameRetentionTest, SeededSessionMatchesRenderingWithNothingRetained) {
+  co::Session session(retention_datasets(31));
+  co::ForestViewApp app(&session);
+  auto extra = retention_datasets(32);
+  std::size_t added = 0;
+  fv::Rng rng(0x5e7a);
+  const co::FrameConfig sizes[] = {
+      {720, 400, 4, {}}, {640, 480, 4, {}}, {900, 300, 6, {}}};
+  co::FrameConfig config = sizes[0];
+  const wl::WallSpec walls[] = {{2, 2, 240, 120}, {3, 1, 200, 200}};
+  const rd::ColorScheme schemes[] = {rd::ColorScheme::kRedGreen,
+                                     rd::ColorScheme::kBlueYellow,
+                                     rd::ColorScheme::kGrayscale};
+  const double contrasts[] = {0.5, 1.0, 2.0, 3.7};
+  co::GlobalViewStrips kept;
+  std::size_t desktop_computed = 0, desktop_shown = 0, walls_checked = 0;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_u64(n));
+  };
+  for (int step = 0; step < 60; ++step) {
+    const std::size_t count = session.dataset_count();
+    switch (pick(9)) {
+      case 0: {
+        const std::size_t d = pick(count);
+        session.select_region(d, pick(session.dataset(d).gene_count()),
+                              1 + pick(60));
+        break;
+      }
+      case 1: {
+        std::vector<std::size_t> order(count);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        for (std::size_t i = count; i > 1; --i) {
+          std::swap(order[i - 1], order[pick(i)]);
+        }
+        session.order_panes(order);
+        break;
+      }
+      case 2:
+        session.toggle_sync();
+        break;
+      case 3:
+        session.scroll_to(pick(20));
+        break;
+      case 4:
+        session.prefs(pick(count)).scheme = schemes[pick(3)];
+        break;
+      case 5:
+        session.prefs(pick(count)).contrast = contrasts[pick(4)];
+        break;
+      case 6: {
+        co::DisplayPrefs prefs = session.prefs(pick(count));
+        prefs.contrast = contrasts[pick(4)];
+        session.set_prefs_all(prefs);
+        break;
+      }
+      case 7:
+        if (added < 2) session.add_dataset(std::move(extra[added++]));
+        break;
+      default:
+        config = sizes[pick(3)];
+        break;
+    }
+    const auto [fresh, info] = fresh_frame(session, config);
+    ASSERT_EQ(app.render_desktop(config), fresh) << "step " << step;
+    EXPECT_EQ(app.desktop_strips().size(), session.dataset_count());
+    EXPECT_EQ(app.desktop_strips().bytes(), strip_bytes(session, config));
+    EXPECT_EQ(info.strips_computed, session.dataset_count());
+    // The same frame through strips kept beside the app's, to count the
+    // recolored strips (the app's desktop frames hit and miss alike).
+    rd::Framebuffer beside(static_cast<std::size_t>(config.width),
+                           static_cast<std::size_t>(config.height));
+    rd::FramebufferCanvas canvas(beside);
+    desktop_computed +=
+        co::render_frame(session, canvas, config, kept).strips_computed;
+    ASSERT_EQ(beside, fresh) << "step " << step;
+    desktop_shown += session.dataset_count();
+    if (step % 3 == 0) {
+      const wl::WallSpec& spec = walls[pick(2)];
+      co::FrameConfig wall_config;
+      wall_config.width = static_cast<long>(spec.total_width());
+      wall_config.height = static_cast<long>(spec.total_height());
+      wl::RecordingCanvas recorder;
+      co::GlobalViewStrips nothing_kept;
+      co::render_frame(session, recorder, wall_config, nothing_kept);
+      const auto wall = app.render_wall(spec, 2);
+      ASSERT_EQ(wall.frame,
+                wl::render_reference(recorder.commands(), spec.total_width(),
+                                     spec.total_height()))
+          << "step " << step;
+      EXPECT_EQ(app.wall_strips().bytes(), strip_bytes(session, wall_config));
+      ++walls_checked;
+    }
+  }
+  EXPECT_EQ(added, 2u);
+  EXPECT_EQ(walls_checked, 20u);
+  // Most frames reuse most strips.
+  EXPECT_GT(desktop_computed, 0u);
+  EXPECT_LT(desktop_computed * 3, desktop_shown);
 }
 
 }  // namespace

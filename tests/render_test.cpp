@@ -9,6 +9,8 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "expr/tree.hpp"
@@ -344,6 +346,103 @@ TEST(FontTest, ScaledTextCoversScaledArea) {
   rd::draw_text(fb2, 0, 0, "I", rd::colors::kWhite, 2);
   EXPECT_EQ(count_pixels(fb2, rd::colors::kWhite),
             4 * count_pixels(fb1, rd::colors::kWhite));
+}
+
+/// The per-pixel text loop draw_text replaced: every font pixel's
+/// scale x scale block written pixel by pixel through set_clipped. Only
+/// valid for coordinates whose glyph arithmetic does not overflow.
+long reference_text(Framebuffer& fb, long x, long y, std::string_view text,
+                    Rgb8 color, int scale) {
+  long cursor = x;
+  for (const char c : text) {
+    const auto& rows = rd::glyph_rows(c);
+    for (int gy = 0; gy < rd::kGlyphHeight; ++gy) {
+      for (int gx = 0; gx < rd::kGlyphWidth; ++gx) {
+        if ((rows[static_cast<std::size_t>(gy)] &
+             (1u << (rd::kGlyphWidth - 1 - gx))) == 0) {
+          continue;
+        }
+        for (int by = 0; by < scale; ++by) {
+          for (int bx = 0; bx < scale; ++bx) {
+            fb.set_clipped(cursor + gx * scale + bx, y + gy * scale + by,
+                           color);
+          }
+        }
+      }
+    }
+    cursor += static_cast<long>(rd::kGlyphAdvance) * scale;
+  }
+  return cursor;
+}
+
+TEST(FontTest, DrawTextMatchesPerPixelReference) {
+  std::mt19937 rng(0x7e47);
+  // Glyphs with a lit left, right, top or bottom edge, a space, and '~',
+  // which has no glyph and draws the fallback box.
+  const std::string alphabet = "AHLT017-_.:( ~yq";
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {1, 9}, {7, 1}, {13, 11}, {37, 23}};
+  std::size_t cases = 0, partly_drawn = 0;
+  for (const auto& [width, height] : sizes) {
+    for (int scale = 1; scale <= 4; ++scale) {
+      const long w = static_cast<long>(width);
+      const long h = static_cast<long>(height);
+      const long reach = 8L * scale;  // a glyph's size, and a bit more
+      for (int i = 0; i < 120; ++i) {
+        std::string text(rng() % 7, ' ');
+        for (char& c : text) c = alphabet[rng() % alphabet.size()];
+        const long x =
+            -2 * reach + static_cast<long>(rng() % static_cast<unsigned>(
+                                               w + 3 * reach));
+        const long y =
+            -2 * reach + static_cast<long>(rng() % static_cast<unsigned>(
+                                               h + 3 * reach));
+        const Rgb8 color{static_cast<std::uint8_t>(rng()), 0, 7};
+        Framebuffer drawn = noise_framebuffer(width, height, rng);
+        Framebuffer expected = drawn;
+        const Framebuffer before = drawn;
+        ASSERT_EQ(rd::draw_text(drawn, x, y, text, color, scale),
+                  reference_text(expected, x, y, text, color, scale));
+        ASSERT_EQ(drawn, expected) << "text '" << text << "' at (" << x
+                                   << ", " << y << ") scale " << scale
+                                   << " on " << width << "x" << height;
+        ++cases;
+        if (!(drawn == before)) ++partly_drawn;
+      }
+    }
+  }
+  // Enough cases drew something for the comparison to mean something.
+  EXPECT_EQ(cases, 5u * 4u * 120u);
+  EXPECT_GT(partly_drawn, cases / 10);
+}
+
+TEST(FontTest, DrawTextAtExtremeCoordinatesDrawsNothingAndSaturates) {
+  constexpr long kMax = std::numeric_limits<long>::max();
+  constexpr long kMin = std::numeric_limits<long>::min();
+  std::mt19937 rng(0xed9e);
+  const Framebuffer noise = noise_framebuffer(37, 23, rng);
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  struct Case {
+    long x, y;
+    int scale;
+    long end;
+  };
+  const long advance = static_cast<long>(rd::kGlyphAdvance) * kHuge;
+  for (const Case c : {Case{kMax - 3, 0, 1, kMax},
+                       Case{kMax, 0, kHuge, kMax},
+                       Case{kMin, 0, 1, kMin + 5 * rd::kGlyphAdvance},
+                       Case{kMin, 0, kHuge, kMin + 5 * advance},
+                       Case{0, kMax, kHuge, 5 * advance},
+                       Case{0, kMin, kHuge, 5 * advance},
+                       Case{37, 0, kHuge, 37 + 5 * advance},
+                       Case{0, 23, 3, 5 * 3 * rd::kGlyphAdvance}}) {
+    Framebuffer fb = noise;
+    EXPECT_EQ(rd::draw_text(fb, c.x, c.y, "HELLO", rd::colors::kWhite,
+                            c.scale),
+              c.end);
+    EXPECT_EQ(fb, noise) << "(" << c.x << ", " << c.y << ") scale "
+                         << c.scale;
+  }
 }
 
 TEST(ColormapTest, RedGreenEndpoints) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "core/app.hpp"
 #include "core/session.hpp"
@@ -245,6 +246,39 @@ TEST(CommandFuzzTest, MutatedFrameStreamsDecodeOrFailTyped) {
   }
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// A decoded kText at the largest int32 scale is a few huge glyph blocks.
+// A node rasters it by writing each block's part inside its tile, once, so
+// the raster returns at once with only the blocks that cover the tile.
+TEST(CommandTest, HugeScaleTextRastersOnlyWhatItsTileShows) {
+  constexpr std::int32_t kScale = std::numeric_limits<std::int32_t>::max();
+  wl::RecordingCanvas canvas;
+  canvas.text(0, 0, "HELLO", rd::colors::kRed, kScale);
+  fv::mpx::PayloadWriter writer;
+  wl::write_commands(writer, canvas.take());
+  const auto commands = decode(writer.take());
+  ASSERT_EQ(commands.size(), 1u);
+  ASSERT_EQ(commands[0].scale, kScale);
+  const auto count_red = [](const rd::Framebuffer& fb) {
+    return std::count(fb.pixels().begin(), fb.pixels().end(),
+                      rd::colors::kRed);
+  };
+  // 'H' lights its top-left font pixel; that block alone covers the tile.
+  rd::Framebuffer tile(512, 384);
+  EXPECT_EQ(wl::replay_commands(tile, commands, 0, 0), 1u);
+  EXPECT_EQ(count_red(tile), 512 * 384);
+  // Its top row's second font pixel is unlit: a tile inside that block
+  // shows nothing. The next character's first block starts 6 blocks in.
+  rd::Framebuffer dark(512, 384);
+  EXPECT_EQ(wl::replay_commands(dark, commands, kScale, 0), 1u);
+  EXPECT_EQ(count_red(dark), 0);
+  // A tile straddling the first two blocks shows the first one only.
+  rd::Framebuffer seam(512, 384);
+  EXPECT_EQ(wl::replay_commands(seam, commands, kScale - 100, 5), 1u);
+  EXPECT_EQ(count_red(seam), 100 * 384);
+  EXPECT_EQ(seam.at(99, 0), rd::colors::kRed);
+  EXPECT_EQ(seam.at(100, 0), rd::colors::kBlack);
 }
 
 TEST(CommandTest, ReplayEqualsDirectDrawing) {
