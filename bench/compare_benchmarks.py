@@ -6,18 +6,26 @@ bench/run_benches.sh) benchmark-by-benchmark and prints a delta table.
 Exits nonzero when any matched benchmark regressed by more than the
 threshold (default 10%), so CI can gate on the perf trajectory.
 
+Counters are compared too. The ones in GATED_COUNTERS are gated in their
+declared direction: a deterministic work counter (wire bytes, pruned
+tiles, recall) fails beyond --counter-threshold (default 1%), a latency
+counter beyond --threshold. Every other counter is reported only.
+
 Usage:
     bench/compare_benchmarks.py BASELINE_DIR CURRENT_DIR [--threshold PCT]
+                                [--counter-threshold PCT]
                                 [--metric real_time|cpu_time]
 
-Benchmarks present on only one side are reported informationally and never
-fail the comparison (new benchmarks appear, retired ones disappear).
+Benchmarks and counters present on only one side are reported
+informationally and never fail the comparison (new benchmarks appear,
+retired ones disappear).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,10 +34,42 @@ from pathlib import Path
 # nanoseconds so snapshots taken before/after a ->Unit() change still compare.
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
+# Counters gated in a direction: name -> (better, deterministic). A
+# deterministic counter is a seeded work count that moves only when the
+# code does; a non-deterministic one is timed, so it gets the time
+# threshold.
+GATED_COUNTERS = {
+    # bench_fig3: payload MB shipped to the wall nodes per frame.
+    "MB_shipped": ("lower", True),
+    # bench_fig3: commands executed, summed over tiles, per command
+    # recorded; a looser cull raises it.
+    "cull_ratio": ("lower", True),
+    # bench_lsh_topk: share of pairs scored exactly, and recall vs exact.
+    "exact_dot_fraction": ("lower", True),
+    "recall": ("higher", True),
+    # bench_knn_topk: tiles skipped by the prune bound.
+    "tiles_pruned": ("higher", True),
+    # bench_hclust: distance matrix size.
+    "matrix_MiB": ("lower", True),
+    # bench_serve: request latency tail.
+    "p99_ms": ("lower", False),
+}
 
-def load_snapshot_dir(directory: Path, metric: str) -> dict[str, dict]:
-    """Maps '<file-stem>/<benchmark name>' -> {'value': ns, 'unit': str}."""
+# Fields of a Google Benchmark run that are not user counters.
+STANDARD_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads", "iterations",
+    "real_time", "cpu_time", "time_unit", "label", "error_occurred",
+    "error_message", "aggregate_name", "aggregate_unit", "big_o", "rms",
+}
+
+
+def load_snapshot_dir(directory: Path,
+                      metric: str) -> tuple[dict[str, dict], dict[str, float]]:
+    """Maps '<file-stem>/<benchmark name>' -> {'value': ns, 'unit': str},
+    and '<file-stem>/<benchmark name>:<counter>' -> the counter's value."""
     results: dict[str, dict] = {}
+    counters: dict[str, float] = {}
     for path in sorted(directory.glob("BENCH_*.json")):
         try:
             with path.open() as handle:
@@ -56,7 +96,58 @@ def load_snapshot_dir(directory: Path, metric: str) -> dict[str, dict]:
                 "value": float(bench[metric]) * TIME_UNIT_NS[unit],
                 "unit": unit,
             }
-    return results
+            for key, value in bench.items():
+                if (key not in STANDARD_FIELDS and
+                        isinstance(value, (int, float)) and
+                        not isinstance(value, bool)):
+                    counters[f"{stem}/{name}:{key}"] = float(value)
+    return results, counters
+
+
+def worsening(base: float, cur: float, better: str) -> float:
+    """Percent change of a counter in its worse direction (negative when it
+    improved); a move away from a zero baseline is infinite."""
+    change = cur - base if better == "lower" else base - cur
+    if base == 0.0:
+        return 0.0 if change == 0.0 else math.copysign(math.inf, change)
+    return 100.0 * change / abs(base)
+
+
+def compare_counters(baseline: dict[str, float], current: dict[str, float],
+                     time_threshold: float,
+                     counter_threshold: float) -> list[tuple[str, float]]:
+    """Prints the counter table; returns the gated counters that regressed
+    with how far, in percent."""
+    shared = sorted(set(baseline) & set(current))
+    if not shared:
+        return []
+    regressions: list[tuple[str, float]] = []
+    width = max(len(key) for key in shared)
+    header = (f"{'counter':<{width}}  {'baseline':>14}  {'current':>14}  "
+              f"{'worse by':>9}  gate")
+    print()
+    print(header)
+    print("-" * len(header))
+    for key in shared:
+        base, cur = baseline[key], current[key]
+        counter = key.rsplit(":", 1)[1]
+        gate = GATED_COUNTERS.get(counter)
+        if gate is None:
+            print(f"{key:<{width}}  {base:>14.6g}  {cur:>14.6g}  "
+                  f"{'':>9}  reported")
+            continue
+        better, deterministic = gate
+        threshold = counter_threshold if deterministic else time_threshold
+        worse = worsening(base, cur, better)
+        marker = ""
+        if worse > threshold:
+            marker = "  << REGRESSION"
+            regressions.append((key, worse))
+        elif worse < -threshold:
+            marker = "  improved"
+        print(f"{key:<{width}}  {base:>14.6g}  {cur:>14.6g}  "
+              f"{worse:>+8.1f}%  {better} within {threshold:g}%{marker}")
+    return regressions
 
 
 def format_value(value_ns: float, unit: str) -> str:
@@ -72,6 +163,9 @@ def main() -> int:
                         help="directory of current BENCH_*.json files")
     parser.add_argument("--threshold", type=float, default=10.0,
                         help="regression threshold in percent (default 10)")
+    parser.add_argument("--counter-threshold", type=float, default=1.0,
+                        help="regression threshold in percent for the "
+                             "deterministic gated counters (default 1)")
     parser.add_argument("--metric", default="real_time",
                         choices=["real_time", "cpu_time"],
                         help="which benchmark time to compare")
@@ -82,8 +176,9 @@ def main() -> int:
             print(f"error: {directory} is not a directory", file=sys.stderr)
             return 2
 
-    baseline = load_snapshot_dir(args.baseline, args.metric)
-    current = load_snapshot_dir(args.current, args.metric)
+    baseline, baseline_counters = load_snapshot_dir(args.baseline,
+                                                    args.metric)
+    current, current_counters = load_snapshot_dir(args.current, args.metric)
     if not baseline:
         print(f"error: no BENCH_*.json results under {args.baseline}",
               file=sys.stderr)
@@ -130,9 +225,15 @@ def main() -> int:
               f"{format_value(baseline[name]['value'], baseline[name]['unit']):>16}"
               f"  {'(removed)':>16}")
 
+    counter_regressions = compare_counters(
+        baseline_counters, current_counters, args.threshold,
+        args.counter_threshold)
+
     print(f"\n{len(shared)} compared, {len(only_current)} new, "
           f"{len(only_baseline)} removed, {len(regressions)} regressed "
-          f"beyond {args.threshold:.0f}%")
+          f"beyond {args.threshold:.0f}%, {len(counter_regressions)} gated "
+          f"counters regressed")
+    regressions += counter_regressions
     if regressions:
         worst = max(regressions, key=lambda item: item[1])
         print(f"worst regression: {worst[0]} ({worst[1]:+.1f}%)",

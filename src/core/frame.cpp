@@ -137,7 +137,7 @@ PaneRenderStats render_pane(const Session& session, Canvas& canvas,
 
 }  // namespace
 
-std::span<const Rgb8> GlobalViewStrips::strip(
+render::SharedPixels GlobalViewStrips::strip(
     const Session& session, std::size_t dataset_index,
     const render::ExpressionColormap& colormap, long width, long height,
     bool& computed) {
@@ -146,33 +146,45 @@ std::span<const Rgb8> GlobalViewStrips::strip(
   FV_REQUIRE(width > 0 && height > 0, "a strip needs a positive size");
   strips_.resize(std::max(strips_.size(), session.dataset_count()));
   Strip& held = strips_[dataset_index];
-  computed = held.pixels.empty() || held.scheme != colormap.scheme() ||
+  computed = held.pixels == nullptr || held.scheme != colormap.scheme() ||
              held.contrast != colormap.contrast() || held.width != width ||
              held.height != height;
   if (computed) {
+    // A fresh buffer, sized exactly: a recording may still share the old
+    // strip, whose pixels must not change.
+    auto pixels = std::make_shared<std::vector<Rgb8>>();
     const expr::Dataset& dataset = session.dataset(dataset_index);
     render::global_view_pixels(dataset.values(), dataset.display_order(),
                                colormap, static_cast<std::size_t>(width),
-                               static_cast<std::size_t>(height), held.pixels);
-    // A smaller strip must not keep a larger one's storage.
-    held.pixels.shrink_to_fit();
+                               static_cast<std::size_t>(height), *pixels);
+    held.pixels = std::move(pixels);
     held.scheme = colormap.scheme();
     held.contrast = colormap.contrast();
     held.width = width;
     held.height = height;
   }
-  return held.pixels;
+  held.drawn = true;
+  return render::SharedPixels{*held.pixels, held.pixels};
+}
+
+void GlobalViewStrips::finish_frame() noexcept {
+  for (Strip& s : strips_) {
+    if (!s.drawn) s.pixels.reset();
+    s.drawn = false;
+  }
 }
 
 std::size_t GlobalViewStrips::size() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(strips_.begin(), strips_.end(),
-                    [](const Strip& s) { return !s.pixels.empty(); }));
+                    [](const Strip& s) { return s.pixels != nullptr; }));
 }
 
 std::size_t GlobalViewStrips::bytes() const noexcept {
   std::size_t total = 0;
-  for (const Strip& s : strips_) total += s.pixels.capacity() * sizeof(Rgb8);
+  for (const Strip& s : strips_) {
+    if (s.pixels != nullptr) total += s.pixels->capacity() * sizeof(Rgb8);
+  }
   return total;
 }
 
@@ -195,6 +207,7 @@ FrameInfo render_frame(const Session& session, render::Canvas& canvas,
     info.cells_rendered += stats.cells;
     info.strips_computed += stats.strip_computed ? 1 : 0;
   }
+  strips.finish_frame();
   return info;
 }
 

@@ -9,7 +9,7 @@
 // stream (RecordingCanvas).
 #pragma once
 
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "core/session.hpp"
@@ -35,7 +35,9 @@ struct FrameInfo {
 };
 
 /// The global-view strips of one output (a desktop window, a wall), kept
-/// across the frames of one session: at most one strip per dataset.
+/// across the frames of one session: at most one strip per dataset, and
+/// after each frame only the strips of the datasets whose pane drew a
+/// global view in it.
 ///
 /// A strip is keyed by everything render::global_view_pixels reads: the
 /// dataset index, the colormap's scheme and contrast, and the strip's width
@@ -45,17 +47,27 @@ struct FrameInfo {
 /// replaces the dataset's old strip, so memory stays at one strip per
 /// dataset however often the output is resized.
 ///
+/// Lifetime rule: a strip's pixels are never written after it is handed
+/// out. A recolor fills a fresh buffer and drops this object's share of the
+/// old one, so a recorded frame (wall::RecordingCanvas), which shares the
+/// strips it drew, keeps them alive and replays to the same pixels however
+/// many frames later it is replayed.
+///
 /// Use one instance with one session. It is not thread-safe: one thread
 /// renders through it at a time.
 class GlobalViewStrips {
  public:
   /// The strip of `dataset_index` at width x height (both > 0) in
-  /// `colormap`, colored now unless the same key was colored before. Sets
-  /// `computed` to whether it was. The span is valid until the next call.
-  std::span<const render::Rgb8> strip(
-      const Session& session, std::size_t dataset_index,
-      const render::ExpressionColormap& colormap, long width, long height,
-      bool& computed);
+  /// `colormap`, colored now unless the same key was colored before, and
+  /// marked as drawn in this frame. Sets `computed` to whether it was
+  /// colored. The owner keeps the pixels valid, unchanged.
+  render::SharedPixels strip(const Session& session,
+                             std::size_t dataset_index,
+                             const render::ExpressionColormap& colormap,
+                             long width, long height, bool& computed);
+
+  /// Ends a frame: drops every strip not drawn since the last call.
+  void finish_frame() noexcept;
 
   /// Strips held, at most one per dataset.
   std::size_t size() const noexcept;
@@ -68,14 +80,16 @@ class GlobalViewStrips {
     double contrast = 0.0;
     long width = 0;
     long height = 0;
-    std::vector<render::Rgb8> pixels;  ///< empty: nothing held
+    /// Null: nothing held. Never written once set.
+    std::shared_ptr<const std::vector<render::Rgb8>> pixels;
+    bool drawn = false;  ///< drawn since the last finish_frame
   };
   std::vector<Strip> strips_;  ///< indexed by dataset
 };
 
 /// Renders one full frame of the session onto the canvas, drawing each
-/// global view from `strips` (see GlobalViewStrips). Every pixel is the
-/// same whatever `strips` already holds.
+/// global view from `strips` (see GlobalViewStrips) and then finishing the
+/// strips' frame. Every pixel is the same whatever `strips` already holds.
 FrameInfo render_frame(const Session& session, render::Canvas& canvas,
                        const FrameConfig& config, GlobalViewStrips& strips);
 

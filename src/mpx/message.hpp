@@ -8,6 +8,7 @@
 // agnostic in-process packing — trivially copyable types only.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -104,12 +105,18 @@ class PayloadWriter {
   std::vector<std::byte> take() { return std::move(buffer_); }
 
  private:
+  /// Writes each byte once: inserting the range copies it into place,
+  /// where resizing first would zero-fill the bytes it then overwrites.
   void append(const void* data, std::size_t size) {
-    // An empty span's data() may be null, which memcpy must not get.
+    // An empty span's data() may be null; nothing is written then.
     if (size == 0) return;
-    const std::size_t offset = buffer_.size();
-    buffer_.resize(offset + size);
-    std::memcpy(buffer_.data() + offset, data, size);
+    const auto* first = static_cast<const std::byte*>(data);
+    // Growing here (geometrically, as insert would) leaves insert only its
+    // in-place path, on which GCC 12 raises no false -Wstringop-overflow.
+    if (buffer_.capacity() - buffer_.size() < size) {
+      buffer_.reserve(std::max(buffer_.size() + size, 2 * buffer_.capacity()));
+    }
+    buffer_.insert(buffer_.end(), first, first + size);
   }
 
   std::vector<std::byte> buffer_;

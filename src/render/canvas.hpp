@@ -7,15 +7,40 @@
 // display wall distributes drawing across its cluster. Replaying a recorded
 // stream through a FramebufferCanvas is pixel-identical to direct drawing,
 // which the tests rely on.
+//
+// An image reaches a canvas as SharedPixels: its pixels and whatever keeps
+// them alive. FramebufferCanvas draws them at once; RecordingCanvas keeps
+// the owner in its command, so a recorded image shares the caller's pixels
+// rather than copying them. That makes the lifetime rule of a kept
+// global-view strip (core::GlobalViewStrips) simple: its pixels are never
+// written again once shared, and a recording holds them for as long as it
+// lives, whatever later frames recolor.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "render/draw.hpp"
 #include "render/framebuffer.hpp"
 
 namespace fv::render {
+
+/// An image's row-major pixels and the owner that keeps them alive. A
+/// null owner borrows: the pixels are valid only while their source is (a
+/// wall node's decoded work message, which the node keeps through its
+/// rasters). Holders of a non-null owner only read the pixels.
+struct SharedPixels {
+  std::span<const Rgb8> pixels;
+  std::shared_ptr<const void> owner;
+};
+
+/// `pixels` moved into a new shared owner.
+inline SharedPixels share_pixels(std::vector<Rgb8> pixels) {
+  auto owner = std::make_shared<const std::vector<Rgb8>>(std::move(pixels));
+  return SharedPixels{*owner, owner};
+}
 
 class Canvas {
  public:
@@ -32,7 +57,7 @@ class Canvas {
                     int scale) = 0;
   /// Row-major width x height pixel block (see render::draw_image).
   virtual void image(long x, long y, long width, long height,
-                     std::span<const Rgb8> pixels) = 0;
+                     const SharedPixels& image) = 0;
 
   /// Convenience overload with scale 1.
   void text(long x, long y, std::string_view content, Rgb8 color) {
@@ -40,39 +65,40 @@ class Canvas {
   }
 };
 
-/// Immediate-mode canvas rasterizing into a framebuffer.
+/// Immediate-mode canvas rasterizing into a pixel view (a Framebuffer
+/// converts to one).
 class FramebufferCanvas final : public Canvas {
  public:
-  explicit FramebufferCanvas(Framebuffer& fb) : fb_(&fb) {}
+  explicit FramebufferCanvas(PixelView target) : target_(target) {}
 
   void fill_rect(long x, long y, long width, long height,
                  Rgb8 color) override {
-    render::fill_rect(*fb_, x, y, width, height, color);
+    render::fill_rect(target_, x, y, width, height, color);
   }
   void draw_rect(long x, long y, long width, long height,
                  Rgb8 color) override {
-    render::draw_rect(*fb_, x, y, width, height, color);
+    render::draw_rect(target_, x, y, width, height, color);
   }
   void hline(long x0, long x1, long y, Rgb8 color) override {
-    render::draw_hline(*fb_, x0, x1, y, color);
+    render::draw_hline(target_, x0, x1, y, color);
   }
   void vline(long x, long y0, long y1, Rgb8 color) override {
-    render::draw_vline(*fb_, x, y0, y1, color);
+    render::draw_vline(target_, x, y0, y1, color);
   }
   void line(long x0, long y0, long x1, long y1, Rgb8 color) override {
-    render::draw_line(*fb_, x0, y0, x1, y1, color);
+    render::draw_line(target_, x0, y0, x1, y1, color);
   }
   void text(long x, long y, std::string_view content, Rgb8 color,
             int scale) override {
-    render::draw_text(*fb_, x, y, content, color, scale);
+    render::draw_text(target_, x, y, content, color, scale);
   }
   void image(long x, long y, long width, long height,
-             std::span<const Rgb8> pixels) override {
-    render::draw_image(*fb_, x, y, width, height, pixels);
+             const SharedPixels& image) override {
+    render::draw_image(target_, x, y, width, height, image.pixels);
   }
 
  private:
-  Framebuffer* fb_;
+  PixelView target_;
 };
 
 }  // namespace fv::render

@@ -13,7 +13,7 @@ namespace fv::render {
 
 namespace {
 
-/// The part of a width x height rectangle at (x, y) that lies inside `fb`,
+/// The part of a width x height rectangle at (x, y) that lies inside `target`,
 /// as [x0, x1) x [y0, y1); empty when x0 >= x1 or y0 >= y1.
 struct Clip {
   long x0, y0, x1, y1;
@@ -28,16 +28,16 @@ long clipped_end(long start, long length, long limit) {
 
 /// Needs width > 0 and height > 0; any long coordinates and sizes clip
 /// exactly.
-Clip clip_to(const Framebuffer& fb, long x, long y, long width, long height) {
-  const auto fb_width = static_cast<long>(fb.width());
-  const auto fb_height = static_cast<long>(fb.height());
+Clip clip_to(PixelView target, long x, long y, long width, long height) {
+  const auto target_width = static_cast<long>(target.width());
+  const auto target_height = static_cast<long>(target.height());
   return Clip{std::max(x, 0L), std::max(y, 0L),
-              clipped_end(x, width, fb_width),
-              clipped_end(y, height, fb_height)};
+              clipped_end(x, width, target_width),
+              clipped_end(y, height, target_height)};
 }
 
 /// start + length - 1 for length > 0, saturated at LONG_MAX (which lies
-/// past every framebuffer, so the clipped pixels are the same).
+/// past every view, so the clipped pixels are the same).
 long last_of(long start, long length) {
   return start > std::numeric_limits<long>::max() - (length - 1)
              ? std::numeric_limits<long>::max()
@@ -53,19 +53,19 @@ std::pair<long, long> clip_span(long a, long b, long limit) {
 
 }  // namespace
 
-void fill_rect(Framebuffer& fb, long x, long y, long width, long height,
+void fill_rect(PixelView target, long x, long y, long width, long height,
                Rgb8 color) {
   if (width <= 0 || height <= 0) return;
-  const Clip clip = clip_to(fb, x, y, width, height);
+  const Clip clip = clip_to(target, x, y, width, height);
   if (clip.empty()) return;
   // Every row of the rectangle is the same: fill the first clipped row span
   // and copy it into the rest.
   const auto x0 = static_cast<std::size_t>(clip.x0);
   const auto span = static_cast<std::size_t>(clip.x1 - clip.x0);
-  Rgb8* const first = fb.row(static_cast<std::size_t>(clip.y0)).data() + x0;
+  Rgb8* const first = target.row(static_cast<std::size_t>(clip.y0)).data() + x0;
   std::fill_n(first, span, color);
   for (long py = clip.y0 + 1; py < clip.y1; ++py) {
-    std::memcpy(fb.row(static_cast<std::size_t>(py)).data() + x0, first,
+    std::memcpy(target.row(static_cast<std::size_t>(py)).data() + x0, first,
                 span * sizeof(Rgb8));
   }
 }
@@ -78,12 +78,12 @@ bool image_size_matches(long width, long height, std::size_t pixel_count) {
          pixel_count / w == static_cast<std::size_t>(height);
 }
 
-void draw_image(Framebuffer& fb, long x, long y, long width, long height,
+void draw_image(PixelView target, long x, long y, long width, long height,
                 std::span<const Rgb8> pixels) {
   if (width <= 0 || height <= 0) return;
   FV_REQUIRE(image_size_matches(width, height, pixels.size()),
              "image needs exactly width x height pixels");
-  const Clip clip = clip_to(fb, x, y, width, height);
+  const Clip clip = clip_to(target, x, y, width, height);
   if (clip.empty()) return;
   const auto stride = static_cast<std::size_t>(width);
   for (long py = clip.y0; py < clip.y1; ++py) {
@@ -92,38 +92,41 @@ void draw_image(Framebuffer& fb, long x, long y, long width, long height,
             static_cast<std::size_t>(clip.x0 - x),
         static_cast<std::size_t>(clip.x1 - clip.x0));
     std::copy(from.begin(), from.end(),
-              fb.row(static_cast<std::size_t>(py)).begin() + clip.x0);
+              target.row(static_cast<std::size_t>(py)).begin() + clip.x0);
   }
 }
 
-void draw_rect(Framebuffer& fb, long x, long y, long width, long height,
+void draw_rect(PixelView target, long x, long y, long width, long height,
                Rgb8 color) {
   if (width <= 0 || height <= 0) return;
   const long right = last_of(x, width);
   const long bottom = last_of(y, height);
-  draw_hline(fb, x, right, y, color);
-  draw_hline(fb, x, right, bottom, color);
-  draw_vline(fb, x, y, bottom, color);
-  draw_vline(fb, right, y, bottom, color);
+  draw_hline(target, x, right, y, color);
+  draw_hline(target, x, right, bottom, color);
+  draw_vline(target, x, y, bottom, color);
+  draw_vline(target, right, y, bottom, color);
 }
 
-void draw_hline(Framebuffer& fb, long x0, long x1, long y, Rgb8 color) {
-  if (y < 0 || y >= static_cast<long>(fb.height())) return;
-  const auto [first, last] = clip_span(x0, x1, static_cast<long>(fb.width()));
+void draw_hline(PixelView target, long x0, long x1, long y, Rgb8 color) {
+  if (y < 0 || y >= static_cast<long>(target.height())) return;
+  const auto [first, last] =
+      clip_span(x0, x1, static_cast<long>(target.width()));
   if (first > last) return;
-  const auto row = fb.row(static_cast<std::size_t>(y));
+  const auto row = target.row(static_cast<std::size_t>(y));
   std::fill(row.begin() + first, row.begin() + last + 1, color);
 }
 
-void draw_vline(Framebuffer& fb, long x, long y0, long y1, Rgb8 color) {
-  if (x < 0 || x >= static_cast<long>(fb.width())) return;
-  const auto [first, last] = clip_span(y0, y1, static_cast<long>(fb.height()));
+void draw_vline(PixelView target, long x, long y0, long y1, Rgb8 color) {
+  if (x < 0 || x >= static_cast<long>(target.width())) return;
+  const auto [first, last] =
+      clip_span(y0, y1, static_cast<long>(target.height()));
   for (long y = first; y <= last; ++y) {
-    fb.row(static_cast<std::size_t>(y))[static_cast<std::size_t>(x)] = color;
+    target.row(static_cast<std::size_t>(y))[static_cast<std::size_t>(x)] =
+        color;
   }
 }
 
-void draw_line(Framebuffer& fb, long x0, long y0, long x1, long y1,
+void draw_line(PixelView target, long x0, long y0, long x1, long y1,
                Rgb8 color) {
   const long dx = std::labs(x1 - x0);
   const long dy = -std::labs(y1 - y0);
@@ -131,7 +134,7 @@ void draw_line(Framebuffer& fb, long x0, long y0, long x1, long y1,
   const long sy = y0 < y1 ? 1 : -1;
   long err = dx + dy;
   for (;;) {
-    fb.set_clipped(x0, y0, color);
+    target.set_clipped(x0, y0, color);
     if (x0 == x1 && y0 == y1) break;
     const long e2 = 2 * err;
     if (e2 >= dy) {
@@ -145,25 +148,25 @@ void draw_line(Framebuffer& fb, long x0, long y0, long x1, long y1,
   }
 }
 
-long draw_text(Framebuffer& fb, long x, long y, std::string_view text,
+long draw_text(PixelView target, long x, long y, std::string_view text,
                Rgb8 color, int scale) {
   FV_REQUIRE(scale >= 1, "text scale must be at least 1");
   const long s = scale;
   const long advance = kGlyphAdvance * s;  // at most 6 * INT_MAX
-  const auto fb_width = static_cast<long>(fb.width());
-  const auto fb_height = static_cast<long>(fb.height());
+  const auto target_width = static_cast<long>(target.width());
+  const auto target_height = static_cast<long>(target.height());
   // Where the text ends, saturated at LONG_MAX.
   const long max = std::numeric_limits<long>::max();
   const auto count = static_cast<long>(text.size());  // size() < LONG_MAX
   const long end = count > (max - std::max(x, 0L)) / advance
                        ? max
                        : x + count * advance;
-  // y < fb_height, so the glyph rows below cannot overflow.
-  if (y >= fb_height || y + kGlyphHeight * s <= 0) return end;
+  // y < target_height, so the glyph rows below cannot overflow.
+  if (y >= target_height || y + kGlyphHeight * s <= 0) return end;
   long cursor = x;
   for (const char c : text) {
-    // cursor < fb_width on each pass, so cursor + advance cannot overflow.
-    if (cursor >= fb_width) break;
+    // cursor < target_width on each pass, so cursor + advance cannot overflow.
+    if (cursor >= target_width) break;
     if (cursor + kGlyphWidth * s > 0) {
       const auto& rows = glyph_rows(c);
       for (int gy = 0; gy < kGlyphHeight; ++gy) {
@@ -172,14 +175,14 @@ long draw_text(Framebuffer& fb, long x, long y, std::string_view text,
         // Each font pixel is a scale x scale block, written clipped; blocks
         // do not overlap, so no pixel is written twice.
         const long top = y + gy * s;
-        const long row_end = std::min(top + s, fb_height);
+        const long row_end = std::min(top + s, target_height);
         for (long py = std::max(top, 0L); py < row_end; ++py) {
-          const auto row = fb.row(static_cast<std::size_t>(py));
+          const auto row = target.row(static_cast<std::size_t>(py));
           for (int gx = 0; gx < kGlyphWidth; ++gx) {
             if ((bits & (1u << (kGlyphWidth - 1 - gx))) == 0) continue;
             const long left = cursor + gx * s;
             const long col0 = std::max(left, 0L);
-            const long col1 = std::min(left + s, fb_width);
+            const long col1 = std::min(left + s, target_width);
             if (col0 < col1) {
               std::fill(row.begin() + col0, row.begin() + col1, color);
             }

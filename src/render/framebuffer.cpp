@@ -20,6 +20,20 @@ Rgb8 lerp(Rgb8 a, Rgb8 b, double t) {
   return Rgb8{mix(a.r, b.r), mix(a.g, b.g), mix(a.b, b.b)};
 }
 
+std::span<Rgb8> PixelView::row(std::size_t y) const {
+  FV_REQUIRE(y < height_, "row out of range");
+  return {pixels_ + y * width_, width_};
+}
+
+void PixelView::set_clipped(long x, long y, Rgb8 color) const {
+  if (x < 0 || y < 0 || static_cast<std::size_t>(x) >= width_ ||
+      static_cast<std::size_t>(y) >= height_) {
+    return;
+  }
+  pixels_[static_cast<std::size_t>(y) * width_ + static_cast<std::size_t>(x)] =
+      color;
+}
+
 Framebuffer::Framebuffer(std::size_t width, std::size_t height, Rgb8 fill)
     : width_(width), height_(height), pixels_(width * height) {
   // The pixels start zeroed, which is kBlack.
@@ -36,23 +50,9 @@ void Framebuffer::set(std::size_t x, std::size_t y, Rgb8 color) {
   pixels_[y * width_ + x] = color;
 }
 
-void Framebuffer::set_clipped(long x, long y, Rgb8 color) {
-  if (x < 0 || y < 0 || static_cast<std::size_t>(x) >= width_ ||
-      static_cast<std::size_t>(y) >= height_) {
-    return;
-  }
-  pixels_[static_cast<std::size_t>(y) * width_ + static_cast<std::size_t>(x)] =
-      color;
-}
-
 void Framebuffer::clear(Rgb8 color) {
   fill_rect(*this, 0, 0, static_cast<long>(width_), static_cast<long>(height_),
             color);
-}
-
-std::span<Rgb8> Framebuffer::row(std::size_t y) {
-  FV_REQUIRE(y < height_, "row out of range");
-  return std::span<Rgb8>(pixels_).subspan(y * width_, width_);
 }
 
 void Framebuffer::blit(const Framebuffer& source, long x, long y) {

@@ -1,9 +1,12 @@
-// In-memory RGB framebuffer with PPM (P6) input/output.
+// In-memory RGB framebuffer with PPM (P6) input/output, and PixelView, the
+// non-owning width x height block of pixels that every draw kernel writes.
 //
 // All ForestView rendering — desktop panes and display-wall tiles alike —
-// rasterizes into Framebuffers; the wall compositor stitches per-tile
-// buffers into one frame, and tests compare buffers byte-exactly against a
-// single-pass reference rendering.
+// rasterizes into PixelViews: a Framebuffer converts to one, and a wall node
+// views the pixel part of its reply message, so a tile is rastered where it
+// is sent from. The wall compositor stitches per-tile pixels into one
+// frame, and tests compare buffers byte-exactly against a single-pass
+// reference rendering.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +17,33 @@
 #include "render/color.hpp"
 
 namespace fv::render {
+
+/// A row-major width x height block of pixels that someone else owns: a
+/// Framebuffer's, or the pixel part of a message. Copying a view copies no
+/// pixels; the pixels must outlive every use of it.
+class PixelView {
+ public:
+  /// `pixels` holds width * height pixels (it may be null when that is 0).
+  PixelView(Rgb8* pixels, std::size_t width, std::size_t height) noexcept
+      : pixels_(pixels), width_(width), height_(height) {}
+
+  std::size_t width() const noexcept { return width_; }
+  std::size_t height() const noexcept { return height_; }
+
+  /// Row `y` as a width()-pixel span; an out-of-range row throws. Bulk
+  /// primitives clip once and then work on row spans, so the check is paid
+  /// per row, not per pixel.
+  std::span<Rgb8> row(std::size_t y) const;
+
+  /// Clipped write: silently ignores out-of-bounds coordinates (callers
+  /// rasterizing primitives near edges rely on this).
+  void set_clipped(long x, long y, Rgb8 color) const;
+
+ private:
+  Rgb8* pixels_ = nullptr;
+  std::size_t width_ = 0;
+  std::size_t height_ = 0;
+};
 
 class Framebuffer {
  public:
@@ -31,14 +61,16 @@ class Framebuffer {
   Rgb8 at(std::size_t x, std::size_t y) const;
   void set(std::size_t x, std::size_t y, Rgb8 color);
 
-  /// Row `y` as a width()-pixel span; an out-of-range row throws. Bulk
-  /// primitives clip once and then work on row spans, so the check is paid
-  /// per row, not per pixel.
-  std::span<Rgb8> row(std::size_t y);
+  /// This framebuffer's pixels as a view, which every draw kernel takes.
+  /// A temporary framebuffer does not convert: its view would dangle.
+  operator PixelView() & noexcept {
+    return PixelView(pixels_.data(), width_, height_);
+  }
 
-  /// Clipped write: silently ignores out-of-bounds coordinates (callers
-  /// rasterizing primitives near edges rely on this).
-  void set_clipped(long x, long y, Rgb8 color);
+  /// Clipped write (see PixelView::set_clipped).
+  void set_clipped(long x, long y, Rgb8 color) {
+    PixelView(*this).set_clipped(x, y, color);
+  }
 
   /// Sets every pixel to `color` (through render::fill_rect).
   void clear(Rgb8 color);

@@ -78,22 +78,24 @@ void RecordingCanvas::text(long x, long y, std::string_view content,
 }
 
 void RecordingCanvas::image(long x, long y, long width, long height,
-                            std::span<const render::Rgb8> pixels) {
+                            const render::SharedPixels& image) {
   if (width <= 0 || height <= 0) return;
-  FV_REQUIRE(render::image_size_matches(width, height, pixels.size()),
+  FV_REQUIRE(render::image_size_matches(width, height, image.pixels.size()),
              "image needs exactly width x height pixels");
+  // Shared, not copied: the recording keeps the pixels' owner, so it needs
+  // one.
+  FV_REQUIRE(image.owner != nullptr, "a recorded image needs an owner");
   commands_.push_back(RenderCommand{CommandType::kImage, x, y, width, height,
-                                    {}, 1, {},
-                                    {pixels.begin(), pixels.end()}});
+                                    {}, 1, {}, image});
 }
 
-std::size_t replay_commands(render::Framebuffer& fb,
+std::size_t replay_commands(render::PixelView target,
                             const CommandList& commands, long origin_x,
                             long origin_y) {
-  render::FramebufferCanvas canvas(fb);
+  render::FramebufferCanvas canvas(target);
   const layout::Rect viewport{origin_x, origin_y,
-                              static_cast<long>(fb.width()),
-                              static_cast<long>(fb.height())};
+                              static_cast<long>(target.width()),
+                              static_cast<long>(target.height())};
   std::size_t executed = 0;
   for (const RenderCommand& command : commands) {
     if (!layout::overlaps(command.bounds(), viewport)) continue;
@@ -122,7 +124,7 @@ std::size_t replay_commands(render::Framebuffer& fb,
                     static_cast<int>(command.scale));
         break;
       case CommandType::kImage:
-        canvas.image(x0, y0, command.x1, command.y1, command.pixels);
+        canvas.image(x0, y0, command.x1, command.y1, command.image);
         break;
     }
   }
@@ -158,7 +160,7 @@ void write_common(mpx::PayloadWriter& writer, const RenderCommand& command,
 void write_whole(mpx::PayloadWriter& writer, const RenderCommand& command) {
   write_common(writer, command, geometry_of(command));
   if (command.type == CommandType::kImage) {
-    writer.write_span(std::span<const render::Rgb8>(command.pixels));
+    writer.write_span(command.image.pixels);
   }
 }
 
@@ -180,7 +182,7 @@ void write_command(mpx::PayloadWriter& writer, const RenderCommand& command,
   write_common(writer, command, kept);
   const auto width = static_cast<std::size_t>(kept.width);
   writer.write<std::uint64_t>(width * static_cast<std::size_t>(kept.height));
-  const std::span<const render::Rgb8> pixels(command.pixels);
+  const std::span<const render::Rgb8> pixels = command.image.pixels;
   for (long y = kept.y; y < kept.bottom(); ++y) {
     writer.write_values(pixels.subspan(
         static_cast<std::size_t>((y - whole.y) * whole.width +
@@ -224,9 +226,10 @@ CommandList read_commands(mpx::PayloadReader& reader) {
     command.scale = reader.read<std::int32_t>();
     command.text = reader.read_string();
     if (command.type == CommandType::kImage) {
-      command.pixels = reader.read_vector<render::Rgb8>();
+      // Borrowed from the message, not copied out of it.
+      command.image.pixels = reader.read_span<render::Rgb8>();
       if (!render::image_size_matches(command.x1, command.y1,
-                              command.pixels.size())) {
+                                      command.image.pixels.size())) {
         throw ParseError("image command size does not match its pixels");
       }
     }

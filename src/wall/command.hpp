@@ -1,6 +1,12 @@
 // Render-command stream: the unit of work the wall master ships to its tile
 // nodes. Each command is one Canvas primitive with enough geometry to cull
 // it against a tile's rectangle, so each node gets only what it draws.
+//
+// An image command never owns a copy of its pixels. A recorded one shares
+// the pixels the canvas was given (a kept global-view strip), so a
+// recording stays valid, and replays to the same pixels, however long it
+// is kept. A decoded one borrows the bytes of the message it was read
+// from, which the reader keeps alive while it uses the commands.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +36,7 @@ struct RenderCommand {
   std::int32_t scale = 1;  ///< text scale
   std::string text;        ///< text content (empty for non-text commands)
   /// Row-major x1 x y1 block of a kImage command (empty otherwise).
-  std::vector<render::Rgb8> pixels;
+  render::SharedPixels image;
 
   /// Conservative bounding box in canvas coordinates (for tile culling).
   layout::Rect bounds() const;
@@ -51,7 +57,7 @@ class RecordingCanvas final : public render::Canvas {
   void text(long x, long y, std::string_view content, render::Rgb8 color,
             int scale) override;
   void image(long x, long y, long width, long height,
-             std::span<const render::Rgb8> pixels) override;
+             const render::SharedPixels& image) override;
 
   const CommandList& commands() const noexcept { return commands_; }
   CommandList take() { return std::move(commands_); }
@@ -60,19 +66,21 @@ class RecordingCanvas final : public render::Canvas {
   CommandList commands_;
 };
 
-/// Replays commands into a framebuffer, translating canvas coordinates by
-/// (-origin_x, -origin_y) — i.e. the framebuffer shows the canvas region
-/// starting at that origin (a tile). Returns the number of commands whose
-/// bounds intersected the framebuffer region (after the caller's cull this
-/// should equal commands.size()).
-std::size_t replay_commands(render::Framebuffer& fb,
+/// Replays commands into a pixel view (a Framebuffer converts to one),
+/// translating canvas coordinates by (-origin_x, -origin_y) — i.e. the view
+/// shows the canvas region starting at that origin (a tile). Returns the
+/// number of commands whose bounds intersected the view's region (after the
+/// caller's cull this should equal commands.size()).
+std::size_t replay_commands(render::PixelView target,
                             const CommandList& commands, long origin_x,
                             long origin_y);
 
 /// Serialization for mpx transport. read_commands rejects a stream that
 /// does not decode to valid commands (an unknown type byte, an image whose
 /// size does not match its pixels) with fv::ParseError; a stream shorter
-/// than it claims fails with the reader's fv::InvalidArgument.
+/// than it claims fails with the reader's fv::InvalidArgument. A decoded
+/// image borrows its pixels from the reader's payload (a null owner), so
+/// the commands are valid only while that payload is.
 void write_commands(mpx::PayloadWriter& writer, const CommandList& commands);
 CommandList read_commands(mpx::PayloadReader& reader);
 

@@ -1,6 +1,7 @@
 #include "wall/wall_display.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "mpx/communicator.hpp"
@@ -40,47 +41,40 @@ layout::Rect bounding_box(const layout::Rect& a, const layout::Rect& b) {
                       std::max(a.bottom(), b.bottom()) - y};
 }
 
-struct TileRaster {
-  render::Framebuffer pixels;
-  std::uint64_t executed = 0;  ///< commands that touched the tile
-  double seconds = 0.0;        ///< raster CPU time of the thread
-};
+/// A pixel reply is [u64 tile][u64 executed][f64 seconds][u64 count]
+/// [count pixels]: this many bytes, then the pixels.
+constexpr std::size_t kReplyHeaderBytes = 4 * sizeof(std::uint64_t);
 
-/// Rasterizes one tile of the command stream (deterministic — this is what
-/// makes every recovery rung pixel-identical: any node, or the master, can
-/// re-render any tile and produce the same bytes).
-TileRaster raster_tile(const CommandList& commands, const layout::Rect& rect) {
+/// Rasterizes one tile of the command stream straight into its pixel reply
+/// (deterministic — this is what makes every recovery rung pixel-identical:
+/// any node, or the master, can re-render any tile and produce the same
+/// bytes). The reply starts zeroed, so the tile starts black as a new
+/// Framebuffer does; seconds is the thread's CPU time for the raster.
+std::vector<std::byte> raster_reply(const CommandList& commands,
+                                    const WallSpec& spec, std::uint64_t tile) {
+  // The pixels are viewed in place, as PayloadReader::read_span views them.
+  static_assert(sizeof(render::Rgb8) == 3 && alignof(render::Rgb8) == 1);
   const ThreadCpuTimer timer;
-  TileRaster raster;
-  raster.pixels = render::Framebuffer(static_cast<std::size_t>(rect.width),
-                                      static_cast<std::size_t>(rect.height));
-  raster.executed = replay_commands(raster.pixels, commands, rect.x, rect.y);
-  raster.seconds = timer.seconds();
-  return raster;
-}
-
-/// A node's share of the frame: decodes a work message, rasters each tile
-/// it names and hands `reply` one pixel message per tile,
-/// [tile, executed, raster seconds, pixels].
-template <typename Reply>
-void raster_work(std::vector<std::byte> work, const WallSpec& spec,
-                 const Reply& reply) {
-  mpx::PayloadReader reader(work);
-  const CommandList node_commands = read_commands(reader);
-  const auto tiles = reader.read_vector<std::uint64_t>();
-  // Every node of a frame works at once, so a message is freed once it is
-  // decoded rather than kept alive through the rasters.
-  work = std::vector<std::byte>();
-  for (const std::uint64_t tile : tiles) {
-    const TileRaster raster = raster_tile(
-        node_commands, spec.tile_rect(static_cast<std::size_t>(tile)));
-    mpx::PayloadWriter writer;
-    writer.write<std::uint64_t>(tile);
-    writer.write<std::uint64_t>(raster.executed);
-    writer.write<double>(raster.seconds);
-    writer.write_span(std::span<const render::Rgb8>(raster.pixels.pixels()));
-    reply(writer.take());
-  }
+  const layout::Rect rect = spec.tile_rect(static_cast<std::size_t>(tile));
+  const std::uint64_t count = spec.tile_width * spec.tile_height;
+  std::vector<std::byte> reply(kReplyHeaderBytes +
+                               count * sizeof(render::Rgb8));
+  const std::uint64_t executed = replay_commands(
+      render::PixelView(
+          reinterpret_cast<render::Rgb8*>(reply.data() + kReplyHeaderBytes),
+          spec.tile_width, spec.tile_height),
+      commands, rect.x, rect.y);
+  const double seconds = timer.seconds();
+  std::size_t offset = 0;
+  const auto put = [&](const auto& value) {
+    std::memcpy(reply.data() + offset, &value, sizeof value);
+    offset += sizeof value;
+  };
+  put(tile);
+  put(executed);
+  put(seconds);
+  put(count);
+  return reply;
 }
 
 /// `span` from now, or no deadline at all when the frame has none
@@ -142,9 +136,9 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
     }
   };
 
-  // Composites a pixel message straight from its bytes. Stats count
-  // composited tiles only, so they are exact on every frame; a late
-  // re-render of an already-composited tile is ignored.
+  // Composites a pixel message (raster_reply's layout) straight from its
+  // bytes. Stats count composited tiles only, so they are exact on every
+  // frame; a late re-render of an already-composited tile is ignored.
   const auto composite = [&](std::span<const std::byte> message, int source) {
     mpx::PayloadReader reader(message);
     const auto tile = static_cast<std::size_t>(reader.read<std::uint64_t>());
@@ -182,6 +176,8 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
   };
 
   send_work(route_pending(owner), nodes);
+  // The nodes raster while the master builds the frame they land in.
+  result.frame = render::Framebuffer(spec.total_width(), spec.total_height());
 
   // Rung 1: the healthy window.
   collect(deadline_after(options, options.tile_deadline));
@@ -226,7 +222,7 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
         commands, spec,
         route_pending([](std::size_t, std::size_t) { return std::size_t{0}; }));
     raster_work(write_work(commands, splits.front()), spec,
-                [&](const std::vector<std::byte>& message) {
+                [&](std::vector<std::byte> message) {
                   composite(message, comm.rank());
                 });
   }
@@ -261,7 +257,7 @@ void run_node(mpx::Comm& comm, const WallSpec& spec,
     }
     if (!message.has_value() || message->tag == kTagShutdown) break;
     if (message->tag != kTagWork) continue;
-    raster_work(std::move(message->payload), spec,
+    raster_work(message->payload, spec,
                 [&](std::vector<std::byte> pixels) {
                   comm.send(0, kTagPixels, std::move(pixels));
                 });
@@ -269,6 +265,16 @@ void run_node(mpx::Comm& comm, const WallSpec& spec,
 }
 
 }  // namespace
+
+void raster_work(std::span<const std::byte> work, const WallSpec& spec,
+                 const std::function<void(std::vector<std::byte>)>& reply) {
+  mpx::PayloadReader reader(work);
+  // The images borrow the message's bytes, so `work` outlives the rasters.
+  const CommandList commands = read_commands(reader);
+  for (const std::uint64_t tile : reader.read_vector<std::uint64_t>()) {
+    reply(raster_reply(commands, spec, tile));
+  }
+}
 
 std::vector<WorkSplit> split_work(
     const CommandList& commands, const WallSpec& spec,
@@ -376,8 +382,6 @@ FrameResult render_wall_frame(const CommandList& commands,
              "rank 0 is the wall master and must survive the frame");
 
   FrameResult result;
-  result.frame =
-      render::Framebuffer(spec.total_width(), spec.total_height());
   result.stats.commands_total = commands.size();
   result.stats.pixels = spec.total_pixels();
 

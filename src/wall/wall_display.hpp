@@ -7,6 +7,8 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "layout/geometry.hpp"
@@ -141,6 +143,16 @@ std::vector<WorkSplit> split_work(
 /// u64 tile ids.
 std::vector<std::byte> write_work(const CommandList& commands,
                                   const WorkSplit& split);
+
+/// A node's share of a frame: decodes `work` (a write_work message) and
+/// rasters each tile it names, in order, straight into a new pixel reply
+/// [u64 tile][u64 executed][f64 seconds][u64 count][pixels] that it hands
+/// to `reply`. The pixels start black; executed counts the commands that
+/// touched the tile, seconds is the raster's CPU time. The decoded images
+/// borrow `work`'s bytes, which must stay valid for the call. A damaged
+/// message fails typed, as read_commands does.
+void raster_work(std::span<const std::byte> work, const WallSpec& spec,
+                 const std::function<void(std::vector<std::byte>)>& reply);
 
 /// Single-pass reference rendering of the same command stream (desktop
 /// path); wall output must match it pixel for pixel.

@@ -54,7 +54,7 @@ wl::CommandList chaos_scene(std::uint64_t seed, long width, long height) {
         for (std::size_t p = 0; p < pixels.size(); p += 7) {
           pixels[p] = rd::Rgb8{static_cast<std::uint8_t>(p), color.g, 0};
         }
-        canvas.image(x - 30, y - 20, w, h, pixels);
+        canvas.image(x - 30, y - 20, w, h, rd::share_pixels(std::move(pixels)));
         break;
       }
       default:

@@ -503,6 +503,97 @@ TEST(FrameRetentionTest, ResizingKeepsOneStripPerDataset) {
   EXPECT_EQ(app.wall_strips().size(), 0u);
 }
 
+// A recorded frame shares each global view's kept strip rather than
+// copying it: every image command points at the strip's own pixels.
+TEST(FrameRetentionTest, RecordedImagesShareTheKeptStrips) {
+  co::Session session(golden_datasets());
+  session.prefs(1).scheme = rd::ColorScheme::kBlueYellow;
+  co::GlobalViewStrips strips;
+  wl::RecordingCanvas recorder;
+  co::render_frame(session, recorder, kConfig, strips);
+  std::vector<rd::SharedPixels> images;
+  for (const auto& command : recorder.commands()) {
+    if (command.type == wl::CommandType::kImage) {
+      images.push_back(command.image);
+    }
+  }
+  const auto panes = fv::layout::split_vertical_panes(
+      kConfig.width, kConfig.height, session.pane_order().size(),
+      kConfig.pane_gap);
+  ASSERT_EQ(images.size(), panes.size());
+  for (std::size_t p = 0; p < panes.size(); ++p) {
+    const std::size_t d = session.pane_order()[p];
+    const auto view =
+        fv::layout::layout_pane(panes[p], kConfig.pane).global_view;
+    bool computed = true;
+    const auto strip = strips.strip(
+        session, d,
+        rd::ExpressionColormap(session.prefs(d).scheme,
+                               session.prefs(d).contrast),
+        view.width, view.height, computed);
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(images[p].pixels.data(), strip.pixels.data()) << "pane " << p;
+    EXPECT_EQ(images[p].pixels.size(), strip.pixels.size());
+  }
+}
+
+// A recolored strip goes into a fresh buffer, so a recording kept across
+// the change still holds, and replays to, the pixels it was recorded with,
+// through render_reference and through a wall frame alike.
+TEST(WallFrameRetentionTest, KeptRecordingReplaysUnchangedAfterContrastChange) {
+  co::Session session(golden_datasets());
+  session.select_by_names({"GEN3", "GEN4"});
+  co::ForestViewApp app(&session);
+  const wl::WallSpec spec{4, 3, 96, 64};
+  co::FrameConfig config;
+  config.width = static_cast<long>(spec.total_width());
+  config.height = static_cast<long>(spec.total_height());
+  const auto kept = app.record_frame(config);
+  const auto replay = [&](const wl::CommandList& commands) {
+    return pixel_hash(wl::render_reference(commands, spec.total_width(),
+                                           spec.total_height()));
+  };
+  const std::uint64_t recorded = replay(kept);
+  co::DisplayPrefs prefs = session.prefs(0);
+  prefs.contrast = 3.7;  // +-2 no longer saturates
+  session.set_prefs_all(prefs);
+  const auto changed = app.record_frame(config);
+  ASSERT_NE(replay(changed), recorded);
+  EXPECT_EQ(replay(kept), recorded);
+  EXPECT_EQ(pixel_hash(wl::render_wall_frame(kept, spec, 3).frame), recorded);
+  // The app keeps only the recolored strips; the old ones live on in the
+  // kept recording alone.
+  EXPECT_EQ(app.wall_strips().bytes(), strip_bytes(session, config));
+}
+
+// Desktop and wall frames keep their strips apart, so alternating between
+// them recolors nothing on a repeat of either.
+TEST(FrameRetentionTest, AlternatingDesktopAndWallFramesRecolorNothing) {
+  co::Session session(golden_datasets());
+  co::GlobalViewStrips desktop_strips, wall_strips;
+  rd::Framebuffer fb(static_cast<std::size_t>(kConfig.width),
+                     static_cast<std::size_t>(kConfig.height));
+  rd::FramebufferCanvas desktop(fb);
+  const co::FrameConfig wall_config{384, 192, 4, {}};
+  const auto desktop_frame = [&] {
+    return co::render_frame(session, desktop, kConfig, desktop_strips)
+        .strips_computed;
+  };
+  const auto wall_frame = [&] {
+    wl::RecordingCanvas recorder;
+    return co::render_frame(session, recorder, wall_config, wall_strips)
+        .strips_computed;
+  };
+  EXPECT_EQ(desktop_frame(), 3u);
+  EXPECT_EQ(wall_frame(), 3u);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(desktop_frame(), 0u);
+    EXPECT_EQ(wall_frame(), 0u);
+  }
+  EXPECT_EQ(desktop_strips.bytes(), strip_bytes(session, kConfig));
+  EXPECT_EQ(wall_strips.bytes(), strip_bytes(session, wall_config));
+}
+
 /// A small compendium whose first dataset is clustered, so its display
 /// order is a tree's leaf order rather than the row order.
 std::vector<ex::Dataset> retention_datasets(std::uint64_t seed) {
@@ -624,6 +715,35 @@ TEST(FrameRetentionTest, SeededSessionMatchesRenderingWithNothingRetained) {
   // Most frames reuse most strips.
   EXPECT_GT(desktop_computed, 0u);
   EXPECT_LT(desktop_computed * 3, desktop_shown);
+}
+
+// After each frame an output holds only the strips its panes drew. A
+// narrow wall frame whose seven panes draw no global view leaves none
+// behind from the wider frame before it.
+TEST(FrameRetentionTest, FrameWithoutGlobalViewsKeepsNoStrips) {
+  co::Session session(retention_datasets(31));
+  auto extra = retention_datasets(32);
+  session.add_dataset(std::move(extra[0]));
+  session.add_dataset(std::move(extra[1]));
+  ASSERT_EQ(session.dataset_count(), 7u);
+  co::ForestViewApp app(&session);
+  const co::FrameConfig wide{450, 240, 4, {}};
+  const co::FrameConfig narrow{360, 240, 4, {}};
+  app.record_frame(wide);
+  EXPECT_EQ(app.wall_strips().size(), 7u);
+  EXPECT_GT(app.wall_strips().bytes(), 0u);
+  EXPECT_EQ(app.wall_strips().bytes(), strip_bytes(session, wide));
+  const auto commands = app.record_frame(narrow);
+  EXPECT_EQ(std::count_if(commands.begin(), commands.end(),
+                          [](const auto& c) {
+                            return c.type == wl::CommandType::kImage;
+                          }),
+            0);
+  EXPECT_EQ(app.wall_strips().size(), 0u);
+  EXPECT_EQ(app.wall_strips().bytes(), 0u);
+  // Wider again: every strip is colored anew.
+  app.record_frame(wide);
+  EXPECT_EQ(app.wall_strips().bytes(), strip_bytes(session, wide));
 }
 
 }  // namespace

@@ -220,7 +220,7 @@ TEST_P(CullSoundnessTest, CulledEqualsFull) {
           pixels[p] = fv::render::Rgb8{static_cast<std::uint8_t>(p),
                                        static_cast<std::uint8_t>(i), 7};
         }
-        canvas.image(x, y, w, h, pixels);
+        canvas.image(x, y, w, h, fv::render::share_pixels(std::move(pixels)));
         break;
       }
       case 2:

@@ -320,6 +320,75 @@ TEST(DrawTest, ExtremeCoordinatesClipExactly) {
   EXPECT_EQ(checked, std::size_t{14 * 14 * 14 * 14});
 }
 
+// Every kernel draws into a PixelView over a block in the middle of a
+// larger buffer exactly what it draws into a Framebuffer of the block's
+// size and pixels, and writes no guard pixel before or after the block.
+TEST(PixelViewTest, KernelsDrawIntoASubBlockAsIntoAFramebuffer) {
+  std::mt19937 rng(53);
+  constexpr std::size_t kGuard = 97;
+  const Rgb8 guard{7, 77, 177};
+  std::size_t checked = 0;
+  for (const auto [w, h] : {std::pair<std::size_t, std::size_t>{37, 23},
+                            {1, 1},
+                            {64, 5},
+                            {5, 40}}) {
+    const Framebuffer start = noise_framebuffer(w, h, rng);
+    // From 20 px outside the view to 20 px past it.
+    const auto coordinate = [&](std::size_t extent) {
+      return static_cast<long>(rng() % (extent + 40)) - 20;
+    };
+    for (int round = 0; round < 150; ++round) {
+      const long x = coordinate(w), y = coordinate(h);
+      const long x1 = coordinate(w), y1 = coordinate(h);
+      const long cw = static_cast<long>(rng() % 30) - 2;
+      const long ch = static_cast<long>(rng() % 30) - 2;
+      const int scale = 1 + static_cast<int>(rng() % 3);
+      const auto bits = static_cast<std::uint32_t>(rng());
+      const Rgb8 color{static_cast<std::uint8_t>(bits),
+                       static_cast<std::uint8_t>(bits >> 8), 5};
+      std::vector<Rgb8> image(
+          static_cast<std::size_t>(std::max(cw, 0L) * std::max(ch, 0L)));
+      for (std::size_t i = 0; i < image.size(); ++i) {
+        image[i] = Rgb8{static_cast<std::uint8_t>(i), 3, 250};
+      }
+      const auto draw = [&](rd::PixelView target, int kernel) {
+        switch (kernel) {
+          case 0: rd::fill_rect(target, x, y, cw, ch, color); break;
+          case 1: rd::draw_rect(target, x, y, cw, ch, color); break;
+          case 2: rd::draw_hline(target, x, x1, y, color); break;
+          case 3: rd::draw_vline(target, x, y, y1, color); break;
+          case 4: rd::draw_line(target, x, y, x1, y1, color); break;
+          case 5: rd::draw_text(target, x, y, "YAL01", color, scale); break;
+          default: rd::draw_image(target, x, y, cw, ch, image); break;
+        }
+      };
+      for (int kernel = 0; kernel < 7; ++kernel) {
+        Framebuffer want = start;
+        draw(want, kernel);
+        std::vector<Rgb8> buffer(kGuard + w * h + kGuard, guard);
+        const auto block = buffer.begin() + kGuard;
+        std::copy(start.pixels().begin(), start.pixels().end(), block);
+        draw(rd::PixelView(&*block, w, h), kernel);
+        ASSERT_TRUE(std::equal(want.pixels().begin(), want.pixels().end(),
+                               block))
+            << "kernel " << kernel << " at " << x << "," << y << " in " << w
+            << "x" << h;
+        ASSERT_EQ(std::count(buffer.begin(), block, guard), kGuard);
+        ASSERT_EQ(std::count(block + static_cast<std::ptrdiff_t>(w * h),
+                             buffer.end(), guard),
+                  kGuard);
+        ++checked;
+      }
+    }
+    // A view checks its rows as a Framebuffer does.
+    std::vector<Rgb8> pixels(w * h);
+    const rd::PixelView view(pixels.data(), w, h);
+    EXPECT_EQ(view.row(h - 1).data(), pixels.data() + (h - 1) * w);
+    EXPECT_THROW(view.row(h), fv::InvalidArgument);
+  }
+  EXPECT_EQ(checked, 4u * 150u * 7u);
+}
+
 TEST(FontTest, KnownGlyphsExist) {
   for (char c : std::string("ABCXYZ0189-_.:()HSP26yal001c")) {
     EXPECT_TRUE(rd::has_glyph(c)) << "missing glyph for " << c;

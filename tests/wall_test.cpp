@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "core/app.hpp"
 #include "core/session.hpp"
@@ -61,7 +64,7 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
           pixel = rd::Rgb8{static_cast<std::uint8_t>(rng.uniform_u64(256)),
                            color.g, static_cast<std::uint8_t>(i)};
         }
-        canvas.image(x - 40, y - 30, w, h, pixels);
+        canvas.image(x - 40, y - 30, w, h, rd::share_pixels(std::move(pixels)));
         break;
       }
       default:
@@ -72,12 +75,22 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
   return canvas.take();
 }
 
+/// True when `pixels` lie within `bytes`.
+bool lies_inside(std::span<const rd::Rgb8> pixels,
+                 const std::vector<std::byte>& bytes) {
+  const auto* first = reinterpret_cast<const std::byte*>(pixels.data());
+  return std::less_equal<>()(bytes.data(), first) &&
+         std::less_equal<>()(first + pixels.size_bytes(),
+                             bytes.data() + bytes.size());
+}
+
 TEST(CommandTest, RecordingCapturesPrimitives) {
   wl::RecordingCanvas canvas;
   canvas.fill_rect(1, 2, 3, 4, rd::colors::kRed);
   canvas.text(5, 6, "ABC", rd::colors::kWhite, 2);
   canvas.fill_rect(0, 0, 0, 5, rd::colors::kRed);  // degenerate: dropped
-  const std::vector<rd::Rgb8> block(6, rd::colors::kBlue);
+  const auto block =
+      rd::share_pixels(std::vector<rd::Rgb8>(6, rd::colors::kBlue));
   canvas.image(-1, 3, 3, 2, block);
   canvas.image(0, 0, 0, 2, {});  // 0-width image: dropped
   const auto& commands = canvas.commands();
@@ -87,10 +100,16 @@ TEST(CommandTest, RecordingCapturesPrimitives) {
   EXPECT_EQ(commands[1].text, "ABC");
   EXPECT_EQ(commands[1].scale, 2);
   EXPECT_EQ(commands[2].type, wl::CommandType::kImage);
-  EXPECT_EQ(commands[2].pixels, block);
+  // The recorded image shares the block's storage and its owner.
+  EXPECT_EQ(commands[2].image.pixels.data(), block.pixels.data());
+  EXPECT_EQ(commands[2].image.pixels.size(), 6u);
+  EXPECT_EQ(commands[2].image.owner, block.owner);
   EXPECT_EQ(commands[2].bounds(), (fv::layout::Rect{-1, 3, 3, 2}));
-  // The span must hold exactly width x height pixels.
+  // The span must hold exactly width x height pixels, and a recording
+  // cannot keep pixels that nothing owns.
   EXPECT_THROW(canvas.image(0, 0, 2, 2, block), fv::InvalidArgument);
+  EXPECT_THROW(canvas.image(0, 0, 3, 2, rd::SharedPixels{block.pixels, {}}),
+               fv::InvalidArgument);
   EXPECT_EQ(canvas.commands().size(), 3u);
 }
 
@@ -125,7 +144,11 @@ TEST(CommandTest, SerializationRoundTrip) {
     EXPECT_EQ(parsed[i].y1, commands[i].y1);
     EXPECT_EQ(parsed[i].color, commands[i].color);
     EXPECT_EQ(parsed[i].text, commands[i].text);
-    EXPECT_EQ(parsed[i].pixels, commands[i].pixels);
+    EXPECT_TRUE(std::ranges::equal(parsed[i].image.pixels,
+                                   commands[i].image.pixels));
+    if (parsed[i].type == wl::CommandType::kImage) {
+      EXPECT_TRUE(lies_inside(parsed[i].image.pixels, payload));
+    }
   }
   // The exact size a work message reserves: the count, then each command
   // uncropped.
@@ -181,8 +204,40 @@ TEST(CommandTest, HostileStreamsFailTyped) {
                fv::ParseError);
   EXPECT_THROW(decode(hand_built_stream(image, 2, 2, 3)), fv::ParseError);
   // The same shapes, well formed, decode.
-  EXPECT_EQ(decode(hand_built_stream(image, 2, 2, 4))[0].pixels.size(), 4u);
+  EXPECT_EQ(decode(hand_built_stream(image, 2, 2, 4))[0].image.pixels.size(),
+            4u);
   EXPECT_EQ(decode(hand_built_stream(0, 2, 2)).size(), 1u);
+}
+
+/// `stream` truncated, with a few bits flipped, or with a copy of one of
+/// its segments spliced in at another offset, as `rng` picks.
+std::vector<std::byte> mutated(const std::vector<std::byte>& stream,
+                               fv::Rng& rng) {
+  std::vector<std::byte> bytes = stream;
+  switch (rng.uniform_u64(3)) {
+    case 0:  // truncate
+      bytes.resize(rng.uniform_u64(bytes.size()));
+      break;
+    case 1:  // flip a few bits
+      for (auto flips = 1 + rng.uniform_u64(8); flips > 0; --flips) {
+        bytes[rng.uniform_u64(bytes.size())] ^=
+            std::byte{static_cast<unsigned char>(1u << rng.uniform_u64(8))};
+      }
+      break;
+    default: {  // splice a copy of one segment in at another offset
+      const auto from = rng.uniform_u64(bytes.size());
+      const auto length = 1 + rng.uniform_u64(std::min<std::uint64_t>(
+                                  256, bytes.size() - from));
+      const std::vector<std::byte> segment(
+          bytes.begin() + static_cast<std::ptrdiff_t>(from),
+          bytes.begin() + static_cast<std::ptrdiff_t>(from + length));
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.uniform_u64(bytes.size())),
+                   segment.begin(), segment.end());
+      break;
+    }
+  }
+  return bytes;
 }
 
 /// Seeded mutation fuzzing of read_commands over a real recorded frame:
@@ -207,36 +262,15 @@ TEST(CommandFuzzTest, MutatedFrameStreamsDecodeOrFailTyped) {
   fv::Rng rng(0xf022);
   std::size_t decoded = 0, rejected = 0;
   for (int iteration = 0; iteration < 1500; ++iteration) {
-    std::vector<std::byte> bytes = stream;
-    switch (rng.uniform_u64(3)) {
-      case 0:  // truncate
-        bytes.resize(rng.uniform_u64(bytes.size()));
-        break;
-      case 1:  // flip a few bits
-        for (auto flips = 1 + rng.uniform_u64(8); flips > 0; --flips) {
-          bytes[rng.uniform_u64(bytes.size())] ^=
-              std::byte{static_cast<unsigned char>(1u << rng.uniform_u64(8))};
-        }
-        break;
-      default: {  // splice a copy of one segment in at another offset
-        const auto from = rng.uniform_u64(bytes.size());
-        const auto length = 1 + rng.uniform_u64(
-                                    std::min<std::uint64_t>(
-                                        256, bytes.size() - from));
-        const std::vector<std::byte> segment(
-            bytes.begin() + static_cast<std::ptrdiff_t>(from),
-            bytes.begin() + static_cast<std::ptrdiff_t>(from + length));
-        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
-                                         rng.uniform_u64(bytes.size())),
-                     segment.begin(), segment.end());
-        break;
-      }
-    }
+    const std::vector<std::byte> bytes = mutated(stream, rng);
     try {
       for (const auto& command : decode(bytes)) {
         if (command.type == wl::CommandType::kImage) {
           ASSERT_TRUE(rd::image_size_matches(command.x1, command.y1,
-                                             command.pixels.size()));
+                                             command.image.pixels.size()));
+          // Borrowed from the message: the pixels lie inside its bytes.
+          ASSERT_TRUE(lies_inside(command.image.pixels, bytes));
+          ASSERT_EQ(command.image.owner, nullptr);
         }
       }
       ++decoded;
@@ -546,7 +580,7 @@ wl::CommandList split_scene(std::uint64_t seed, const wl::WallSpec& spec) {
         }
         canvas.image(col * static_cast<long>(spec.tile_width) - w / 2,
                      row * static_cast<long>(spec.tile_height) - h / 2, w, h,
-                     pixels);
+                     rd::share_pixels(std::move(pixels)));
         break;
       }
       default:
@@ -633,9 +667,9 @@ TEST_P(WorkSplitTest, MatchesPerTileCullWithOnlyImagesCut) {
         std::size_t mismatched = 0;
         for (long y = kept.y; y < kept.bottom(); ++y) {
           for (long x = kept.x; x < kept.right(); ++x) {
-            mismatched += got.pixels[static_cast<std::size_t>(
+            mismatched += got.image.pixels[static_cast<std::size_t>(
                          (y - kept.y) * kept.width + (x - kept.x))] !=
-                     original.pixels[static_cast<std::size_t>(
+                     original.image.pixels[static_cast<std::size_t>(
                          (y - from.y) * from.width + (x - from.x))];
           }
         }
@@ -659,6 +693,89 @@ TEST_P(WorkSplitTest, MatchesPerTileCullWithOnlyImagesCut) {
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, WorkSplitTest,
                          ::testing::Values(1, 2, 3, 5, 0));
+
+/// Seeded mutation fuzzing of a node's work messages, which carry the
+/// images the recorded frame above lacks: each mutated message decodes or
+/// fails typed, and every image it decodes to borrows pixels that lie
+/// inside the message.
+TEST(CommandFuzzTest, MutatedWorkMessagesBorrowTheirImagesOrFailTyped) {
+  const wl::WallSpec spec{4, 3, 40, 30};
+  const auto commands = split_scene(31, spec);
+  const auto splits = wl::split_work(commands, spec, {0, 0, 1, 1, 0, 0, 1, 1,
+                                                      0, 0, 1, 1});
+  fv::Rng rng(0x3a9e);
+  std::size_t decoded = 0, rejected = 0, images = 0;
+  for (const wl::WorkSplit& split : splits) {
+    const std::vector<std::byte> work = wl::write_work(commands, split);
+    for (int iteration = 0; iteration < 600; ++iteration) {
+      const std::vector<std::byte> bytes =
+          iteration == 0 ? work : mutated(work, rng);
+      try {
+        fv::mpx::PayloadReader reader(bytes);
+        for (const auto& command : wl::read_commands(reader)) {
+          if (command.type != wl::CommandType::kImage) continue;
+          ASSERT_TRUE(rd::image_size_matches(command.x1, command.y1,
+                                             command.image.pixels.size()));
+          ASSERT_TRUE(lies_inside(command.image.pixels, bytes));
+          ASSERT_EQ(command.image.owner, nullptr);
+          ++images;
+        }
+        reader.read_vector<std::uint64_t>();
+        ++decoded;
+      } catch (const fv::Error&) {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(images, 100u);
+  EXPECT_GT(decoded, 2u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// A node rasters each tile of its work message straight into the pixel
+// reply it sends. Each reply decodes to the tile's id, the commands that
+// touched the tile and the pixels, exactly as rastering the whole recorded
+// stream into a Framebuffer at that tile gives them, in the order the
+// message names the tiles.
+TEST(WallNodeTest, PixelRepliesMatchFramebufferRasters) {
+  const wl::WallSpec spec{4, 3, 40, 30};
+  for (const std::size_t nodes : {std::size_t{1}, std::size_t{5},
+                                  spec.tile_count()}) {
+    const auto commands = split_scene(700 + nodes, spec);
+    std::vector<std::size_t> route(spec.tile_count());
+    for (std::size_t t = 0; t < route.size(); ++t) route[t] = t % nodes;
+    for (const wl::WorkSplit& split : wl::split_work(commands, spec, route)) {
+      std::vector<std::vector<std::byte>> replies;
+      wl::raster_work(wl::write_work(commands, split), spec,
+                      [&](std::vector<std::byte> reply) {
+                        replies.push_back(std::move(reply));
+                      });
+      ASSERT_EQ(replies.size(), split.tiles.size());
+      for (std::size_t k = 0; k < replies.size(); ++k) {
+        const std::size_t tile = split.tiles[k];
+        const fv::layout::Rect rect = spec.tile_rect(tile);
+        rd::Framebuffer want(spec.tile_width, spec.tile_height);
+        const std::size_t executed =
+            wl::replay_commands(want, commands, rect.x, rect.y);
+        fv::mpx::PayloadReader reader(replies[k]);
+        EXPECT_EQ(reader.read<std::uint64_t>(), tile);
+        EXPECT_EQ(reader.read<std::uint64_t>(), executed);
+        EXPECT_GE(reader.read<double>(), 0.0);
+        const auto pixels = reader.read_span<rd::Rgb8>();
+        EXPECT_EQ(reader.remaining(), 0u);
+        EXPECT_TRUE(std::ranges::equal(pixels, want.pixels()))
+            << nodes << " nodes, tile " << tile;
+      }
+    }
+  }
+  // A reply names only tiles of the wall.
+  fv::mpx::PayloadWriter bad;
+  bad.write<std::uint64_t>(0);
+  bad.write_span(std::span<const std::uint64_t>(
+      std::vector<std::uint64_t>{spec.tile_count()}));
+  EXPECT_THROW(wl::raster_work(bad.take(), spec, [](std::vector<std::byte>) {}),
+               fv::InvalidArgument);
+}
 
 TEST(WorkSplitRouteTest, UnroutedTilesGetNothing) {
   const wl::WallSpec spec{3, 1, 10, 10};
