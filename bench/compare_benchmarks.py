@@ -6,19 +6,19 @@ bench/run_benches.sh) benchmark-by-benchmark and prints a delta table.
 Exits nonzero when any matched benchmark regressed by more than the
 threshold (default 10%), so CI can gate on the perf trajectory.
 
-Counters are compared too. The ones in GATED_COUNTERS are gated in their
-declared direction: a deterministic work counter (wire bytes, pruned
-tiles, recall) fails beyond --counter-threshold (default 1%), a latency
-counter beyond --threshold. Every other counter is reported only.
+Counters are compared too. The ones in GATED_COUNTERS are deterministic
+work counts (wire bytes, pruned tiles, recall), gated in their declared
+direction: each fails beyond DETERMINISTIC_THRESHOLD_PCT. Every other
+counter, timed ones such as bench_serve's p99_ms included, is reported
+only.
 
 Usage:
     bench/compare_benchmarks.py BASELINE_DIR CURRENT_DIR [--threshold PCT]
-                                [--counter-threshold PCT]
                                 [--metric real_time|cpu_time]
 
-Benchmarks and counters present on only one side are reported
-informationally and never fail the comparison (new benchmarks appear,
-retired ones disappear).
+Benchmarks and counters present on only one side are listed as new or
+removed and never fail the comparison (new benchmarks appear, retired
+ones disappear).
 """
 
 from __future__ import annotations
@@ -34,26 +34,27 @@ from pathlib import Path
 # nanoseconds so snapshots taken before/after a ->Unit() change still compare.
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# Counters gated in a direction: name -> (better, deterministic). A
-# deterministic counter is a seeded work count that moves only when the
-# code does; a non-deterministic one is timed, so it gets the time
-# threshold.
+# Counters gated in the direction that is better: name -> "lower" or
+# "higher". Each is a seeded work count that moves only when the code does,
+# so it gets a tight threshold. Timed counters (bench_serve's p99_ms) stay
+# reported only until their run-to-run spread is measured.
 GATED_COUNTERS = {
     # bench_fig3: payload MB shipped to the wall nodes per frame.
-    "MB_shipped": ("lower", True),
+    "MB_shipped": "lower",
     # bench_fig3: commands executed, summed over tiles, per command
     # recorded; a looser cull raises it.
-    "cull_ratio": ("lower", True),
+    "cull_ratio": "lower",
     # bench_lsh_topk: share of pairs scored exactly, and recall vs exact.
-    "exact_dot_fraction": ("lower", True),
-    "recall": ("higher", True),
+    "exact_dot_fraction": "lower",
+    "recall": "higher",
     # bench_knn_topk: tiles skipped by the prune bound.
-    "tiles_pruned": ("higher", True),
+    "tiles_pruned": "higher",
     # bench_hclust: distance matrix size.
-    "matrix_MiB": ("lower", True),
-    # bench_serve: request latency tail.
-    "p99_ms": ("lower", False),
+    "matrix_MiB": "lower",
 }
+
+# Percent a gated counter may move in its worse direction.
+DETERMINISTIC_THRESHOLD_PCT = 1.0
 
 # Fields of a Google Benchmark run that are not user counters.
 STANDARD_FIELDS = {
@@ -113,16 +114,17 @@ def worsening(base: float, cur: float, better: str) -> float:
     return 100.0 * change / abs(base)
 
 
-def compare_counters(baseline: dict[str, float], current: dict[str, float],
-                     time_threshold: float,
-                     counter_threshold: float) -> list[tuple[str, float]]:
+def compare_counters(baseline: dict[str, float],
+                     current: dict[str, float]) -> list[tuple[str, float]]:
     """Prints the counter table; returns the gated counters that regressed
     with how far, in percent."""
     shared = sorted(set(baseline) & set(current))
-    if not shared:
+    only_baseline = sorted(set(baseline) - set(current))
+    only_current = sorted(set(current) - set(baseline))
+    if not (shared or only_baseline or only_current):
         return []
     regressions: list[tuple[str, float]] = []
-    width = max(len(key) for key in shared)
+    width = max(len(key) for key in [*shared, *only_baseline, *only_current])
     header = (f"{'counter':<{width}}  {'baseline':>14}  {'current':>14}  "
               f"{'worse by':>9}  gate")
     print()
@@ -131,13 +133,12 @@ def compare_counters(baseline: dict[str, float], current: dict[str, float],
     for key in shared:
         base, cur = baseline[key], current[key]
         counter = key.rsplit(":", 1)[1]
-        gate = GATED_COUNTERS.get(counter)
-        if gate is None:
+        better = GATED_COUNTERS.get(counter)
+        if better is None:
             print(f"{key:<{width}}  {base:>14.6g}  {cur:>14.6g}  "
                   f"{'':>9}  reported")
             continue
-        better, deterministic = gate
-        threshold = counter_threshold if deterministic else time_threshold
+        threshold = DETERMINISTIC_THRESHOLD_PCT
         worse = worsening(base, cur, better)
         marker = ""
         if worse > threshold:
@@ -147,6 +148,10 @@ def compare_counters(baseline: dict[str, float], current: dict[str, float],
             marker = "  improved"
         print(f"{key:<{width}}  {base:>14.6g}  {cur:>14.6g}  "
               f"{worse:>+8.1f}%  {better} within {threshold:g}%{marker}")
+    for key in only_current:
+        print(f"{key:<{width}}  {'(new)':>14}  {current[key]:>14.6g}")
+    for key in only_baseline:
+        print(f"{key:<{width}}  {baseline[key]:>14.6g}  {'(removed)':>14}")
     return regressions
 
 
@@ -163,9 +168,6 @@ def main() -> int:
                         help="directory of current BENCH_*.json files")
     parser.add_argument("--threshold", type=float, default=10.0,
                         help="regression threshold in percent (default 10)")
-    parser.add_argument("--counter-threshold", type=float, default=1.0,
-                        help="regression threshold in percent for the "
-                             "deterministic gated counters (default 1)")
     parser.add_argument("--metric", default="real_time",
                         choices=["real_time", "cpu_time"],
                         help="which benchmark time to compare")
@@ -225,9 +227,8 @@ def main() -> int:
               f"{format_value(baseline[name]['value'], baseline[name]['unit']):>16}"
               f"  {'(removed)':>16}")
 
-    counter_regressions = compare_counters(
-        baseline_counters, current_counters, args.threshold,
-        args.counter_threshold)
+    counter_regressions = compare_counters(baseline_counters,
+                                           current_counters)
 
     print(f"\n{len(shared)} compared, {len(only_current)} new, "
           f"{len(only_baseline)} removed, {len(regressions)} regressed "

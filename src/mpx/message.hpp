@@ -102,6 +102,45 @@ class PayloadWriter {
     append(text.data(), text.size());
   }
 
+  /// Where write_placeholder put a T, for fill to write its value.
+  template <typename T>
+  struct Slot {
+    std::size_t offset;
+  };
+
+  /// A zero T whose value is known only after what follows it is written:
+  /// fill it through the returned slot before take().
+  template <typename T>
+  Slot<T> write_placeholder() {
+    const Slot<T> slot{buffer_.size()};
+    write(T{});
+    return slot;
+  }
+
+  template <typename T>
+  void fill(Slot<T> slot, const std::type_identity_t<T>& value) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "payloads carry trivially copyable types only");
+    FV_REQUIRE(slot.offset + sizeof(T) <= buffer_.size(),
+               "payload slot past the written bytes");
+    std::memcpy(buffer_.data() + slot.offset, &value, sizeof(T));
+  }
+
+  /// A span of `count` zero-valued Ts, laid out as write_span writes one,
+  /// returned for the caller to fill in place: a payload written where it
+  /// is sent from. The view is valid until the next write or take().
+  /// Byte-aligned types only, as PayloadReader::read_span.
+  template <typename T>
+  std::span<T> write_zeroed_span(std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<T> && alignof(T) == 1,
+                  "an in-place span needs a trivially copyable, byte-aligned "
+                  "type");
+    write<std::uint64_t>(count);
+    const std::size_t offset = buffer_.size();
+    buffer_.resize(offset + count * sizeof(T));
+    return {reinterpret_cast<T*>(buffer_.data() + offset), count};
+  }
+
   std::vector<std::byte> take() { return std::move(buffer_); }
 
  private:

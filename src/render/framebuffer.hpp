@@ -67,11 +67,6 @@ class Framebuffer {
     return PixelView(pixels_.data(), width_, height_);
   }
 
-  /// Clipped write (see PixelView::set_clipped).
-  void set_clipped(long x, long y, Rgb8 color) {
-    PixelView(*this).set_clipped(x, y, color);
-  }
-
   /// Sets every pixel to `color` (through render::fill_rect).
   void clear(Rgb8 color);
 

@@ -1,7 +1,6 @@
 #include "wall/wall_display.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "mpx/communicator.hpp"
@@ -41,40 +40,31 @@ layout::Rect bounding_box(const layout::Rect& a, const layout::Rect& b) {
                       std::max(a.bottom(), b.bottom()) - y};
 }
 
-/// A pixel reply is [u64 tile][u64 executed][f64 seconds][u64 count]
-/// [count pixels]: this many bytes, then the pixels.
-constexpr std::size_t kReplyHeaderBytes = 4 * sizeof(std::uint64_t);
-
-/// Rasterizes one tile of the command stream straight into its pixel reply
-/// (deterministic — this is what makes every recovery rung pixel-identical:
-/// any node, or the master, can re-render any tile and produce the same
-/// bytes). The reply starts zeroed, so the tile starts black as a new
-/// Framebuffer does; seconds is the thread's CPU time for the raster.
+/// Rasterizes one tile of the command stream straight into its pixel reply,
+/// [u64 tile][u64 executed][f64 seconds][pixel span] (deterministic — this
+/// is what makes every recovery rung pixel-identical: any node, or the
+/// master, can re-render any tile and produce the same bytes). The pixels
+/// start zeroed, so the tile starts black as a new Framebuffer does;
+/// seconds is the thread's CPU time for the raster.
 std::vector<std::byte> raster_reply(const CommandList& commands,
                                     const WallSpec& spec, std::uint64_t tile) {
-  // The pixels are viewed in place, as PayloadReader::read_span views them.
-  static_assert(sizeof(render::Rgb8) == 3 && alignof(render::Rgb8) == 1);
   const ThreadCpuTimer timer;
   const layout::Rect rect = spec.tile_rect(static_cast<std::size_t>(tile));
-  const std::uint64_t count = spec.tile_width * spec.tile_height;
-  std::vector<std::byte> reply(kReplyHeaderBytes +
-                               count * sizeof(render::Rgb8));
-  const std::uint64_t executed = replay_commands(
-      render::PixelView(
-          reinterpret_cast<render::Rgb8*>(reply.data() + kReplyHeaderBytes),
-          spec.tile_width, spec.tile_height),
-      commands, rect.x, rect.y);
-  const double seconds = timer.seconds();
-  std::size_t offset = 0;
-  const auto put = [&](const auto& value) {
-    std::memcpy(reply.data() + offset, &value, sizeof value);
-    offset += sizeof value;
-  };
-  put(tile);
-  put(executed);
-  put(seconds);
-  put(count);
-  return reply;
+  const std::size_t count = spec.tile_width * spec.tile_height;
+  mpx::PayloadWriter writer;
+  writer.reserve(2 * sizeof(std::uint64_t) + sizeof(double) +
+                 sizeof(std::uint64_t) + count * sizeof(render::Rgb8));
+  writer.write(tile);
+  const auto executed = writer.write_placeholder<std::uint64_t>();
+  const auto seconds = writer.write_placeholder<double>();
+  const std::span<render::Rgb8> pixels =
+      writer.write_zeroed_span<render::Rgb8>(count);
+  writer.fill(executed,
+              replay_commands(render::PixelView(pixels.data(), spec.tile_width,
+                                                spec.tile_height),
+                              commands, rect.x, rect.y));
+  writer.fill(seconds, timer.seconds());
+  return writer.take();
 }
 
 /// `span` from now, or no deadline at all when the frame has none

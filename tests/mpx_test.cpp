@@ -96,6 +96,35 @@ TEST(PayloadTest, ReadSpanBorrowsTheMessageBytes) {
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
+TEST(PayloadTest, InPlaceSpanAndPlaceholdersWriteWhatWriteSpanWrites) {
+  // A payload filled in place (placeholders filled last, a zeroed span
+  // written through its view) has the bytes of one written in order.
+  const std::vector<fv::render::Rgb8> pixels{{1, 2, 3}, {0, 0, 0}, {4, 5, 6}};
+  mpx::PayloadWriter in_place;
+  in_place.write<std::uint64_t>(9);
+  const auto count = in_place.write_placeholder<std::uint64_t>();
+  const auto seconds = in_place.write_placeholder<double>();
+  const std::span<fv::render::Rgb8> view =
+      in_place.write_zeroed_span<fv::render::Rgb8>(pixels.size());
+  ASSERT_EQ(view.size(), pixels.size());
+  EXPECT_TRUE(std::all_of(view.begin(), view.end(), [](fv::render::Rgb8 p) {
+    return p == fv::render::Rgb8{};
+  }));
+  view[0] = pixels[0];
+  view[2] = pixels[2];
+  in_place.fill(count, 17);
+  in_place.fill(seconds, 0.5);
+  EXPECT_TRUE(in_place.write_zeroed_span<fv::render::Rgb8>(0).empty());
+
+  mpx::PayloadWriter in_order;
+  in_order.write<std::uint64_t>(9);
+  in_order.write<std::uint64_t>(17);
+  in_order.write<double>(0.5);
+  in_order.write_span(std::span<const fv::render::Rgb8>(pixels));
+  in_order.write_span(std::span<const fv::render::Rgb8>());
+  EXPECT_EQ(in_place.take(), in_order.take());
+}
+
 TEST(PayloadTest, PixelReplyLongerThanItsMessageThrowsTyped) {
   // A pixel reply, [tile, executed, raster seconds, pixels], whose pixel
   // count claims more than the message holds: the borrowed read must

@@ -88,8 +88,9 @@ TEST(FramebufferTest, SetGetAndBounds) {
 
 TEST(FramebufferTest, ClippedWritesIgnoreOutOfRange) {
   Framebuffer fb(4, 4);
-  fb.set_clipped(-1, 0, rd::colors::kRed);
-  fb.set_clipped(0, 100, rd::colors::kRed);
+  const rd::PixelView view(fb);
+  view.set_clipped(-1, 0, rd::colors::kRed);
+  view.set_clipped(0, 100, rd::colors::kRed);
   EXPECT_EQ(count_pixels(fb, rd::colors::kRed), 0u);
 }
 
@@ -168,8 +169,9 @@ TEST(DrawTest, HlineVlineInclusiveAndSwapped) {
 /// [y, y + height) through set_clipped.
 void reference_fill_rect(Framebuffer& fb, long x, long y, long width,
                          long height, Rgb8 color) {
+  const rd::PixelView view(fb);
   for (long py = y; py < y + height; ++py) {
-    for (long px = x; px < x + width; ++px) fb.set_clipped(px, py, color);
+    for (long px = x; px < x + width; ++px) view.set_clipped(px, py, color);
   }
 }
 
@@ -241,16 +243,18 @@ TEST(DrawTest, ExtremeCoordinatesClipExactly) {
     x0 = clamp_to_frame(x0, fw);
     x1 = clamp_to_frame(x1, fw);
     y = clamp_to_frame(y, fh);
+    const rd::PixelView view(fb);
     for (long x = std::min(x0, x1); x <= std::max(x0, x1); ++x) {
-      fb.set_clipped(x, y, color);
+      view.set_clipped(x, y, color);
     }
   };
   const auto vline_ref = [&](Framebuffer& fb, long x, long y0, long y1) {
     x = clamp_to_frame(x, fw);
     y0 = clamp_to_frame(y0, fh);
     y1 = clamp_to_frame(y1, fh);
+    const rd::PixelView view(fb);
     for (long y = std::min(y0, y1); y <= std::max(y0, y1); ++y) {
-      fb.set_clipped(x, y, color);
+      view.set_clipped(x, y, color);
     }
   };
   std::size_t checked = 0;
@@ -422,6 +426,7 @@ TEST(FontTest, ScaledTextCoversScaledArea) {
 /// valid for coordinates whose glyph arithmetic does not overflow.
 long reference_text(Framebuffer& fb, long x, long y, std::string_view text,
                     Rgb8 color, int scale) {
+  const rd::PixelView view(fb);
   long cursor = x;
   for (const char c : text) {
     const auto& rows = rd::glyph_rows(c);
@@ -433,8 +438,8 @@ long reference_text(Framebuffer& fb, long x, long y, std::string_view text,
         }
         for (int by = 0; by < scale; ++by) {
           for (int bx = 0; bx < scale; ++bx) {
-            fb.set_clipped(cursor + gx * scale + bx, y + gy * scale + by,
-                           color);
+            view.set_clipped(cursor + gx * scale + bx, y + gy * scale + by,
+                             color);
           }
         }
       }
