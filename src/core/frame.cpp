@@ -68,7 +68,7 @@ PaneRenderStats render_pane(const Session& session, Canvas& canvas,
 
   if (!parts.header.empty()) {
     canvas.text(parts.header.x + 2, parts.header.y + 2, dataset.name(),
-                kHeaderText, 1);
+                kHeaderText);
   }
 
   if (!parts.global_view.empty()) {
@@ -128,7 +128,7 @@ PaneRenderStats render_pane(const Session& session, Canvas& canvas,
       if (prefs.show_annotations && !parts.annotations.empty() &&
           cell_h >= render::kGlyphHeight) {
         canvas.text(parts.annotations.x + 2, y,
-                    dataset.gene(*rows[i].row).label(), kHeaderText, 1);
+                    dataset.gene(*rows[i].row).label(), kHeaderText);
       }
     }
   }

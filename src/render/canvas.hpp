@@ -1,5 +1,7 @@
 // Drawing-surface abstraction.
 //
+// A Canvas has the five primitives a frame draws: filled rectangles,
+// horizontal and vertical spans, 5x7 text and row-major pixel images.
 // ForestView's frame renderer draws onto a Canvas so the same code path
 // serves two backends: FramebufferCanvas rasterizes immediately (desktop
 // mode), while the wall module's RecordingCanvas captures the primitives as
@@ -48,21 +50,13 @@ class Canvas {
 
   virtual void fill_rect(long x, long y, long width, long height,
                          Rgb8 color) = 0;
-  virtual void draw_rect(long x, long y, long width, long height,
-                         Rgb8 color) = 0;
   virtual void hline(long x0, long x1, long y, Rgb8 color) = 0;
   virtual void vline(long x, long y0, long y1, Rgb8 color) = 0;
-  virtual void line(long x0, long y0, long x1, long y1, Rgb8 color) = 0;
-  virtual void text(long x, long y, std::string_view content, Rgb8 color,
-                    int scale) = 0;
+  virtual void text(long x, long y, std::string_view content,
+                    Rgb8 color) = 0;
   /// Row-major width x height pixel block (see render::draw_image).
   virtual void image(long x, long y, long width, long height,
                      const SharedPixels& image) = 0;
-
-  /// Convenience overload with scale 1.
-  void text(long x, long y, std::string_view content, Rgb8 color) {
-    text(x, y, content, color, 1);
-  }
 };
 
 /// Immediate-mode canvas rasterizing into a pixel view (a Framebuffer
@@ -75,22 +69,14 @@ class FramebufferCanvas final : public Canvas {
                  Rgb8 color) override {
     render::fill_rect(target_, x, y, width, height, color);
   }
-  void draw_rect(long x, long y, long width, long height,
-                 Rgb8 color) override {
-    render::draw_rect(target_, x, y, width, height, color);
-  }
   void hline(long x0, long x1, long y, Rgb8 color) override {
     render::draw_hline(target_, x0, x1, y, color);
   }
   void vline(long x, long y0, long y1, Rgb8 color) override {
     render::draw_vline(target_, x, y0, y1, color);
   }
-  void line(long x0, long y0, long x1, long y1, Rgb8 color) override {
-    render::draw_line(target_, x0, y0, x1, y1, color);
-  }
-  void text(long x, long y, std::string_view content, Rgb8 color,
-            int scale) override {
-    render::draw_text(target_, x, y, content, color, scale);
+  void text(long x, long y, std::string_view content, Rgb8 color) override {
+    render::draw_text(target_, x, y, content, color);
   }
   void image(long x, long y, long width, long height,
              const SharedPixels& image) override {

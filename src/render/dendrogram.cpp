@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "render/draw.hpp"
 #include "util/error.hpp"
 
 namespace fv::render {
@@ -120,25 +119,6 @@ void draw_array_dendrogram(Canvas& canvas, const expr::HierTree& tree,
                 positions[static_cast<std::size_t>(node.right)].along_leaves);
     canvas.hline(x_left, x_right, junction_y, color);
   }
-}
-
-void draw_gene_dendrogram(Framebuffer& fb, const expr::HierTree& tree, long x,
-                          long y, long width, int row_height, Rgb8 color) {
-  FV_REQUIRE(row_height >= 1, "row height must be positive");
-  FramebufferCanvas canvas(fb);
-  draw_gene_dendrogram(canvas, tree, x, y, width,
-                       row_height * static_cast<long>(tree.leaf_count()),
-                       color);
-}
-
-void draw_array_dendrogram(Framebuffer& fb, const expr::HierTree& tree,
-                           long x, long y, long height, int col_width,
-                           Rgb8 color) {
-  FV_REQUIRE(col_width >= 1, "column width must be positive");
-  FramebufferCanvas canvas(fb);
-  draw_array_dendrogram(canvas, tree, x, y,
-                        col_width * static_cast<long>(tree.leaf_count()),
-                        height, color);
 }
 
 }  // namespace fv::render

@@ -3,7 +3,6 @@
 
 #include "expr/tree.hpp"
 #include "render/canvas.hpp"
-#include "render/framebuffer.hpp"
 
 namespace fv::render {
 
@@ -25,14 +24,6 @@ void draw_gene_dendrogram(Canvas& canvas, const expr::HierTree& tree, long x,
 /// at the bottom edge).
 void draw_array_dendrogram(Canvas& canvas, const expr::HierTree& tree,
                            long x, long y, long total_width, long height,
-                           Rgb8 color);
-
-/// Framebuffer convenience wrappers with explicit per-leaf cell sizes
-/// (row_height / col_width pixels per leaf).
-void draw_gene_dendrogram(Framebuffer& fb, const expr::HierTree& tree, long x,
-                          long y, long width, int row_height, Rgb8 color);
-void draw_array_dendrogram(Framebuffer& fb, const expr::HierTree& tree,
-                           long x, long y, long height, int col_width,
                            Rgb8 color);
 
 }  // namespace fv::render

@@ -1,7 +1,6 @@
 #include "render/draw.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -126,71 +125,40 @@ void draw_vline(PixelView target, long x, long y0, long y1, Rgb8 color) {
   }
 }
 
-void draw_line(PixelView target, long x0, long y0, long x1, long y1,
-               Rgb8 color) {
-  const long dx = std::labs(x1 - x0);
-  const long dy = -std::labs(y1 - y0);
-  const long sx = x0 < x1 ? 1 : -1;
-  const long sy = y0 < y1 ? 1 : -1;
-  long err = dx + dy;
-  for (;;) {
-    target.set_clipped(x0, y0, color);
-    if (x0 == x1 && y0 == y1) break;
-    const long e2 = 2 * err;
-    if (e2 >= dy) {
-      err += dy;
-      x0 += sx;
-    }
-    if (e2 <= dx) {
-      err += dx;
-      y0 += sy;
-    }
-  }
-}
-
 long draw_text(PixelView target, long x, long y, std::string_view text,
-               Rgb8 color, int scale) {
-  FV_REQUIRE(scale >= 1, "text scale must be at least 1");
-  const long s = scale;
-  const long advance = kGlyphAdvance * s;  // at most 6 * INT_MAX
+               Rgb8 color) {
   const auto target_width = static_cast<long>(target.width());
   const auto target_height = static_cast<long>(target.height());
   // Where the text ends, saturated at LONG_MAX.
   const long max = std::numeric_limits<long>::max();
   const auto count = static_cast<long>(text.size());  // size() < LONG_MAX
-  const long end = count > (max - std::max(x, 0L)) / advance
+  const long end = count > (max - std::max(x, 0L)) / kGlyphAdvance
                        ? max
-                       : x + count * advance;
+                       : x + count * kGlyphAdvance;
   // y < target_height, so the glyph rows below cannot overflow.
-  if (y >= target_height || y + kGlyphHeight * s <= 0) return end;
+  if (y >= target_height || y + kGlyphHeight <= 0) return end;
   long cursor = x;
   for (const char c : text) {
-    // cursor < target_width on each pass, so cursor + advance cannot overflow.
+    // cursor < target_width on each pass, so cursor + kGlyphAdvance cannot
+    // overflow.
     if (cursor >= target_width) break;
-    if (cursor + kGlyphWidth * s > 0) {
+    if (cursor + kGlyphWidth > 0) {
       const auto& rows = glyph_rows(c);
       for (int gy = 0; gy < kGlyphHeight; ++gy) {
+        const long py = y + gy;
         const std::uint8_t bits = rows[static_cast<std::size_t>(gy)];
-        if (bits == 0) continue;
-        // Each font pixel is a scale x scale block, written clipped; blocks
-        // do not overlap, so no pixel is written twice.
-        const long top = y + gy * s;
-        const long row_end = std::min(top + s, target_height);
-        for (long py = std::max(top, 0L); py < row_end; ++py) {
-          const auto row = target.row(static_cast<std::size_t>(py));
-          for (int gx = 0; gx < kGlyphWidth; ++gx) {
-            if ((bits & (1u << (kGlyphWidth - 1 - gx))) == 0) continue;
-            const long left = cursor + gx * s;
-            const long col0 = std::max(left, 0L);
-            const long col1 = std::min(left + s, target_width);
-            if (col0 < col1) {
-              std::fill(row.begin() + col0, row.begin() + col1, color);
-            }
+        if (bits == 0 || py < 0 || py >= target_height) continue;
+        const auto row = target.row(static_cast<std::size_t>(py));
+        for (int gx = 0; gx < kGlyphWidth; ++gx) {
+          const long px = cursor + gx;
+          if ((bits & (1u << (kGlyphWidth - 1 - gx))) != 0 && px >= 0 &&
+              px < target_width) {
+            row[static_cast<std::size_t>(px)] = color;
           }
         }
       }
     }
-    cursor += advance;
+    cursor += kGlyphAdvance;
   }
   return end;
 }

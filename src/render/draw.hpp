@@ -1,5 +1,5 @@
 // 2-D drawing primitives over a PixelView: rectangles, pixel blocks,
-// Bresenham lines, bitmap text. These are the only operations the pane
+// axis-aligned lines, bitmap text. These are the only operations the pane
 // renderers and the display-wall command stream need. Each kernel writes
 // only the pixels of its target view and keeps no pointer to the view, so
 // the same kernels draw into a Framebuffer (which converts to a view) and
@@ -45,24 +45,19 @@ void draw_image(PixelView target, long x, long y, long width, long height,
 void draw_rect(PixelView target, long x, long y, long width, long height,
                Rgb8 color);
 
-/// Bresenham line from (x0,y0) to (x1,y1), clipped per pixel.
-void draw_line(PixelView target, long x0, long y0, long x1, long y1,
-               Rgb8 color);
-
 /// Horizontal / vertical lines between inclusive endpoints in either order
 /// (dendrograms are all axis-aligned): the endpoints are clipped first, then
 /// the clipped span is written.
 void draw_hline(PixelView target, long x0, long x1, long y, Rgb8 color);
 void draw_vline(PixelView target, long x, long y0, long y1, Rgb8 color);
 
-/// Renders text with the 5x7 font at integer scale >= 1; (x, y) is the
-/// top-left corner. Returns the x coordinate just past the rendered text,
-/// x + text.size() * kGlyphAdvance * scale saturated at LONG_MAX. Each font
-/// pixel's scale x scale block is clipped before it is written and the
-/// walk stops at the right edge, so no pixel is written twice and the cost
-/// is the pixels written plus the characters left of the edge, whatever
-/// the scale and coordinates.
+/// Renders text with the 5x7 font; (x, y) is the top-left corner. Returns
+/// the x coordinate just past the rendered text, x + text.size() *
+/// kGlyphAdvance saturated at LONG_MAX. Each font pixel is clipped before
+/// it is written and the walk stops at the right edge, so the cost is the
+/// pixels written plus the characters left of the edge, whatever the
+/// coordinates.
 long draw_text(PixelView target, long x, long y, std::string_view text,
-               Rgb8 color, int scale = 1);
+               Rgb8 color);
 
 }  // namespace fv::render

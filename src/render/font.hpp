@@ -24,7 +24,7 @@ const std::array<std::uint8_t, 7>& glyph_rows(char c);
 /// True when the character has a real glyph (not the fallback box).
 bool has_glyph(char c);
 
-/// Pixel width of a string at scale 1 (no trailing spacing).
+/// Pixel width of a string (no trailing spacing).
 int text_width(std::string_view text);
 
 }  // namespace fv::render

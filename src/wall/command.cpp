@@ -10,7 +10,6 @@ namespace fv::wall {
 layout::Rect RenderCommand::bounds() const {
   switch (type) {
     case CommandType::kFillRect:
-    case CommandType::kDrawRect:
     case CommandType::kImage:
       return layout::Rect{x0, y0, x1, y1};  // x1/y1 hold width/height
     case CommandType::kHLine: {
@@ -21,72 +20,83 @@ layout::Rect RenderCommand::bounds() const {
       const long lo = std::min(y0, y1);
       return layout::Rect{x0, lo, 1, std::max(y0, y1) - lo + 1};
     }
-    case CommandType::kLine: {
-      const long lx = std::min(x0, x1);
-      const long ly = std::min(y0, y1);
-      return layout::Rect{lx, ly, std::max(x0, x1) - lx + 1,
-                          std::max(y0, y1) - ly + 1};
-    }
     case CommandType::kText: {
+      // render::text_width plus the trailing 1-px spacing; 1 when empty.
       const long width =
-          static_cast<long>(render::text_width(text)) * scale + scale;
-      return layout::Rect{x0, y0, std::max(width, 1L),
-                          static_cast<long>(render::kGlyphHeight) * scale};
+          static_cast<long>(text.size()) * render::kGlyphAdvance;
+      return layout::Rect{x0, y0, std::max(width, 1L), render::kGlyphHeight};
     }
   }
   FV_ASSERT(false, "unhandled command type");
   return {};
 }
 
+const char* why_invalid(const RenderCommand& command) {
+  switch (command.type) {
+    case CommandType::kFillRect:
+    case CommandType::kText:
+    case CommandType::kImage:
+      break;
+    case CommandType::kHLine:
+      if (command.y1 != command.y0) return "an hline needs y1 == y0";
+      break;
+    case CommandType::kVLine:
+      if (command.x1 != command.x0) return "a vline needs x1 == x0";
+      break;
+    default:
+      return "unknown render command type";
+  }
+  for (const long v : {command.x0, command.y0, command.x1, command.y1}) {
+    if (v < -kMaxCoordinate || v > kMaxCoordinate) {
+      return "a coordinate or size exceeds kMaxCoordinate";
+    }
+  }
+  if (command.text.size() > static_cast<std::size_t>(kMaxCoordinate)) {
+    return "the text is longer than kMaxCoordinate bytes";
+  }
+  if (command.type == CommandType::kImage &&
+      !render::image_size_matches(command.x1, command.y1,
+                                  command.image.pixels.size())) {
+    return "image needs exactly width x height pixels";
+  }
+  return nullptr;
+}
+
+void RecordingCanvas::record(RenderCommand command) {
+  const char* defect = why_invalid(command);
+  FV_REQUIRE(defect == nullptr, defect);
+  commands_.push_back(std::move(command));
+}
+
 void RecordingCanvas::fill_rect(long x, long y, long width, long height,
                                 render::Rgb8 color) {
   if (width <= 0 || height <= 0) return;
-  commands_.push_back(
-      RenderCommand{CommandType::kFillRect, x, y, width, height, color, 1,
-                    {}, {}});
-}
-
-void RecordingCanvas::draw_rect(long x, long y, long width, long height,
-                                render::Rgb8 color) {
-  if (width <= 0 || height <= 0) return;
-  commands_.push_back(
-      RenderCommand{CommandType::kDrawRect, x, y, width, height, color, 1,
-                    {}, {}});
+  record(RenderCommand{CommandType::kFillRect, x, y, width, height, color,
+                       {}, {}});
 }
 
 void RecordingCanvas::hline(long x0, long x1, long y, render::Rgb8 color) {
-  commands_.push_back(
-      RenderCommand{CommandType::kHLine, x0, y, x1, y, color, 1, {}, {}});
+  record(RenderCommand{CommandType::kHLine, x0, y, x1, y, color, {}, {}});
 }
 
 void RecordingCanvas::vline(long x, long y0, long y1, render::Rgb8 color) {
-  commands_.push_back(
-      RenderCommand{CommandType::kVLine, x, y0, x, y1, color, 1, {}, {}});
-}
-
-void RecordingCanvas::line(long x0, long y0, long x1, long y1,
-                           render::Rgb8 color) {
-  commands_.push_back(
-      RenderCommand{CommandType::kLine, x0, y0, x1, y1, color, 1, {}, {}});
+  record(RenderCommand{CommandType::kVLine, x, y0, x, y1, color, {}, {}});
 }
 
 void RecordingCanvas::text(long x, long y, std::string_view content,
-                           render::Rgb8 color, int scale) {
-  FV_REQUIRE(scale >= 1, "text scale must be at least 1");
-  commands_.push_back(RenderCommand{CommandType::kText, x, y, 0, 0, color,
-                                    scale, std::string(content), {}});
+                           render::Rgb8 color) {
+  record(RenderCommand{CommandType::kText, x, y, 0, 0, color,
+                       std::string(content), {}});
 }
 
 void RecordingCanvas::image(long x, long y, long width, long height,
                             const render::SharedPixels& image) {
   if (width <= 0 || height <= 0) return;
-  FV_REQUIRE(render::image_size_matches(width, height, image.pixels.size()),
-             "image needs exactly width x height pixels");
   // Shared, not copied: the recording keeps the pixels' owner, so it needs
   // one.
   FV_REQUIRE(image.owner != nullptr, "a recorded image needs an owner");
-  commands_.push_back(RenderCommand{CommandType::kImage, x, y, width, height,
-                                    {}, 1, {}, image});
+  record(RenderCommand{CommandType::kImage, x, y, width, height, {}, {},
+                       image});
 }
 
 std::size_t replay_commands(render::PixelView target,
@@ -106,22 +116,14 @@ std::size_t replay_commands(render::PixelView target,
       case CommandType::kFillRect:
         canvas.fill_rect(x0, y0, command.x1, command.y1, command.color);
         break;
-      case CommandType::kDrawRect:
-        canvas.draw_rect(x0, y0, command.x1, command.y1, command.color);
-        break;
       case CommandType::kHLine:
         canvas.hline(x0, command.x1 - origin_x, y0, command.color);
         break;
       case CommandType::kVLine:
         canvas.vline(x0, y0, command.y1 - origin_y, command.color);
         break;
-      case CommandType::kLine:
-        canvas.line(x0, y0, command.x1 - origin_x, command.y1 - origin_y,
-                    command.color);
-        break;
       case CommandType::kText:
-        canvas.text(x0, y0, command.text, command.color,
-                    static_cast<int>(command.scale));
+        canvas.text(x0, y0, command.text, command.color);
         break;
       case CommandType::kImage:
         canvas.image(x0, y0, command.x1, command.y1, command.image);
@@ -134,8 +136,8 @@ std::size_t replay_commands(render::PixelView target,
 namespace {
 
 /// Wire size of the fields every command carries: type, four coordinates,
-/// color, scale and the text length.
-constexpr std::size_t kCommonBytes = 1 + 4 * 8 + 3 + 4 + 8;
+/// color and the text length.
+constexpr std::size_t kCommonBytes = 1 + 4 * 8 + 3 + 8;
 
 /// The geometry fields as a Rect (for an image: its position and size).
 layout::Rect geometry_of(const RenderCommand& command) {
@@ -153,7 +155,6 @@ void write_common(mpx::PayloadWriter& writer, const RenderCommand& command,
   writer.write<std::uint8_t>(command.color.r);
   writer.write<std::uint8_t>(command.color.g);
   writer.write<std::uint8_t>(command.color.b);
-  writer.write<std::int32_t>(command.scale);
   writer.write_string(command.text);
 }
 
@@ -211,11 +212,7 @@ CommandList read_commands(mpx::PayloadReader& reader) {
   commands.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     RenderCommand command;
-    const auto type = reader.read<std::uint8_t>();
-    if (type > static_cast<std::uint8_t>(CommandType::kImage)) {
-      throw ParseError("unknown render command type " + std::to_string(type));
-    }
-    command.type = static_cast<CommandType>(type);
+    command.type = static_cast<CommandType>(reader.read<std::uint8_t>());
     command.x0 = static_cast<long>(reader.read<std::int64_t>());
     command.y0 = static_cast<long>(reader.read<std::int64_t>());
     command.x1 = static_cast<long>(reader.read<std::int64_t>());
@@ -223,15 +220,13 @@ CommandList read_commands(mpx::PayloadReader& reader) {
     command.color.r = reader.read<std::uint8_t>();
     command.color.g = reader.read<std::uint8_t>();
     command.color.b = reader.read<std::uint8_t>();
-    command.scale = reader.read<std::int32_t>();
     command.text = reader.read_string();
     if (command.type == CommandType::kImage) {
       // Borrowed from the message, not copied out of it.
       command.image.pixels = reader.read_span<render::Rgb8>();
-      if (!render::image_size_matches(command.x1, command.y1,
-                                      command.image.pixels.size())) {
-        throw ParseError("image command size does not match its pixels");
-      }
+    }
+    if (const char* defect = why_invalid(command)) {
+      throw ParseError("render command " + std::to_string(i) + ": " + defect);
     }
     commands.push_back(std::move(command));
   }

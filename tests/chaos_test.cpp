@@ -42,11 +42,15 @@ wl::CommandList chaos_scene(std::uint64_t seed, long width, long height) {
       case 0:
         canvas.fill_rect(x, y, w, h, color);
         break;
-      case 1:
-        canvas.draw_rect(x, y, w, h, color);
+      case 1:  // an outline
+        canvas.hline(x, x + w - 1, y, color);
+        canvas.hline(x, x + w - 1, y + h - 1, color);
+        canvas.vline(x, y, y + h - 1, color);
+        canvas.vline(x + w - 1, y, y + h - 1, color);
         break;
-      case 2:
-        canvas.line(x, y, x + w, y + h, color);
+      case 2:  // a corner, drawn from its far ends
+        canvas.hline(x + w, x, y, color);
+        canvas.vline(x + w, y + h, y, color);
         break;
       case 3: {
         // Off-canvas at negative coordinates and across tile seams.
@@ -58,7 +62,7 @@ wl::CommandList chaos_scene(std::uint64_t seed, long width, long height) {
         break;
       }
       default:
-        canvas.text(x, y, "G" + std::to_string(i), color, 1);
+        canvas.text(x, y, "G" + std::to_string(i), color);
         break;
     }
   }

@@ -398,10 +398,10 @@ TEST(WallFrameGoldenTest, Fig6DesktopAndWallFrameHashesArePinned) {
   };
   const auto twelve = app.render_wall(wall, 12);
   EXPECT_EQ(twelve.frame, four.frame);
-  EXPECT_EQ(four.stats.bytes_distributed, 2831978u);
-  EXPECT_EQ(twelve.stats.bytes_distributed, 2834986u);
-  EXPECT_EQ(uncut(4), 2831978u);
-  EXPECT_EQ(uncut(12), 6767914u);
+  EXPECT_EQ(four.stats.bytes_distributed, 2759882u);
+  EXPECT_EQ(twelve.stats.bytes_distributed, 2762666u);
+  EXPECT_EQ(uncut(4), 2759882u);
+  EXPECT_EQ(uncut(12), 6695594u);
 }
 
 // Work counter: a 12-pane wall-sized frame records one image per global

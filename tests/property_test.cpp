@@ -224,11 +224,12 @@ TEST_P(CullSoundnessTest, CulledEqualsFull) {
         break;
       }
       case 2:
-        canvas.line(x, y, x + 70, y + 25, fv::render::colors::kGreen);
+        canvas.hline(x, x + 70, y, fv::render::colors::kGreen);
+        canvas.vline(x + 70, y + 25, y, fv::render::colors::kGreen);
         break;
       default:
         canvas.text(x, y, "NODE" + std::to_string(i),
-                    fv::render::colors::kWhite, 1);
+                    fv::render::colors::kWhite);
         break;
     }
   }

@@ -148,15 +148,6 @@ TEST(DrawTest, RectOutlinePerimeter) {
   EXPECT_EQ(count_pixels(fb, rd::colors::kWhite), 14u);
 }
 
-TEST(DrawTest, LineEndpointsAndDiagonal) {
-  Framebuffer fb(10, 10);
-  rd::draw_line(fb, 0, 0, 9, 9, rd::colors::kRed);
-  EXPECT_EQ(fb.at(0, 0), rd::colors::kRed);
-  EXPECT_EQ(fb.at(9, 9), rd::colors::kRed);
-  EXPECT_EQ(fb.at(5, 5), rd::colors::kRed);
-  EXPECT_EQ(count_pixels(fb, rd::colors::kRed), 10u);
-}
-
 TEST(DrawTest, HlineVlineInclusiveAndSwapped) {
   Framebuffer fb(10, 10);
   rd::draw_hline(fb, 7, 2, 3, rd::colors::kBlue);  // reversed endpoints
@@ -346,7 +337,6 @@ TEST(PixelViewTest, KernelsDrawIntoASubBlockAsIntoAFramebuffer) {
       const long x1 = coordinate(w), y1 = coordinate(h);
       const long cw = static_cast<long>(rng() % 30) - 2;
       const long ch = static_cast<long>(rng() % 30) - 2;
-      const int scale = 1 + static_cast<int>(rng() % 3);
       const auto bits = static_cast<std::uint32_t>(rng());
       const Rgb8 color{static_cast<std::uint8_t>(bits),
                        static_cast<std::uint8_t>(bits >> 8), 5};
@@ -361,12 +351,11 @@ TEST(PixelViewTest, KernelsDrawIntoASubBlockAsIntoAFramebuffer) {
           case 1: rd::draw_rect(target, x, y, cw, ch, color); break;
           case 2: rd::draw_hline(target, x, x1, y, color); break;
           case 3: rd::draw_vline(target, x, y, y1, color); break;
-          case 4: rd::draw_line(target, x, y, x1, y1, color); break;
-          case 5: rd::draw_text(target, x, y, "YAL01", color, scale); break;
+          case 4: rd::draw_text(target, x, y, "YAL01", color); break;
           default: rd::draw_image(target, x, y, cw, ch, image); break;
         }
       };
-      for (int kernel = 0; kernel < 7; ++kernel) {
+      for (int kernel = 0; kernel < 6; ++kernel) {
         Framebuffer want = start;
         draw(want, kernel);
         std::vector<Rgb8> buffer(kGuard + w * h + kGuard, guard);
@@ -390,7 +379,7 @@ TEST(PixelViewTest, KernelsDrawIntoASubBlockAsIntoAFramebuffer) {
     EXPECT_EQ(view.row(h - 1).data(), pixels.data() + (h - 1) * w);
     EXPECT_THROW(view.row(h), fv::InvalidArgument);
   }
-  EXPECT_EQ(checked, 4u * 150u * 7u);
+  EXPECT_EQ(checked, 4u * 150u * 6u);
 }
 
 TEST(FontTest, KnownGlyphsExist) {
@@ -413,19 +402,11 @@ TEST(FontTest, DrawTextMarksPixels) {
   EXPECT_GT(count_pixels(fb, rd::colors::kWhite), 20u);
 }
 
-TEST(FontTest, ScaledTextCoversScaledArea) {
-  Framebuffer fb1(20, 20), fb2(20, 20);
-  rd::draw_text(fb1, 0, 0, "I", rd::colors::kWhite, 1);
-  rd::draw_text(fb2, 0, 0, "I", rd::colors::kWhite, 2);
-  EXPECT_EQ(count_pixels(fb2, rd::colors::kWhite),
-            4 * count_pixels(fb1, rd::colors::kWhite));
-}
-
-/// The per-pixel text loop draw_text replaced: every font pixel's
-/// scale x scale block written pixel by pixel through set_clipped. Only
-/// valid for coordinates whose glyph arithmetic does not overflow.
+/// The per-pixel text loop draw_text replaced: every font pixel written
+/// through set_clipped. Only valid for coordinates whose glyph arithmetic
+/// does not overflow.
 long reference_text(Framebuffer& fb, long x, long y, std::string_view text,
-                    Rgb8 color, int scale) {
+                    Rgb8 color) {
   const rd::PixelView view(fb);
   long cursor = x;
   for (const char c : text) {
@@ -433,18 +414,12 @@ long reference_text(Framebuffer& fb, long x, long y, std::string_view text,
     for (int gy = 0; gy < rd::kGlyphHeight; ++gy) {
       for (int gx = 0; gx < rd::kGlyphWidth; ++gx) {
         if ((rows[static_cast<std::size_t>(gy)] &
-             (1u << (rd::kGlyphWidth - 1 - gx))) == 0) {
-          continue;
-        }
-        for (int by = 0; by < scale; ++by) {
-          for (int bx = 0; bx < scale; ++bx) {
-            view.set_clipped(cursor + gx * scale + bx, y + gy * scale + by,
-                             color);
-          }
+             (1u << (rd::kGlyphWidth - 1 - gx))) != 0) {
+          view.set_clipped(cursor + gx, y + gy, color);
         }
       }
     }
-    cursor += static_cast<long>(rd::kGlyphAdvance) * scale;
+    cursor += rd::kGlyphAdvance;
   }
   return cursor;
 }
@@ -458,35 +433,33 @@ TEST(FontTest, DrawTextMatchesPerPixelReference) {
       {1, 1}, {1, 9}, {7, 1}, {13, 11}, {37, 23}};
   std::size_t cases = 0, partly_drawn = 0;
   for (const auto& [width, height] : sizes) {
-    for (int scale = 1; scale <= 4; ++scale) {
-      const long w = static_cast<long>(width);
-      const long h = static_cast<long>(height);
-      const long reach = 8L * scale;  // a glyph's size, and a bit more
-      for (int i = 0; i < 120; ++i) {
-        std::string text(rng() % 7, ' ');
-        for (char& c : text) c = alphabet[rng() % alphabet.size()];
-        const long x =
-            -2 * reach + static_cast<long>(rng() % static_cast<unsigned>(
-                                               w + 3 * reach));
-        const long y =
-            -2 * reach + static_cast<long>(rng() % static_cast<unsigned>(
-                                               h + 3 * reach));
-        const Rgb8 color{static_cast<std::uint8_t>(rng()), 0, 7};
-        Framebuffer drawn = noise_framebuffer(width, height, rng);
-        Framebuffer expected = drawn;
-        const Framebuffer before = drawn;
-        ASSERT_EQ(rd::draw_text(drawn, x, y, text, color, scale),
-                  reference_text(expected, x, y, text, color, scale));
-        ASSERT_EQ(drawn, expected) << "text '" << text << "' at (" << x
-                                   << ", " << y << ") scale " << scale
-                                   << " on " << width << "x" << height;
-        ++cases;
-        if (!(drawn == before)) ++partly_drawn;
-      }
+    const long w = static_cast<long>(width);
+    const long h = static_cast<long>(height);
+    constexpr long kReach = 8;  // a glyph's size, and a bit more
+    for (int i = 0; i < 480; ++i) {
+      std::string text(rng() % 7, ' ');
+      for (char& c : text) c = alphabet[rng() % alphabet.size()];
+      const long x =
+          -2 * kReach +
+          static_cast<long>(rng() % static_cast<unsigned>(w + 3 * kReach));
+      const long y =
+          -2 * kReach +
+          static_cast<long>(rng() % static_cast<unsigned>(h + 3 * kReach));
+      const Rgb8 color{static_cast<std::uint8_t>(rng()), 0, 7};
+      Framebuffer drawn = noise_framebuffer(width, height, rng);
+      Framebuffer expected = drawn;
+      const Framebuffer before = drawn;
+      ASSERT_EQ(rd::draw_text(drawn, x, y, text, color),
+                reference_text(expected, x, y, text, color));
+      ASSERT_EQ(drawn, expected) << "text '" << text << "' at (" << x
+                                 << ", " << y << ") on " << width << "x"
+                                 << height;
+      ++cases;
+      if (!(drawn == before)) ++partly_drawn;
     }
   }
   // Enough cases drew something for the comparison to mean something.
-  EXPECT_EQ(cases, 5u * 4u * 120u);
+  EXPECT_EQ(cases, 5u * 480u);
   EXPECT_GT(partly_drawn, cases / 10);
 }
 
@@ -495,27 +468,25 @@ TEST(FontTest, DrawTextAtExtremeCoordinatesDrawsNothingAndSaturates) {
   constexpr long kMin = std::numeric_limits<long>::min();
   std::mt19937 rng(0xed9e);
   const Framebuffer noise = noise_framebuffer(37, 23, rng);
-  constexpr int kHuge = std::numeric_limits<int>::max();
   struct Case {
     long x, y;
-    int scale;
     long end;
   };
-  const long advance = static_cast<long>(rd::kGlyphAdvance) * kHuge;
-  for (const Case c : {Case{kMax - 3, 0, 1, kMax},
-                       Case{kMax, 0, kHuge, kMax},
-                       Case{kMin, 0, 1, kMin + 5 * rd::kGlyphAdvance},
-                       Case{kMin, 0, kHuge, kMin + 5 * advance},
-                       Case{0, kMax, kHuge, 5 * advance},
-                       Case{0, kMin, kHuge, 5 * advance},
-                       Case{37, 0, kHuge, 37 + 5 * advance},
-                       Case{0, 23, 3, 5 * 3 * rd::kGlyphAdvance}}) {
+  constexpr long kAdvance = rd::kGlyphAdvance;
+  for (const Case c : {Case{kMax - 3, 0, kMax},
+                       Case{kMax, 0, kMax},
+                       Case{kMin, 0, kMin + 5 * kAdvance},
+                       Case{kMin, kMin, kMin + 5 * kAdvance},
+                       Case{0, kMax, 5 * kAdvance},
+                       Case{0, kMin, 5 * kAdvance},
+                       Case{-5 * kAdvance, 0, 0},
+                       Case{37, 0, 37 + 5 * kAdvance},
+                       Case{0, 23, 5 * kAdvance},
+                       Case{0, -rd::kGlyphHeight, 5 * kAdvance}}) {
     Framebuffer fb = noise;
-    EXPECT_EQ(rd::draw_text(fb, c.x, c.y, "HELLO", rd::colors::kWhite,
-                            c.scale),
+    EXPECT_EQ(rd::draw_text(fb, c.x, c.y, "HELLO", rd::colors::kWhite),
               c.end);
-    EXPECT_EQ(fb, noise) << "(" << c.x << ", " << c.y << ") scale "
-                         << c.scale;
+    EXPECT_EQ(fb, noise) << "(" << c.x << ", " << c.y << ")";
   }
 }
 
@@ -831,7 +802,8 @@ TEST(DendrogramTest, DrawsConnectedTree) {
   const int a = tree.add_node(0, 1, 0.9);
   tree.add_node(a, 2, 0.2);
   Framebuffer fb(40, 30);
-  rd::draw_gene_dendrogram(fb, tree, 0, 0, 40, 10, rd::colors::kWhite);
+  rd::FramebufferCanvas canvas(fb);
+  rd::draw_gene_dendrogram(canvas, tree, 0, 0, 40, 30, rd::colors::kWhite);
   // Some pixels must be drawn, and leaf rows must each touch the right edge
   // region (leaves sit at depth 0 = right edge).
   EXPECT_GT(count_pixels(fb, rd::colors::kWhite), 20u);
@@ -846,7 +818,8 @@ TEST(DendrogramTest, ArrayVariantDraws) {
   const int b = tree.add_node(2, 3, 0.7);
   tree.add_node(a, b, 0.1);
   Framebuffer fb(40, 20);
-  rd::draw_array_dendrogram(fb, tree, 0, 0, 20, 10, rd::colors::kWhite);
+  rd::FramebufferCanvas canvas(fb);
+  rd::draw_array_dendrogram(canvas, tree, 0, 0, 40, 20, rd::colors::kWhite);
   EXPECT_GT(count_pixels(fb, rd::colors::kWhite), 20u);
   EXPECT_EQ(fb.at(5, 19), rd::colors::kWhite);  // leaf 0 at bottom edge
 }
@@ -861,7 +834,8 @@ TEST(DendrogramTest, InvertedTreeRendersProportionally) {
   const int child = tree.add_node(0, 1, -1.0);
   tree.add_node(child, 2, -0.5);
   Framebuffer fb(41, 30);
-  rd::draw_gene_dendrogram(fb, tree, 0, 0, 41, 10, rd::colors::kWhite);
+  rd::FramebufferCanvas canvas(fb);
+  rd::draw_gene_dendrogram(canvas, tree, 0, 0, 41, 30, rd::colors::kWhite);
   // Child junction: depth (1 - (-1.0)) / 2.0 = 1.0 -> x = 0; its vertical
   // connector spans the leaf-0/leaf-1 centers (y = 5..15).
   EXPECT_EQ(fb.at(0, 10), rd::colors::kWhite);
@@ -877,8 +851,9 @@ TEST(DendrogramTest, TooSmallAreaThrows) {
   fv::expr::HierTree tree(2);
   tree.add_node(0, 1, 0.5);
   Framebuffer fb(10, 10);
+  rd::FramebufferCanvas canvas(fb);
   EXPECT_THROW(
-      rd::draw_gene_dendrogram(fb, tree, 0, 0, 1, 1, rd::colors::kWhite),
+      rd::draw_gene_dendrogram(canvas, tree, 0, 0, 1, 2, rd::colors::kWhite),
       fv::InvalidArgument);
 }
 

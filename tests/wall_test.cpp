@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/app.hpp"
@@ -44,8 +46,11 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
       case 0:
         canvas.fill_rect(x, y, w, h, color);
         break;
-      case 1:
-        canvas.draw_rect(x, y, w, h, color);
+      case 1:  // an outline
+        canvas.hline(x, x + w - 1, y, color);
+        canvas.hline(x, x + w - 1, y + h - 1, color);
+        canvas.vline(x, y, y + h - 1, color);
+        canvas.vline(x + w - 1, y, y + h - 1, color);
         break;
       case 2:
         canvas.hline(x, x + w, y, color);
@@ -53,8 +58,9 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
       case 3:
         canvas.vline(x, y, y + h, color);
         break;
-      case 4:
-        canvas.line(x, y, x + w, y + h, color);
+      case 4:  // a corner, drawn from its far ends
+        canvas.hline(x + w, x, y, color);
+        canvas.vline(x + w, y + h, y, color);
         break;
       case 5: {
         // Shifted up-left so some images start off-canvas at negative
@@ -68,7 +74,7 @@ wl::CommandList random_scene(std::uint64_t seed, long width, long height,
         break;
       }
       default:
-        canvas.text(x, y, "GENE" + std::to_string(i), color, 1);
+        canvas.text(x, y, "GENE" + std::to_string(i), color);
         break;
     }
   }
@@ -87,7 +93,7 @@ bool lies_inside(std::span<const rd::Rgb8> pixels,
 TEST(CommandTest, RecordingCapturesPrimitives) {
   wl::RecordingCanvas canvas;
   canvas.fill_rect(1, 2, 3, 4, rd::colors::kRed);
-  canvas.text(5, 6, "ABC", rd::colors::kWhite, 2);
+  canvas.text(5, 6, "ABC", rd::colors::kWhite);
   canvas.fill_rect(0, 0, 0, 5, rd::colors::kRed);  // degenerate: dropped
   const auto block =
       rd::share_pixels(std::vector<rd::Rgb8>(6, rd::colors::kBlue));
@@ -98,7 +104,7 @@ TEST(CommandTest, RecordingCapturesPrimitives) {
   EXPECT_EQ(commands[0].type, wl::CommandType::kFillRect);
   EXPECT_EQ(commands[1].type, wl::CommandType::kText);
   EXPECT_EQ(commands[1].text, "ABC");
-  EXPECT_EQ(commands[1].scale, 2);
+  EXPECT_EQ(commands[1].bounds(), (fv::layout::Rect{5, 6, 18, 7}));
   EXPECT_EQ(commands[2].type, wl::CommandType::kImage);
   // The recorded image shares the block's storage and its owner.
   EXPECT_EQ(commands[2].image.pixels.data(), block.pixels.data());
@@ -119,9 +125,9 @@ TEST(CommandTest, BoundsCoverGeometry) {
   const auto bounds = canvas.commands()[0].bounds();
   EXPECT_EQ(bounds, (fv::layout::Rect{3, 7, 8, 1}));
   wl::RecordingCanvas canvas2;
-  canvas2.line(5, 9, 1, 2, rd::colors::kRed);
+  canvas2.vline(5, 9, 2, rd::colors::kRed);  // reversed endpoints
   const auto line_bounds = canvas2.commands()[0].bounds();
-  EXPECT_EQ(line_bounds.x, 1);
+  EXPECT_EQ(line_bounds.x, 5);
   EXPECT_EQ(line_bounds.y, 2);
   EXPECT_EQ(line_bounds.right(), 6);
   EXPECT_EQ(line_bounds.bottom(), 10);
@@ -159,19 +165,17 @@ TEST(CommandTest, SerializationRoundTrip) {
   EXPECT_EQ(payload.size(), expected);
 }
 
-/// A hand-built one-command stream: the common fields with width `w` and
-/// height `h`, then, for an image, a span of `image_count` pixels.
-std::vector<std::byte> hand_built_stream(std::uint8_t type, std::int64_t w,
-                                         std::int64_t h,
+/// A hand-built one-command stream: the common fields with geometry `x0`,
+/// `y0`, `x1`, `y1`, then, for an image, a span of `image_count` pixels.
+std::vector<std::byte> hand_built_stream(std::uint8_t type, std::int64_t x0,
+                                         std::int64_t y0, std::int64_t x1,
+                                         std::int64_t y1,
                                          std::uint64_t image_count = 0) {
   fv::mpx::PayloadWriter writer;
   writer.write<std::uint64_t>(1);
   writer.write<std::uint8_t>(type);
-  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{0}, w, h}) {
-    writer.write<std::int64_t>(v);
-  }
+  for (const std::int64_t v : {x0, y0, x1, y1}) writer.write<std::int64_t>(v);
   for (int i = 0; i < 3; ++i) writer.write<std::uint8_t>(0);
-  writer.write<std::int32_t>(1);
   writer.write_string("");
   if (type == static_cast<std::uint8_t>(wl::CommandType::kImage)) {
     const std::vector<rd::Rgb8> pixels(image_count);
@@ -192,21 +196,86 @@ TEST(CommandTest, HostileStreamsFailTyped) {
   huge.write<std::uint64_t>(0);
   EXPECT_THROW(decode(huge.take()), fv::ParseError);
 
+  const auto fill = static_cast<std::uint8_t>(wl::CommandType::kFillRect);
+  const auto hline = static_cast<std::uint8_t>(wl::CommandType::kHLine);
+  const auto vline = static_cast<std::uint8_t>(wl::CommandType::kVLine);
   const auto image = static_cast<std::uint8_t>(wl::CommandType::kImage);
-  // The type byte must name a command.
-  EXPECT_THROW(decode(hand_built_stream(image + 1, 1, 1)), fv::ParseError);
-  EXPECT_THROW(decode(hand_built_stream(0xff, 1, 1)), fv::ParseError);
+  // The type byte must name a command; 1 and 4 name none.
+  for (const int type : {1, 4, image + 1, 0xff}) {
+    EXPECT_THROW(decode(hand_built_stream(static_cast<std::uint8_t>(type), 0,
+                                          0, 1, 1)),
+                 fv::ParseError)
+        << type;
+  }
+  // An hline is one row and a vline one column.
+  EXPECT_THROW(decode(hand_built_stream(hline, 0, 0, 5, 1)), fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(vline, 0, 0, 1, 5)), fv::ParseError);
+  // Geometry whose bounds or tile offset would overflow a long: a span
+  // across the whole long range, and a fill whose right edge lies past
+  // LONG_MAX.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(decode(hand_built_stream(hline, kMin, 0, kMax, 0)),
+               fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(fill, kMax, 0, 1, 1)),
+               fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(fill, 0, 0, wl::kMaxCoordinate + 1,
+                                        1)),
+               fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(vline, 0, -wl::kMaxCoordinate - 1, 0,
+                                        0)),
+               fv::ParseError);
   // An image's size must be non-negative and match its pixel count, with
   // no overflowing product slipping through.
-  EXPECT_THROW(decode(hand_built_stream(image, -2, -3, 6)), fv::ParseError);
-  EXPECT_THROW(decode(hand_built_stream(image, std::int64_t{1} << 32,
+  EXPECT_THROW(decode(hand_built_stream(image, 0, 0, -2, -3, 6)),
+               fv::ParseError);
+  EXPECT_THROW(decode(hand_built_stream(image, 0, 0, std::int64_t{1} << 32,
                                         std::int64_t{1} << 32, 0)),
                fv::ParseError);
-  EXPECT_THROW(decode(hand_built_stream(image, 2, 2, 3)), fv::ParseError);
-  // The same shapes, well formed, decode.
-  EXPECT_EQ(decode(hand_built_stream(image, 2, 2, 4))[0].image.pixels.size(),
-            4u);
-  EXPECT_EQ(decode(hand_built_stream(0, 2, 2)).size(), 1u);
+  EXPECT_THROW(decode(hand_built_stream(image, 0, 0, 2, 2, 3)),
+               fv::ParseError);
+  // The same shapes, well formed, decode, up to the coordinate cap.
+  EXPECT_EQ(
+      decode(hand_built_stream(image, 0, 0, 2, 2, 4))[0].image.pixels.size(),
+      4u);
+  EXPECT_EQ(decode(hand_built_stream(fill, 0, 0, 2, 2)).size(), 1u);
+  EXPECT_EQ(decode(hand_built_stream(hline, -wl::kMaxCoordinate, 3,
+                                     wl::kMaxCoordinate, 3))
+                .size(),
+            1u);
+  EXPECT_EQ(decode(hand_built_stream(vline, 4, 0, 4, 1)).size(), 1u);
+}
+
+// The recorder holds the commands it records to the decoder's rule, with
+// fv::InvalidArgument, and records nothing it rejects.
+TEST(CommandTest, RecorderRejectsWhatTheDecoderRejects) {
+  constexpr long kMin = std::numeric_limits<long>::min();
+  constexpr long kMax = std::numeric_limits<long>::max();
+  wl::RecordingCanvas canvas;
+  EXPECT_THROW(canvas.hline(kMin, kMax, 0, rd::colors::kRed),
+               fv::InvalidArgument);
+  EXPECT_THROW(canvas.fill_rect(kMax, 0, 1, 1, rd::colors::kRed),
+               fv::InvalidArgument);
+  EXPECT_THROW(canvas.fill_rect(0, 0, wl::kMaxCoordinate + 1, 1,
+                                rd::colors::kRed),
+               fv::InvalidArgument);
+  EXPECT_THROW(canvas.vline(0, 0, -wl::kMaxCoordinate - 1, rd::colors::kRed),
+               fv::InvalidArgument);
+  EXPECT_THROW(canvas.text(kMin, 0, "ORF", rd::colors::kRed),
+               fv::InvalidArgument);
+  const auto block =
+      rd::share_pixels(std::vector<rd::Rgb8>(2, rd::colors::kBlue));
+  EXPECT_THROW(canvas.image(0, kMax, 2, 1, block), fv::InvalidArgument);
+  EXPECT_TRUE(canvas.commands().empty());
+  // At the cap itself, each records.
+  canvas.hline(-wl::kMaxCoordinate, wl::kMaxCoordinate, 0, rd::colors::kRed);
+  canvas.text(wl::kMaxCoordinate, -wl::kMaxCoordinate, "ORF",
+              rd::colors::kRed);
+  canvas.image(0, wl::kMaxCoordinate, 2, 1, block);
+  EXPECT_EQ(canvas.commands().size(), 3u);
+  for (const auto& command : canvas.commands()) {
+    EXPECT_EQ(wl::why_invalid(command), nullptr);
+  }
 }
 
 /// `stream` truncated, with a few bits flipped, or with a copy of one of
@@ -240,9 +309,21 @@ std::vector<std::byte> mutated(const std::vector<std::byte>& stream,
   return bytes;
 }
 
+/// Rasters `work` as a node does and checks each reply: a tile of `spec`,
+/// rastered with at most `commands` commands.
+void raster_checked(std::span<const std::byte> work, const wl::WallSpec& spec,
+                    std::size_t commands) {
+  wl::raster_work(work, spec, [&](std::vector<std::byte> reply) {
+    fv::mpx::PayloadReader reader(reply);
+    ASSERT_LT(reader.read<std::uint64_t>(), spec.tile_count());
+    ASSERT_LE(reader.read<std::uint64_t>(), commands);
+  });
+}
+
 /// Seeded mutation fuzzing of read_commands over a real recorded frame:
 /// truncations, bit flips and splices must each decode or fail with a
-/// typed fv::Error, never an untyped exception or a crash.
+/// typed fv::Error, never an untyped exception or a crash, and a stream
+/// that decodes rasters on every tile of the frame's wall.
 TEST(CommandFuzzTest, MutatedFrameStreamsDecodeOrFailTyped) {
   fv::expr::CompendiumSpec spec;
   spec.genome = fv::expr::GenomeSpec::yeast_like(120);
@@ -258,61 +339,37 @@ TEST(CommandFuzzTest, MutatedFrameStreamsDecodeOrFailTyped) {
                      fv::core::ForestViewApp(&session).record_frame(config));
   const std::vector<std::byte> stream = writer.take();
   ASSERT_GT(stream.size(), 1000u);
+  // The frame's wall, and the work message suffix naming all its tiles.
+  const wl::WallSpec wall{2, 2, 120, 80};
+  fv::mpx::PayloadWriter tiles;
+  tiles.write_span(std::span<const std::uint64_t>(
+      std::vector<std::uint64_t>{0, 1, 2, 3}));
+  const std::vector<std::byte> tile_ids = tiles.take();
 
   fv::Rng rng(0xf022);
   std::size_t decoded = 0, rejected = 0;
   for (int iteration = 0; iteration < 1500; ++iteration) {
-    const std::vector<std::byte> bytes = mutated(stream, rng);
+    std::vector<std::byte> bytes = mutated(stream, rng);
     try {
-      for (const auto& command : decode(bytes)) {
+      const wl::CommandList commands = decode(bytes);
+      for (const auto& command : commands) {
+        ASSERT_EQ(wl::why_invalid(command), nullptr);
         if (command.type == wl::CommandType::kImage) {
-          ASSERT_TRUE(rd::image_size_matches(command.x1, command.y1,
-                                             command.image.pixels.size()));
           // Borrowed from the message: the pixels lie inside its bytes.
           ASSERT_TRUE(lies_inside(command.image.pixels, bytes));
           ASSERT_EQ(command.image.owner, nullptr);
         }
       }
       ++decoded;
+      // The same stream as the start of a work message for every tile.
+      bytes.insert(bytes.end(), tile_ids.begin(), tile_ids.end());
+      raster_checked(bytes, wall, commands.size());
     } catch (const fv::Error&) {
       ++rejected;
     }
   }
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
-}
-
-// A decoded kText at the largest int32 scale is a few huge glyph blocks.
-// A node rasters it by writing each block's part inside its tile, once, so
-// the raster returns at once with only the blocks that cover the tile.
-TEST(CommandTest, HugeScaleTextRastersOnlyWhatItsTileShows) {
-  constexpr std::int32_t kScale = std::numeric_limits<std::int32_t>::max();
-  wl::RecordingCanvas canvas;
-  canvas.text(0, 0, "HELLO", rd::colors::kRed, kScale);
-  fv::mpx::PayloadWriter writer;
-  wl::write_commands(writer, canvas.take());
-  const auto commands = decode(writer.take());
-  ASSERT_EQ(commands.size(), 1u);
-  ASSERT_EQ(commands[0].scale, kScale);
-  const auto count_red = [](const rd::Framebuffer& fb) {
-    return std::count(fb.pixels().begin(), fb.pixels().end(),
-                      rd::colors::kRed);
-  };
-  // 'H' lights its top-left font pixel; that block alone covers the tile.
-  rd::Framebuffer tile(512, 384);
-  EXPECT_EQ(wl::replay_commands(tile, commands, 0, 0), 1u);
-  EXPECT_EQ(count_red(tile), 512 * 384);
-  // Its top row's second font pixel is unlit: a tile inside that block
-  // shows nothing. The next character's first block starts 6 blocks in.
-  rd::Framebuffer dark(512, 384);
-  EXPECT_EQ(wl::replay_commands(dark, commands, kScale, 0), 1u);
-  EXPECT_EQ(count_red(dark), 0);
-  // A tile straddling the first two blocks shows the first one only.
-  rd::Framebuffer seam(512, 384);
-  EXPECT_EQ(wl::replay_commands(seam, commands, kScale - 100, 5), 1u);
-  EXPECT_EQ(count_red(seam), 100 * 384);
-  EXPECT_EQ(seam.at(99, 0), rd::colors::kRed);
-  EXPECT_EQ(seam.at(100, 0), rd::colors::kBlack);
 }
 
 TEST(CommandTest, ReplayEqualsDirectDrawing) {
@@ -542,9 +599,9 @@ std::vector<std::size_t> reference_cull(const wl::CommandList& commands,
 }
 
 /// A scene whose commands start up to 60 px off every side of the canvas,
-/// with text at several scales, lines, images centred on tile corners (the
-/// canvas corners included), and zero- and negative-size commands that the
-/// recording canvas would have dropped.
+/// with text, spans drawn in either direction, images centred on tile
+/// corners (the canvas corners included), and zero- and negative-size
+/// commands that the recording canvas would have dropped.
 wl::CommandList split_scene(std::uint64_t seed, const wl::WallSpec& spec) {
   fv::Rng rng(seed);
   const auto coordinate = [&](std::size_t extent) {
@@ -563,11 +620,11 @@ wl::CommandList split_scene(std::uint64_t seed, const wl::WallSpec& spec) {
         canvas.fill_rect(x, y, w, h, color);
         break;
       case 1:
-        canvas.text(x, y, "ORF" + std::to_string(i), color,
-                    1 + static_cast<int>(rng.uniform_u64(3)));
+        canvas.text(x, y, "ORF" + std::to_string(i), color);
         break;
       case 2:
-        canvas.line(x, y, x + w - 45, y + h - 35, color);
+        canvas.hline(x, x + w - 45, y, color);
+        canvas.vline(x + w - 45, y, y + h - 35, color);
         break;
       case 3: {
         const auto col = static_cast<long>(rng.uniform_u64(spec.tile_cols + 1));
@@ -595,11 +652,11 @@ wl::CommandList split_scene(std::uint64_t seed, const wl::WallSpec& spec) {
            static_cast<std::ptrdiff_t>(rng.uniform_u64(commands.size()));
   };
   commands.insert(at(), wl::RenderCommand{wl::CommandType::kFillRect, 10, 10,
-                                          0, 5, rd::colors::kRed, 1, {}, {}});
-  commands.insert(at(), wl::RenderCommand{wl::CommandType::kDrawRect, 5, 5,
-                                          -3, 4, rd::colors::kRed, 1, {}, {}});
+                                          0, 5, rd::colors::kRed, {}, {}});
+  commands.insert(at(), wl::RenderCommand{wl::CommandType::kFillRect, 5, 5,
+                                          -3, 4, rd::colors::kRed, {}, {}});
   commands.insert(at(), wl::RenderCommand{wl::CommandType::kImage, 20, 20, 0,
-                                          0, rd::colors::kRed, 1, {}, {}});
+                                          0, rd::colors::kRed, {}, {}});
   return commands;
 }
 
@@ -652,7 +709,6 @@ TEST_P(WorkSplitTest, MatchesPerTileCullWithOnlyImagesCut) {
         whole.push_back(original);
         EXPECT_EQ(got.type, original.type);
         EXPECT_EQ(got.color, original.color);
-        EXPECT_EQ(got.scale, original.scale);
         EXPECT_EQ(got.text, original.text);
         if (original.type != wl::CommandType::kImage) {
           EXPECT_EQ(got.bounds(), original.bounds());
@@ -696,8 +752,8 @@ INSTANTIATE_TEST_SUITE_P(NodeCounts, WorkSplitTest,
 
 /// Seeded mutation fuzzing of a node's work messages, which carry the
 /// images the recorded frame above lacks: each mutated message decodes or
-/// fails typed, and every image it decodes to borrows pixels that lie
-/// inside the message.
+/// fails typed, every image it decodes to borrows pixels that lie inside
+/// the message, and a message that decodes rasters its tiles.
 TEST(CommandFuzzTest, MutatedWorkMessagesBorrowTheirImagesOrFailTyped) {
   const wl::WallSpec spec{4, 3, 40, 30};
   const auto commands = split_scene(31, spec);
@@ -712,16 +768,17 @@ TEST(CommandFuzzTest, MutatedWorkMessagesBorrowTheirImagesOrFailTyped) {
           iteration == 0 ? work : mutated(work, rng);
       try {
         fv::mpx::PayloadReader reader(bytes);
-        for (const auto& command : wl::read_commands(reader)) {
+        const wl::CommandList commands = wl::read_commands(reader);
+        for (const auto& command : commands) {
+          ASSERT_EQ(wl::why_invalid(command), nullptr);
           if (command.type != wl::CommandType::kImage) continue;
-          ASSERT_TRUE(rd::image_size_matches(command.x1, command.y1,
-                                             command.image.pixels.size()));
           ASSERT_TRUE(lies_inside(command.image.pixels, bytes));
           ASSERT_EQ(command.image.owner, nullptr);
           ++images;
         }
         reader.read_vector<std::uint64_t>();
         ++decoded;
+        raster_checked(bytes, spec, commands.size());
       } catch (const fv::Error&) {
         ++rejected;
       }
@@ -730,6 +787,94 @@ TEST(CommandFuzzTest, MutatedWorkMessagesBorrowTheirImagesOrFailTyped) {
   EXPECT_GT(images, 100u);
   EXPECT_GT(decoded, 2u);
   EXPECT_GT(rejected, 0u);
+}
+
+/// Seeded streams of every live command type with each coordinate and size
+/// drawn from the edges of the long range: a stream decodes exactly when
+/// every command in it keeps the rule in command.hpp, and one that decodes
+/// rasters on every tile of a wall, so under the sanitizers no accepted
+/// geometry overflows in culling or replay.
+TEST(CommandFuzzTest, ExtremeGeometryDecodesIffValidAndRasters) {
+  // The first five lie within kMaxCoordinate.
+  constexpr std::int64_t kValues[] = {0,
+                                      1,
+                                      -1,
+                                      std::int64_t{1} << 31,
+                                      -(std::int64_t{1} << 31),
+                                      std::int64_t{1} << 62,
+                                      -(std::int64_t{1} << 62),
+                                      std::numeric_limits<std::int64_t>::min(),
+                                      std::numeric_limits<std::int64_t>::max()};
+  constexpr wl::CommandType kTypes[] = {
+      wl::CommandType::kFillRect, wl::CommandType::kHLine,
+      wl::CommandType::kVLine, wl::CommandType::kText,
+      wl::CommandType::kImage};
+  const wl::WallSpec wall{3, 2, 40, 30};
+  std::vector<std::uint64_t> all_tiles(wall.tile_count());
+  std::iota(all_tiles.begin(), all_tiles.end(), 0);
+  const auto within_cap = [](std::int64_t v) {
+    return v >= -wl::kMaxCoordinate && v <= wl::kMaxCoordinate;
+  };
+  fv::Rng rng(0xe7e);
+  std::size_t accepted = 0, rejected = 0;
+  std::size_t seen[7] = {};
+  for (int iteration = 0; iteration < 1000; ++iteration) {
+    fv::mpx::PayloadWriter writer;
+    const std::uint64_t count = 1 + rng.uniform_u64(3);
+    writer.write<std::uint64_t>(count);
+    bool valid = true;
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const wl::CommandType type = kTypes[rng.uniform_u64(std::size(kTypes))];
+      // Half the commands keep within the cap, so that the other parts of
+      // the rule decide whether they decode.
+      const std::size_t values =
+          rng.uniform_u64(2) == 0 ? 5 : std::size(kValues);
+      std::int64_t g[4];
+      for (std::int64_t& v : g) v = kValues[rng.uniform_u64(values)];
+      // Spans mostly keep their shape, so their extremes get past it.
+      if (type == wl::CommandType::kHLine && rng.uniform_u64(4) != 0) {
+        g[3] = g[1];
+      }
+      if (type == wl::CommandType::kVLine && rng.uniform_u64(4) != 0) {
+        g[2] = g[0];
+      }
+      // An image holds 0..2 pixels, which matches only its small sizes.
+      const std::uint64_t pixel_count = rng.uniform_u64(3);
+      valid = valid && std::ranges::all_of(g, within_cap) &&
+              (type != wl::CommandType::kHLine || g[3] == g[1]) &&
+              (type != wl::CommandType::kVLine || g[2] == g[0]) &&
+              (type != wl::CommandType::kImage ||
+               rd::image_size_matches(g[2], g[3], pixel_count));
+      writer.write<std::uint8_t>(static_cast<std::uint8_t>(type));
+      for (const std::int64_t v : g) writer.write<std::int64_t>(v);
+      for (const std::uint64_t c : {std::uint64_t{200}, k, std::uint64_t{9}}) {
+        writer.write<std::uint8_t>(static_cast<std::uint8_t>(c));
+      }
+      writer.write_string(type == wl::CommandType::kText ? "ORF7" : "");
+      if (type == wl::CommandType::kImage) {
+        const std::vector<rd::Rgb8> pixels(pixel_count, rd::colors::kRed);
+        writer.write_span(std::span<const rd::Rgb8>(pixels));
+      }
+      ++seen[static_cast<std::size_t>(type)];
+    }
+    writer.write_span(std::span<const std::uint64_t>(all_tiles));
+    const std::vector<std::byte> work = writer.take();
+    fv::mpx::PayloadReader reader(work);
+    try {
+      const std::size_t commands = wl::read_commands(reader).size();
+      ASSERT_TRUE(valid) << "iteration " << iteration;
+      raster_checked(work, wall, commands);
+      ++accepted;
+    } catch (const fv::ParseError&) {
+      ASSERT_FALSE(valid) << "iteration " << iteration;
+      ++rejected;
+    }
+  }
+  for (const wl::CommandType type : kTypes) {
+    EXPECT_GT(seen[static_cast<std::size_t>(type)], 50u);
+  }
+  EXPECT_GT(accepted, 20u);
+  EXPECT_GT(rejected, 20u);
 }
 
 // A node rasters each tile of its work message straight into the pixel
