@@ -80,6 +80,11 @@ void BM_WallFrame_Tiles(benchmark::State& state) {
   state.counters["Mpix/s"] = benchmark::Counter(
       static_cast<double>(spec.total_pixels()) * 1e-6,
       benchmark::Counter::kIsIterationInvariantRate);
+  // Commands executed (summed over tiles) per command recorded: 1.0 on one
+  // tile, growing with the tile count, and lower means a tighter cull.
+  // perfbench's wall.cull_ratio is the culled share instead, so it runs the
+  // opposite way. The name stays: compare_benchmarks.py gates this counter
+  // by name against the committed baseline.
   state.counters["cull_ratio"] =
       static_cast<double>(last.commands_executed) /
       static_cast<double>(std::max<std::size_t>(1, last.commands_total));

@@ -20,28 +20,35 @@ Mailbox& GroupState::mailbox(int rank) {
 
 void GroupState::install_faults(const FaultSpec& spec) {
   if (!spec.any()) return;
+  check_fault_rates({spec.drop_rate, spec.delay_rate, spec.duplicate_rate,
+                     spec.corrupt_rate},
+                    "mpx fault spec");
+  FV_REQUIRE(spec.delay.count() >= 0, "fault delay must be non-negative");
+  FV_REQUIRE(spec.crash_rank < 0 || spec.crash_at_op >= 1,
+             "crash_at_op is 1-based");
   FV_REQUIRE(spec.crash_rank < size_,
              "crash_rank must name a rank of this group");
-  fault_plan_ = std::make_unique<FaultPlan>(spec);
+  faults_ = std::make_unique<const FaultSpec>(spec);
 }
 
 void GroupState::abort(int origin_rank, const std::string& reason) {
   for (auto& mailbox : mailboxes_) mailbox->abort(origin_rank, reason);
 }
 
-Comm::Comm(GroupState* state, int rank) : state_(state), rank_(rank) {
+Comm::Comm(GroupState* state, int rank)
+    : state_(state),
+      rank_(rank),
+      crash_(state != nullptr && state->faults() != nullptr &&
+                     state->faults()->crash_rank == rank
+                 ? state->faults()->crash_at_op
+                 : 0) {
   FV_REQUIRE(state != nullptr, "communicator needs a group");
   FV_REQUIRE(rank >= 0 && rank < state->size(), "rank out of range");
 }
 
 void Comm::fault_op() {
-  const FaultPlan* plan = state_->fault_plan();
-  if (plan == nullptr) return;
-  ++ops_;
-  if (plan->crash_now(rank_, ops_)) {
-    plan->stats().crashes.fetch_add(1, std::memory_order_relaxed);
-    throw RankCrashed{rank_};
-  }
+  if (state_->faults() == nullptr) return;
+  crash_.count(state_->fault_stats().crashes);
 }
 
 void Comm::send(int dest, int tag, std::vector<std::byte> payload) {
@@ -51,8 +58,8 @@ void Comm::send(int dest, int tag, std::vector<std::byte> payload) {
   Message message;
   message.source = rank_;
   message.tag = tag;
-  const FaultPlan* plan = state_->fault_plan();
-  if (plan != nullptr) {
+  const FaultSpec* faults = state_->faults();
+  if (faults != nullptr) {
     // Seal the envelope only under fault injection: the in-process
     // transport cannot corrupt or duplicate on its own, so sealing a
     // trusted group's messages would be pure per-byte overhead (the
@@ -62,27 +69,28 @@ void Comm::send(int dest, int tag, std::vector<std::byte> payload) {
   }
   message.payload = std::move(payload);
 
-  if (plan != nullptr) {
-    switch (plan->decide(rank_, dest, tag, message.sequence)) {
+  if (faults != nullptr) {
+    FaultStats& stats = state_->fault_stats();
+    switch (decide(*faults, rank_, dest, tag, message.sequence)) {
       case FaultAction::kDrop:
-        plan->stats().dropped.fetch_add(1, std::memory_order_relaxed);
+        stats.dropped.fetch_add(1, std::memory_order_relaxed);
         return;
       case FaultAction::kDelay:
-        plan->stats().delayed.fetch_add(1, std::memory_order_relaxed);
+        stats.delayed.fetch_add(1, std::memory_order_relaxed);
         // Sleeping on the sender's thread keeps per-(source, tag) FIFO
         // order, which the mailbox's duplicate suppression relies on.
-        std::this_thread::sleep_for(plan->spec().delay);
+        std::this_thread::sleep_for(faults->delay);
         break;
       case FaultAction::kDuplicate:
-        plan->stats().duplicated.fetch_add(1, std::memory_order_relaxed);
+        stats.duplicated.fetch_add(1, std::memory_order_relaxed);
         state_->mailbox(dest).deliver(message);  // same sequence, twice
         break;
       case FaultAction::kCorrupt:
         if (!message.payload.empty()) {
-          plan->stats().corrupted.fetch_add(1, std::memory_order_relaxed);
-          const std::size_t index =
-              plan->corrupt_index(message.sequence, message.payload.size());
-          message.payload[index] ^= std::byte{0x2a};
+          stats.corrupted.fetch_add(1, std::memory_order_relaxed);
+          message.payload[corrupt_index(*faults, message.sequence,
+                                        message.payload.size())] ^=
+              std::byte{0x2a};
           // checksum left stale: the receiver's verification must fire.
         }
         break;
@@ -128,7 +136,7 @@ void run_group_impl(int ranks, const std::function<void(Comm&)>& body,
       try {
         Comm comm(&state, r);
         body(comm);
-      } catch (const RankCrashed&) {
+      } catch (const InjectedCrash&) {
         // Simulated node death: the thread exits silently, no abort — the
         // rest of the group only notices through its own deadlines.
       } catch (const AbortError& e) {

@@ -12,7 +12,7 @@
 //    deadline;
 //  * aborts are attributed: victims of a group failure get fv::AbortError
 //    carrying the originating rank and reason;
-//  * a seeded FaultPlan can be installed per group to deterministically
+//  * a seeded FaultSpec can be installed per group to deterministically
 //    drop / delay / duplicate / corrupt messages or crash a rank mid-run
 //    (zero cost when absent).
 #pragma once
@@ -31,7 +31,7 @@
 namespace fv::mpx {
 
 /// State shared by every rank of one group: mailboxes plus the (optional)
-/// fault plan.
+/// fault spec and its counters.
 class GroupState {
  public:
   explicit GroupState(int size);
@@ -39,10 +39,12 @@ class GroupState {
   int size() const noexcept { return size_; }
   Mailbox& mailbox(int rank);
 
-  /// Installs a deterministic fault plan. Call before any rank starts
-  /// communicating; no-op when the spec would change nothing.
+  /// Validates and installs a deterministic fault spec. Call before any
+  /// rank starts communicating; no-op when the spec would change nothing.
   void install_faults(const FaultSpec& spec);
-  const FaultPlan* fault_plan() const noexcept { return fault_plan_.get(); }
+  /// The installed spec, or nullptr without one.
+  const FaultSpec* faults() const noexcept { return faults_.get(); }
+  FaultStats& fault_stats() noexcept { return fault_stats_; }
 
   /// Marks the group failed and wakes every blocked rank. origin_rank/reason
   /// are carried into the AbortError every victim sees (-1 = unattributed).
@@ -51,7 +53,8 @@ class GroupState {
  private:
   const int size_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::unique_ptr<const FaultPlan> fault_plan_;
+  std::unique_ptr<const FaultSpec> faults_;
+  FaultStats fault_stats_;
 };
 
 /// More than one rank failed for an independent reason: every per-rank
@@ -84,14 +87,13 @@ class Comm {
   int rank() const noexcept { return rank_; }
   int size() const noexcept { return state_->size(); }
 
-  /// Fault counters of the installed plan, or nullptr without one.
+  /// Fault counters of the installed spec, or nullptr without one.
   const FaultStats* fault_stats() const noexcept {
-    const FaultPlan* plan = state_->fault_plan();
-    return plan == nullptr ? nullptr : &plan->stats();
+    return state_->faults() == nullptr ? nullptr : &state_->fault_stats();
   }
 
   /// Sends a raw payload; tag must be >= 0. Never blocks (in-process
-  /// delivery is an enqueue). When the group has a fault plan, the envelope
+  /// delivery is an enqueue). When the group has a fault spec, the envelope
   /// is sealed (sequence + checksum) before any fault injection, so
   /// tampering is detectable.
   void send(int dest, int tag, std::vector<std::byte> payload);
@@ -106,8 +108,8 @@ class Comm {
                                         int tag = kAnyTag);
 
  private:
-  /// Per-rank op counter for the crash fault; throws RankCrashed at the
-  /// configured op. No-op without a fault plan.
+  /// Counts one op for the crash fault; throws fv::InjectedCrash at the
+  /// configured op. No-op without a fault spec.
   void fault_op();
 
   GroupState* state_;
@@ -115,9 +117,9 @@ class Comm {
   /// Next sequence number per (dest, tag); Comm lives on one rank's thread,
   /// so no locking. Sequences start at 1 (0 = unsequenced sentinel).
   std::map<std::pair<int, int>, std::uint64_t> next_sequence_;
-  /// Count of this rank's mpx operations (sends + receives), for the
-  /// crash-at-op fault. Only advanced when a fault plan is installed.
-  std::uint64_t ops_ = 0;
+  /// This rank's mpx operations (sends + receives), for the crash-at-op
+  /// fault. Only advanced when a fault spec is installed.
+  CrashCounter crash_;
 };
 
 /// Runs `body` once per rank on dedicated threads and joins them.
@@ -127,12 +129,12 @@ class Comm {
 /// aggregated: ranks that merely died of the abort (AbortError victims) are
 /// secondary; if exactly one rank failed for its own reason, that original
 /// exception is rethrown; if several did, a GroupFailure listing every
-/// (rank, what()) is thrown. Ranks crashed by a fault plan exit silently —
+/// (rank, what()) is thrown. Ranks crashed by a fault spec exit silently —
 /// a simulated lost node is not an error here; survivors see it only
 /// through their own deadlines.
 void run_group(int ranks, const std::function<void(Comm&)>& body);
 
-/// As above, with a deterministic fault plan installed for the group's
+/// As above, with a deterministic fault spec installed for the group's
 /// lifetime. `faults` with nothing enabled behaves exactly like run_group.
 void run_group(int ranks, const std::function<void(Comm&)>& body,
                const FaultSpec& faults);

@@ -1,21 +1,24 @@
 // Deterministic fault injection for the mpx transport.
 //
-// A FaultPlan is installed per GroupState (zero cost when absent: one null
-// pointer check per send) and consulted by Comm at every message delivery.
-// Decisions are a pure hash of (seed, source, dest, tag, sequence), so a
-// given seed reproduces exactly the same set of dropped / delayed /
-// duplicated / corrupted messages regardless of thread interleaving — every
-// failure mode the chaos suite exercises is replayable. The one stateful
-// fault, crash-rank-at-op-N, counts each rank's mpx operations on the rank's
-// own thread, which is equally deterministic.
+// A FaultSpec is installed per GroupState (zero cost when absent: one null
+// pointer check per mpx op) and consulted by Comm at every message
+// delivery. The seeded core (util/fault.hpp) turns the spec into faults:
+// each message's action is a pure draw at (seed, source, dest, tag,
+// sequence), so a given seed reproduces exactly the same set of dropped /
+// delayed / duplicated / corrupted messages regardless of thread
+// interleaving — every failure mode the chaos suite exercises is
+// replayable. The one stateful fault, crash-rank-at-op-N, counts each
+// rank's mpx operations on the rank's own thread, which is equally
+// deterministic, and throws fv::InjectedCrash.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <vector>
 
-#include "util/error.hpp"
+#include "util/fault.hpp"
 
 namespace fv::mpx {
 
@@ -63,42 +66,39 @@ struct FaultStats {
   std::atomic<std::uint64_t> crashes{0};
 };
 
-class FaultPlan {
- public:
-  /// Validates rates: each in [0, 1] and their sum at most 1 (one uniform
-  /// draw is partitioned across the four actions).
-  explicit FaultPlan(FaultSpec spec);
-
-  const FaultSpec& spec() const noexcept { return spec_; }
-  FaultStats& stats() const noexcept { return stats_; }
-
-  /// Deterministic decision for the message identified by its envelope
-  /// coordinates. Exempt tags always get kNone.
-  FaultAction decide(int source, int dest, int tag,
-                     std::uint64_t sequence) const;
-
-  /// Deterministic payload byte index to flip for a kCorrupt decision.
-  std::size_t corrupt_index(std::uint64_t sequence,
-                            std::size_t payload_size) const;
-
-  /// True when `op` (1-based, counted per rank on the rank's own thread) is
-  /// `rank`'s configured crash point.
-  bool crash_now(int rank, std::uint64_t op) const noexcept {
-    return rank == spec_.crash_rank && op == spec_.crash_at_op;
+/// The action for the message identified by its envelope: one draw on
+/// stream 1 over the envelope packed into two words, partitioned across
+/// drop, delay, duplicate and corrupt in that order. Exempt tags always
+/// get kNone.
+inline FaultAction decide(const FaultSpec& spec, int source, int dest,
+                          int tag, std::uint64_t sequence) {
+  if (std::find(spec.exempt_tags.begin(), spec.exempt_tags.end(), tag) !=
+      spec.exempt_tags.end()) {
+    return FaultAction::kNone;
   }
+  constexpr FaultAction kBands[] = {FaultAction::kDrop, FaultAction::kDelay,
+                                    FaultAction::kDuplicate,
+                                    FaultAction::kCorrupt, FaultAction::kNone};
+  const auto word = [](int high, std::uint64_t low) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(high))
+            << 32) ^
+           low;
+  };
+  return kBands[fault_pick(
+      spec.seed, 1,
+      {word(source, static_cast<std::uint32_t>(dest)), word(tag, sequence)},
+      {spec.drop_rate, spec.delay_rate, spec.duplicate_rate,
+       spec.corrupt_rate})];
+}
 
- private:
-  FaultSpec spec_;
-  mutable FaultStats stats_;
-};
-
-/// Thrown by the fault hook to simulate a node dying mid-operation.
-/// Deliberately NOT an fv::Error: application code catching fv::Error must
-/// not resurrect a crashed rank. run_group swallows it — the rank's thread
-/// exits silently without aborting the group, exactly like a lost cluster
-/// node; surviving ranks only notice through their own deadlines.
-struct RankCrashed {
-  int rank = -1;
-};
+/// The payload byte a kCorrupt decision flips.
+inline std::size_t corrupt_index(const FaultSpec& spec,
+                                 std::uint64_t sequence,
+                                 std::size_t payload_size) {
+  FV_REQUIRE(payload_size > 0, "cannot pick a corrupt index in empty payload");
+  return static_cast<std::size_t>(
+      fault_mix64(spec.seed ^ (sequence * 0xd1342543de82ef95ull)) %
+      payload_size);
+}
 
 }  // namespace fv::mpx

@@ -9,7 +9,6 @@
 
 #include "cluster/distance.hpp"
 #include "cluster/hclust.hpp"
-#include "util/fault_hash.hpp"
 #include "util/triangular.hpp"
 
 namespace fv::serve {
@@ -215,12 +214,8 @@ AnalysisService::AnalysisService(SharedCompendium compendium,
   FV_REQUIRE(options_.job_workers >= 1, "job queue needs at least one worker");
   FV_REQUIRE(options_.max_active_jobs >= 1,
              "job admission bound must be at least 1");
-  FV_REQUIRE(options_.faults.reject_rate >= 0.0 &&
-                 options_.faults.reject_rate <= 1.0,
-             "reject_rate must lie in [0, 1]");
-  FV_REQUIRE(options_.faults.delay_rate >= 0.0 &&
-                 options_.faults.delay_rate <= 1.0,
-             "delay_rate must lie in [0, 1]");
+  check_fault_rates({options_.faults.reject_rate}, "reject_rate");
+  check_fault_rates({options_.faults.delay_rate}, "delay_rate");
 }
 
 AnalysisService::~AnalysisService() {
@@ -239,20 +234,18 @@ HttpResponse AnalysisService::handle(const HttpRequest& request) {
   // a seeded run rejects/delays the exact same request set every time, no
   // matter how client threads interleave.
   const ServeFaultSpec& faults = options_.faults;
-  if (faults.reject_rate > 0.0 &&
-      fault_uniform(fault_hash(faults.seed, kServeRejectStream, {tick})) <
-          faults.reject_rate) {
-    stats_.injected_rejects.fetch_add(1, std::memory_order_relaxed);
-    JsonValue body = JsonValue::object();
-    body["error"] = "injected overload";
-    body["injected"] = true;
-    return json_response(503, body);
-  }
-  if (faults.delay_rate > 0.0 &&
-      fault_uniform(fault_hash(faults.seed, kServeDelayStream, {tick})) <
-          faults.delay_rate) {
-    stats_.injected_delays.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(faults.delay_ms));
+  if (faults.any()) {
+    if (faults.rejects(tick)) {
+      stats_.injected_rejects.fetch_add(1, std::memory_order_relaxed);
+      JsonValue body = JsonValue::object();
+      body["error"] = "injected overload";
+      body["injected"] = true;
+      return json_response(503, body);
+    }
+    if (faults.delays(tick)) {
+      stats_.injected_delays.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::milliseconds(faults.delay_ms));
+    }
   }
 
   try {
@@ -628,7 +621,7 @@ std::shared_ptr<const std::string> AnalysisService::produce_result(
   warm = false;
   if (options_.store != nullptr) {
     // A restarted server serves the blob a previous process committed,
-    // byte for byte. StoreCrashed flies through the ladder to the caller:
+    // byte for byte. InjectedCrash flies through the ladder to the caller:
     // a death mid-commit fails the request and leaves fsck the store.
     store::OpenStats open_stats;
     bytes = store::open_or_compute_blob(*options_.store, job.cache_key,
@@ -672,7 +665,7 @@ void AnalysisService::run_job(std::shared_ptr<JobRecord> job) {
   } catch (const Error& e) {
     error = e.what();
     error_status = error_http_status(e);
-  } catch (const store::StoreCrashed& crash) {
+  } catch (const InjectedCrash& crash) {
     // Simulated process death mid-persist (deliberately not an fv::Error,
     // and not even a std::exception — it must be caught by name): the job
     // fails, the service carries on, and the store is left exactly as the
@@ -790,7 +783,7 @@ HttpResponse AnalysisService::handle_job_result(const std::string& session_id,
     try {
       bool warm = false;
       result = produce_result(*job, warm);
-    } catch (const store::StoreCrashed& crash) {
+    } catch (const InjectedCrash& crash) {
       return error_response(500, "store crashed at op " +
                                      std::to_string(crash.op) +
                                      " reloading the result");

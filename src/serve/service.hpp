@@ -24,10 +24,10 @@
 //
 // Robustness follows the mpx/store patterns: every wait is bounded, every
 // failure is a typed fv::Error mapped to an HTTP status
-// (error_http_status), request-path fault injection is deterministic on
-// the shared fv::fault_hash chain, and a simulated mid-job process crash
-// (store::StoreCrashed during result persist) fails ONLY that job while
-// the artifact store stays fsck-repairable — proven by the chaos suite.
+// (error_http_status), request-path fault injection draws on the seeded
+// core (util/fault.hpp), and a simulated mid-job process crash
+// (fv::InjectedCrash during result persist) fails ONLY that job while the
+// artifact store stays fsck-repairable — proven by the chaos suite.
 //
 // Response bodies are byte-deterministic (serve/json.hpp): the same
 // request yields bit-identical bytes whether computed cold, concurrently
@@ -52,6 +52,7 @@
 #include "sim/similarity_engine.hpp"
 #include "spell/spell.hpp"
 #include "store/cached.hpp"
+#include "util/fault.hpp"
 
 namespace fv::serve {
 
@@ -90,11 +91,16 @@ SharedCompendium open_shared_compendium(
     std::shared_ptr<const std::vector<expr::Dataset>> datasets,
     sim::Metric metric, par::ThreadPool& pool);
 
-/// Deterministic request-path fault injection: per request index, decided
-/// on the shared fv::fault_hash chain (streams below), so a seed replays
-/// the exact same rejected/delayed request set under any interleaving of
-/// client threads — the chaos suite's determinism hook. Each rate must lie
-/// in [0, 1]; AnalysisService throws InvalidArgument otherwise.
+/// fault_hash stream ids of the request-path decisions.
+inline constexpr std::uint64_t kServeRejectStream = 0x5e21;
+inline constexpr std::uint64_t kServeDelayStream = 0x5e22;
+
+/// Deterministic request-path fault injection: per request index, one draw
+/// per decision on the seeded core (util/fault.hpp, streams above), so a
+/// seed replays the exact same rejected/delayed request set under any
+/// interleaving of client threads — the chaos suite's determinism hook.
+/// Each rate must lie in [0, 1]; AnalysisService throws InvalidArgument
+/// otherwise.
 struct ServeFaultSpec {
   std::uint64_t seed = 0;
   double reject_rate = 0.0;   ///< P(request answered 503, body flags injected)
@@ -102,11 +108,15 @@ struct ServeFaultSpec {
   std::uint32_t delay_ms = 0;
 
   bool any() const noexcept { return reject_rate > 0.0 || delay_rate > 0.0; }
-};
 
-/// fault_hash stream ids of the request-path decisions.
-inline constexpr std::uint64_t kServeRejectStream = 0x5e21;
-inline constexpr std::uint64_t kServeDelayStream = 0x5e22;
+  /// Whether request `tick` is rejected, or delayed.
+  bool rejects(std::uint64_t tick) const noexcept {
+    return fault_pick(seed, kServeRejectStream, {tick}, {reject_rate}) == 0;
+  }
+  bool delays(std::uint64_t tick) const noexcept {
+    return fault_pick(seed, kServeDelayStream, {tick}, {delay_rate}) == 0;
+  }
+};
 
 /// HTTP status of a typed failure — the one mapping table, used by the
 /// request dispatcher and pinned by tests:

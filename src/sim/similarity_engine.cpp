@@ -1118,21 +1118,6 @@ double tile_distance_sum(const DistanceTile& tile) {
 
 }  // namespace
 
-double SimilarityEngine::mean_pairwise_distance(par::ThreadPool& pool) const {
-  if (count_ < 2) return 0.0;
-  // Per-tile partials reduced in schedule order: deterministic no matter
-  // which thread computed which tile.
-  std::vector<double> partial(tile_count(), 0.0);
-  for_each_tile(
-      [&](const DistanceTile& tile) {
-        partial[tile.index] = tile_distance_sum(tile);
-      },
-      pool);
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total / static_cast<double>(condensed_size(count_));
-}
-
 double SimilarityEngine::mean_pairwise_distance() const {
   if (count_ < 2) return 0.0;
   double total = 0.0;

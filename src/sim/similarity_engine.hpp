@@ -353,12 +353,10 @@ class SimilarityEngine {
       const LshParams& lsh = LshParams{}, const LshIndex* lsh_index = nullptr,
       std::size_t rows = std::numeric_limits<std::size_t>::max()) const;
 
-  /// Mean of all n(n-1)/2 pairwise distances, streamed tile by tile (no
-  /// matrix materialized; per-tile partials reduced in schedule order, so
-  /// the result is deterministic). 0 when size() < 2. The serial overload
-  /// is safe inside pool tasks. Query-coherence weights (SPELL, the merged
+  /// Mean of all n(n-1)/2 pairwise distances, streamed tile by tile on the
+  /// calling thread (no matrix materialized), so it is safe inside pool
+  /// tasks. 0 when size() < 2. Query-coherence weights (SPELL, the merged
   /// interface) are 1 minus this under correlation metrics.
-  double mean_pairwise_distance(par::ThreadPool& pool) const;
   double mean_pairwise_distance() const;
 
   /// Fills `out` (size() x size(), row-major) with all pairwise distances:

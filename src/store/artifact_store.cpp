@@ -237,24 +237,24 @@ void ArtifactStore::put(ArtifactKind kind, ArtifactKey key,
   // Advisory cross-process exclusion: a second PROCESS committing into
   // this directory blocks here instead of racing the .tmp path (the
   // in-process mutex above cannot see it). Released on every exit path
-  // when the lock's fd closes — including StoreCrashed unwind, matching
+  // when the lock's fd closes — including InjectedCrash unwind, matching
   // what the kernel does to a genuinely dead process's locks.
   const DirectoryLock dir_lock(directory_);
   try {
     MappedFile tmp = MappedFile::create(
-        tmp_path, sizeof(header) + payload.size(), &faults_);
+        tmp_path, sizeof(header) + payload.size(), faults_);
     faults_.copy(tmp_path, tmp.data(),
                  reinterpret_cast<const std::byte*>(&header),
                  sizeof(header));
     faults_.copy(tmp_path, tmp.data() + sizeof(header), payload.data(),
                  payload.size());
-    tmp.sync(&faults_);
+    tmp.sync(faults_);
     tmp.close();
-    MappedFile::atomic_rename(tmp_path, final_path, &faults_);
-    MappedFile::sync_directory(directory_, &faults_);
+    MappedFile::atomic_rename(tmp_path, final_path, faults_);
+    MappedFile::sync_directory(directory_, faults_);
   } catch (const Error&) {
     // Clean abort (ENOSPC, real I/O failure): drop the temporary and
-    // rethrow. The final name is untouched. StoreCrashed deliberately
+    // rethrow. The final name is untouched. InjectedCrash deliberately
     // skips this handler — a dead process cleans up nothing.
     MappedFile::remove_quiet(tmp_path);
     throw;

@@ -285,7 +285,7 @@ class ArtifactStore {
   /// through write-tmp -> sync -> atomic-rename -> sync-dir. On any
   /// fv::Error (injected ENOSPC, real I/O failure) the temporary is
   /// removed and the error rethrown — the store still holds the old
-  /// artifact or none. StoreCrashed (simulated process death) is NOT
+  /// artifact or none. InjectedCrash (simulated process death) is NOT
   /// cleaned up after, by design.
   ///
   /// Cross-process exclusion: each commit holds an advisory flock(2)
@@ -362,7 +362,7 @@ struct OpenStats {
 /// structural damage the checksums cannot see (a codec/meta mismatch);
 /// that takes the corrupt rung too.
 ///
-/// StoreCrashed propagates untouched: a simulated dead process must not
+/// InjectedCrash propagates untouched: a simulated dead process must not
 /// recover itself. Everything else ends in a correct value or a typed
 /// fv::Error from the compute itself — never silently wrong data.
 template <typename T>

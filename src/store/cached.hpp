@@ -185,7 +185,7 @@ void put_blob(ArtifactStore& store, ArtifactKey key, std::string_view bytes);
 /// The blob at (kBlob, key), through load_or_compute like every other
 /// kind: warm when a valid blob exists, otherwise `compute()` and persist
 /// it best-effort (a damaged blob is quarantined or removed on the way).
-/// StoreCrashed and errors thrown by `compute` propagate.
+/// InjectedCrash and errors thrown by `compute` propagate.
 std::string open_or_compute_blob(ArtifactStore& store, ArtifactKey key,
                                  const std::function<std::string()>& compute,
                                  OpenStats* stats = nullptr);

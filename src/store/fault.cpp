@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "util/fault_hash.hpp"
 #include "util/xxhash.hpp"
 
 namespace fv::store {
@@ -11,8 +10,8 @@ namespace {
 
 // Decision streams: each fault family draws from an independent hash
 // stream so e.g. raising the torn rate never changes which ops get bit
-// flips. Streams 1 (action) mirrors mpx's convention; the mpx layer uses
-// only stream 1, so the higher streams are free here.
+// flips. The mpx layer uses only stream 1, so the higher streams are free
+// here.
 constexpr std::uint64_t kStreamCopy = 11;      ///< torn/bitflip action draw
 constexpr std::uint64_t kStreamTearLen = 12;   ///< torn prefix length
 constexpr std::uint64_t kStreamFlipIdx = 13;   ///< flipped byte index
@@ -27,42 +26,21 @@ std::uint64_t path_hash(const std::string& path) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(FaultSpec spec) : spec_(spec) {
-  const double copy_sum = spec_.torn_write_rate + spec_.bitflip_rate;
-  FV_REQUIRE(spec_.torn_write_rate >= 0.0 && spec_.bitflip_rate >= 0.0 &&
-                 copy_sum <= 1.0 + 1e-12,
-             "torn + bitflip rates partition one copy draw; each must be "
-             ">= 0 and their sum <= 1");
-  FV_REQUIRE(spec_.truncate_rate >= 0.0 && spec_.truncate_rate <= 1.0,
-             "truncate_rate must lie in [0, 1]");
-  FV_REQUIRE(spec_.enospc_rate >= 0.0 && spec_.enospc_rate <= 1.0,
-             "enospc_rate must lie in [0, 1]");
-}
-
-std::uint64_t FaultInjector::begin_op(const std::string& path) {
-  const std::uint64_t op = ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (spec_.crash_at_op > 0 &&
-      op == static_cast<std::uint64_t>(spec_.crash_at_op)) {
-    stats_.crashes.fetch_add(1, std::memory_order_relaxed);
-    throw StoreCrashed{path, op};
-  }
-  return op;
-}
-
-std::uint64_t FaultInjector::derive(const std::string& path, std::uint64_t op,
-                                    std::uint64_t stream) const {
-  return fault_hash(spec_.seed, stream, {path_hash(path), op});
-}
-
-double FaultInjector::draw(const std::string& path, std::uint64_t op,
-                           std::uint64_t stream) const {
-  return fault_uniform(derive(path, op, stream));
+FaultInjector::FaultInjector(FaultSpec spec)
+    : spec_(spec),
+      crash_(spec.crash_at_op > 0
+                 ? static_cast<std::uint64_t>(spec.crash_at_op)
+                 : 0) {
+  check_fault_rates({spec_.torn_write_rate, spec_.bitflip_rate},
+                    "store torn + bitflip rates");
+  check_fault_rates({spec_.truncate_rate}, "store truncate_rate");
+  check_fault_rates({spec_.enospc_rate}, "store enospc_rate");
 }
 
 void FaultInjector::on_allocate(const std::string& path, std::size_t bytes) {
-  const std::uint64_t op = begin_op(path);
-  if (spec_.enospc_rate > 0.0 &&
-      draw(path, op, kStreamAlloc) < spec_.enospc_rate) {
+  const std::uint64_t op = crash_.count(stats_.crashes);
+  if (fault_pick(spec_.seed, kStreamAlloc, {path_hash(path), op},
+                 {spec_.enospc_rate}) == 0) {
     stats_.enospc.fetch_add(1, std::memory_order_relaxed);
     throw IoError("injected ENOSPC: cannot allocate " +
                   std::to_string(bytes) + " bytes for " + path);
@@ -71,38 +49,44 @@ void FaultInjector::on_allocate(const std::string& path, std::size_t bytes) {
 
 void FaultInjector::copy(const std::string& path, std::byte* dst,
                          const std::byte* src, std::size_t n) {
-  const std::uint64_t op = begin_op(path);
+  const std::uint64_t op = crash_.count(stats_.crashes);
   if (n == 0) return;
-  const double u = draw(path, op, kStreamCopy);
-  if (u < spec_.torn_write_rate) {
-    // Torn write: only a prefix of the bytes reach the medium. The commit
-    // carries on believing it wrote everything — exactly the failure a
-    // lost sector write produces — so detection is entirely on the
-    // reader's checksum.
-    const std::size_t kept = derive(path, op, kStreamTearLen) % n;
-    std::memcpy(dst, src, kept);
-    stats_.torn_writes.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::memcpy(dst, src, n);
-  if (u < spec_.torn_write_rate + spec_.bitflip_rate) {
-    dst[derive(path, op, kStreamFlipIdx) % n] ^= std::byte{0x20};
-    stats_.bitflips.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t file = path_hash(path);
+  switch (fault_pick(spec_.seed, kStreamCopy, {file, op},
+                     {spec_.torn_write_rate, spec_.bitflip_rate})) {
+    case 0:
+      // Torn write: only a prefix of the bytes reach the medium. The
+      // commit carries on believing it wrote everything — exactly the
+      // failure a lost sector write produces — so detection is entirely
+      // on the reader's checksum.
+      std::memcpy(dst, src,
+                  fault_hash(spec_.seed, kStreamTearLen, {file, op}) % n);
+      stats_.torn_writes.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case 1:
+      std::memcpy(dst, src, n);
+      dst[fault_hash(spec_.seed, kStreamFlipIdx, {file, op}) % n] ^=
+          std::byte{0x20};
+      stats_.bitflips.fetch_add(1, std::memory_order_relaxed);
+      return;
+    default:
+      std::memcpy(dst, src, n);
   }
 }
 
 std::optional<std::size_t> FaultInjector::on_sync(const std::string& path,
                                                   std::size_t bytes) {
-  const std::uint64_t op = begin_op(path);
-  if (spec_.truncate_rate > 0.0 &&
-      draw(path, op, kStreamSync) < spec_.truncate_rate && bytes > 0) {
+  const std::uint64_t op = crash_.count(stats_.crashes);
+  const std::uint64_t file = path_hash(path);
+  if (bytes > 0 && fault_pick(spec_.seed, kStreamSync, {file, op},
+                              {spec_.truncate_rate}) == 0) {
     stats_.truncations.fetch_add(1, std::memory_order_relaxed);
     // Lose at least one byte of tail; metadata (the file) survives.
-    return derive(path, op, kStreamTruncLen) % bytes;
+    return fault_hash(spec_.seed, kStreamTruncLen, {file, op}) % bytes;
   }
   return std::nullopt;
 }
 
-void FaultInjector::on_op(const std::string& path) { begin_op(path); }
+void FaultInjector::on_op() { crash_.count(stats_.crashes); }
 
 }  // namespace fv::store

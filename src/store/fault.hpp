@@ -1,14 +1,14 @@
 // Deterministic storage fault injection for the artifact store.
 //
 // The disk is the second unreliable medium this codebase models (mpx's
-// FaultPlan covers the first, the network). A FaultInjector sits between
-// the artifact store's commit protocol and the filesystem: every I/O
-// operation (allocate, copy-into-mapping, sync, rename, directory sync)
-// passes through one hook that counts the operation and consults a pure
-// hash of (seed, path, op index) — the same shared chain mpx decisions use
-// (util/fault_hash.hpp) — so a given seed reproduces exactly the same torn
-// writes, truncations, bit flips, ENOSPC failures and crash points on
-// every run, regardless of thread interleaving.
+// fault injection covers the first, the network). A FaultInjector sits
+// between the artifact store's commit protocol and the filesystem: every
+// I/O operation (allocate, copy-into-mapping, sync, rename, directory sync)
+// passes through one hook that counts the operation and draws on the
+// seeded core (util/fault.hpp) at (seed, path, op index), so a given seed
+// reproduces exactly the same torn writes, truncations, bit flips, ENOSPC
+// failures and crash points on every run, regardless of thread
+// interleaving.
 //
 // Fault model:
 //  * torn write    — a copy persists only a prefix of its bytes (a lost
@@ -20,9 +20,10 @@
 //                    (data lost while metadata survived a crash).
 //  * ENOSPC        — an allocation fails; surfaces as fv::IoError and the
 //                    commit aborts cleanly (tmp removed, old-or-none).
-//  * crash-at-op-N — the N-th I/O operation never happens: StoreCrashed is
-//                    thrown and deliberately NOT cleaned up after, leaving
-//                    the on-disk state exactly as a killed process would.
+//  * crash-at-op-N — the N-th I/O operation never happens: InjectedCrash
+//                    is thrown and deliberately NOT cleaned up after,
+//                    leaving the on-disk state exactly as a killed process
+//                    would.
 #pragma once
 
 #include <atomic>
@@ -31,7 +32,7 @@
 #include <optional>
 #include <string>
 
-#include "util/error.hpp"
+#include "util/fault.hpp"
 
 namespace fv::store {
 
@@ -43,7 +44,7 @@ struct FaultSpec {
   double enospc_rate = 0.0;      ///< P(an allocation fails with ENOSPC)
 
   /// 1-based global I/O-operation index at which the process "dies"
-  /// (StoreCrashed thrown before the op runs); <= 0 disables. Ops are
+  /// (InjectedCrash thrown before the op runs); <= 0 disables. Ops are
   /// counted across the whole injector, so a commit's ops are 1..M and a
   /// chaos test can crash at every point of the protocol.
   std::int64_t crash_at_op = -1;
@@ -65,15 +66,6 @@ struct FaultStats {
   std::atomic<std::uint64_t> crashes{0};
 };
 
-/// Thrown to simulate the process dying mid-I/O. Deliberately NOT an
-/// fv::Error: recovery code catching fv::Error must not "survive" a crash
-/// — the commit protocol leaves the disk exactly as it was at the crash
-/// point, and only a fresh open (the next process) may look at it.
-struct StoreCrashed {
-  std::string path;       ///< file the fatal op addressed
-  std::uint64_t op = 0;   ///< 1-based op index that never ran
-};
-
 class FaultInjector {
  public:
   /// Validates rates: torn + bitflip partition one copy draw (sum <= 1);
@@ -84,40 +76,31 @@ class FaultInjector {
   FaultStats& stats() const noexcept { return stats_; }
   /// Total I/O operations counted so far (chaos tests probe this after a
   /// clean run to enumerate every crash point of a protocol).
-  std::uint64_t ops() const noexcept {
-    return ops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t ops() const noexcept { return crash_.ops(); }
 
-  /// One allocation op (file create / grow). Throws StoreCrashed at the
+  /// One allocation op (file create / grow). Throws InjectedCrash at the
   /// crash point, fv::IoError on an injected ENOSPC.
   void on_allocate(const std::string& path, std::size_t bytes);
 
   /// One copy op: memcpy `n` bytes from `src` to `dst`, possibly torn
   /// (prefix only) or with one byte flipped, per the (seed, path, op)
-  /// draw. Throws StoreCrashed at the crash point (nothing copied).
+  /// draw. Throws InjectedCrash at the crash point (nothing copied).
   void copy(const std::string& path, std::byte* dst, const std::byte* src,
             std::size_t n);
 
   /// One sync op for a file currently `bytes` long. Returns the size to
   /// truncate the file to INSTEAD of syncing (injected tail loss), or
-  /// nullopt to sync normally. Throws StoreCrashed at the crash point.
+  /// nullopt to sync normally. Throws InjectedCrash at the crash point.
   std::optional<std::size_t> on_sync(const std::string& path,
                                      std::size_t bytes);
 
   /// One metadata op (rename, directory sync, unlink): crash gate only.
-  void on_op(const std::string& path);
+  void on_op();
 
  private:
-  /// Counts the op, fires the crash point; returns the 1-based op index.
-  std::uint64_t begin_op(const std::string& path);
-  double draw(const std::string& path, std::uint64_t op,
-              std::uint64_t stream) const;
-  std::uint64_t derive(const std::string& path, std::uint64_t op,
-                       std::uint64_t stream) const;
-
   FaultSpec spec_;
   mutable FaultStats stats_;
-  std::atomic<std::uint64_t> ops_{0};
+  CrashCounter crash_;
 };
 
 }  // namespace fv::store

@@ -72,9 +72,9 @@ void MappedFile::map(std::size_t bytes, bool populate) {
 }
 
 MappedFile MappedFile::create(const std::string& path, std::size_t bytes,
-                              FaultInjector* faults) {
+                              FaultInjector& faults) {
   FV_REQUIRE(bytes >= 1, "MappedFile::create needs at least one byte");
-  if (faults != nullptr) faults->on_allocate(path, bytes);
+  faults.on_allocate(path, bytes);
   const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (fd < 0) throw_errno("cannot create", path);
   if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
@@ -129,18 +129,16 @@ void MappedFile::advise_dont_need(std::size_t offset,
 #endif
 }
 
-void MappedFile::sync(FaultInjector* faults) {
+void MappedFile::sync(FaultInjector& faults) {
   FV_REQUIRE(is_open(), "sync needs an open mapping");
-  if (faults != nullptr) {
-    if (const auto cut = faults->on_sync(path_, size_); cut.has_value()) {
-      // Injected tail loss: the medium kept only *cut bytes. Chop the
-      // file (the next reader sees the short payload) but report success
-      // — the writer must not learn its data is gone, that is the point.
-      if (::ftruncate(fd_, static_cast<off_t>(*cut)) != 0) {
-        throw_errno("cannot truncate", path_);
-      }
-      return;
+  if (const auto cut = faults.on_sync(path_, size_); cut.has_value()) {
+    // Injected tail loss: the medium kept only *cut bytes. Chop the file
+    // (the next reader sees the short payload) but report success — the
+    // writer must not learn its data is gone, that is the point.
+    if (::ftruncate(fd_, static_cast<off_t>(*cut)) != 0) {
+      throw_errno("cannot truncate", path_);
     }
+    return;
   }
   if (data_ != nullptr && ::msync(data_, size_, MS_SYNC) != 0) {
     throw_errno("msync failed for", path_);
@@ -161,16 +159,16 @@ void MappedFile::close() noexcept {
 }
 
 void MappedFile::atomic_rename(const std::string& from, const std::string& to,
-                               FaultInjector* faults) {
-  if (faults != nullptr) faults->on_op(to);
+                               FaultInjector& faults) {
+  faults.on_op();
   if (::rename(from.c_str(), to.c_str()) != 0) {
     throw_errno("cannot rename '" + from + "' onto", to);
   }
 }
 
 void MappedFile::sync_directory(const std::string& directory,
-                                FaultInjector* faults) {
-  if (faults != nullptr) faults->on_op(directory);
+                                FaultInjector& faults) {
+  faults.on_op();
   const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) throw_errno("cannot open directory", directory);
   const int rc = ::fsync(fd);

@@ -5,10 +5,9 @@
 //
 // MappedFile owns one fd + one mapping. Writable mappings are created at
 // their final size (the commit protocol's temporaries); read-only mappings
-// are immutable views. All fault injection happens ABOVE this class
-// through store::FaultInjector hooks in the callers that copy bytes into
-// mappings — except sync(), whose truncate-instead-of-flush fault has to
-// act on the file itself, so sync takes the injector directly.
+// are immutable views. Every write-side operation (create, sync, rename,
+// directory sync) takes the store's FaultInjector and passes its hook;
+// callers copy bytes into a mapping through FaultInjector::copy.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +30,9 @@ class MappedFile {
 
   /// Creates (truncating any existing file) a read-write file of `bytes`
   /// bytes, zero-filled, and maps it shared. `bytes` must be >= 1. The
-  /// injector, when given, gates the allocation (ENOSPC / crash).
+  /// injector gates the allocation (ENOSPC / crash).
   static MappedFile create(const std::string& path, std::size_t bytes,
-                           FaultInjector* faults = nullptr);
+                           FaultInjector& faults);
 
   /// Maps an existing file read-only. A zero-length file yields a valid
   /// object with size() == 0 and no mapping (callers decide what an empty
@@ -55,7 +54,7 @@ class MappedFile {
   /// Flushes the mapping (msync) and the file (fsync) to the medium.
   /// Under an injected truncation fault the file is chopped instead —
   /// the caller believes its data is durable, the tail is gone.
-  void sync(FaultInjector* faults = nullptr);
+  void sync(FaultInjector& faults);
 
   /// Unmaps and closes. Idempotent; the destructor calls it. Does NOT
   /// sync — writable callers that need durability sync first (the commit
@@ -82,11 +81,12 @@ class MappedFile {
   /// see the old bytes or the new bytes, never a mix). The injector op
   /// gates the crash point.
   static void atomic_rename(const std::string& from, const std::string& to,
-                            FaultInjector* faults = nullptr);
+                            FaultInjector& faults);
 
-  /// fsyncs a directory so a preceding rename survives power loss.
+  /// fsyncs a directory so a preceding rename survives power loss. The
+  /// injector op gates the crash point.
   static void sync_directory(const std::string& directory,
-                             FaultInjector* faults = nullptr);
+                             FaultInjector& faults);
 
   /// Removes a file if it exists (best effort, never throws) — commit
   /// abort cleanup.

@@ -32,6 +32,9 @@ constexpr int kTagPixels = 2;
 constexpr int kTagWork = 4;
 constexpr int kTagShutdown = 5;
 
+/// Pause before the retry rung: gives a merely-slow node a chance.
+constexpr std::chrono::milliseconds kRetryBackoff{5};
+
 /// Smallest rectangle holding both.
 layout::Rect bounding_box(const layout::Rect& a, const layout::Rect& b) {
   const long x = std::min(a.x, b.x);
@@ -178,7 +181,7 @@ void run_master(mpx::Comm& comm, const CommandList& commands,
   if (remaining > 0) {
     result.stats.degraded = true;
     result.stats.retries += remaining;
-    std::this_thread::sleep_for(options.retry_backoff);
+    std::this_thread::sleep_for(kRetryBackoff);
     send_work(route_pending(owner), nodes);
     collect(deadline_after(options, options.tile_deadline));
   }
@@ -232,11 +235,8 @@ void run_node(mpx::Comm& comm, const WallSpec& spec,
   // exit — a node can never hang the group. Derived generously from the
   // master's ladder span: 4 windows + backoff + slack. Without a deadline
   // the node waits for shutdown unbounded, like the master waits for tiles.
-  const auto watchdog =
-      options.node_watchdog.count() > 0
-          ? options.node_watchdog
-          : options.tile_deadline * 8 + options.retry_backoff * 4 +
-                std::chrono::milliseconds(250);
+  const auto watchdog = options.tile_deadline * 8 + kRetryBackoff * 4 +
+                        std::chrono::milliseconds(250);
   for (;;) {
     std::optional<mpx::Message> message;
     try {

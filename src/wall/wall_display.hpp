@@ -53,21 +53,18 @@ struct WallSpec {
 /// all tiles arrive. With tile_deadline > 0 the master walks the degradation
 /// ladder when tiles are missing: wait one deadline window for tile results,
 /// then resend the missing tiles' command substreams to their owner nodes
-/// (one bounded retry with backoff), then reassign still-missing tiles to
-/// nodes that have proven alive, and finally rasterize whatever remains
-/// master-side. Every rung re-renders the same deterministic commands, so a
-/// degraded frame stays pixel-identical to render_reference.
+/// (one bounded retry after a 5 ms backoff), then reassign still-missing
+/// tiles to nodes that have proven alive, and finally rasterize whatever
+/// remains master-side. Every rung re-renders the same deterministic
+/// commands, so a degraded frame stays pixel-identical to render_reference.
+/// Each node exits on its own once the master has been silent for a
+/// watchdog span derived from tile_deadline, so a lost shutdown message
+/// cannot hang the frame.
 struct WallOptions {
   /// Cluster nodes (mpx ranks beyond the master); 0 = one per tile.
   std::size_t node_count = 0;
   /// Master-side wait per ladder rung; 0 = unbounded waits (no recovery).
   std::chrono::milliseconds tile_deadline{0};
-  /// Pause before the retry rung (gives a merely-slow node a chance).
-  std::chrono::milliseconds retry_backoff{5};
-  /// Node-side idle watchdog: a node that hears nothing from the master for
-  /// this long exits on its own, so a lost shutdown message can never hang
-  /// the frame. 0 = derived from tile_deadline (generous multiple).
-  std::chrono::milliseconds node_watchdog{0};
   /// Deterministic fault injection for this frame's mpx group. Requires
   /// tile_deadline > 0 when any fault is enabled; crash_rank 0 (the master)
   /// is rejected. The wall's shutdown control tag is auto-exempted.

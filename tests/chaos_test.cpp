@@ -101,7 +101,6 @@ TEST_P(WallChaosTest, FrameCompletesPixelIdenticalInBoundedTime) {
   // make the determinism claim hollow. Correctness never depends on these
   // values — only elapsed time does.
   options.tile_deadline = std::chrono::milliseconds(150);
-  options.retry_backoff = std::chrono::milliseconds(5);
   options.faults.seed = scenario.seed;
   options.faults.drop_rate = scenario.drop;
   options.faults.delay_rate = scenario.delay;

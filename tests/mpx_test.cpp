@@ -670,19 +670,20 @@ TEST(FaultInjectionTest, DecisionsAreDeterministic) {
   faults.duplicate_rate = 0.2;
   faults.corrupt_rate = 0.2;
   faults.exempt_tags = {5};
-  const mpx::FaultPlan a(faults);
-  const mpx::FaultPlan b(faults);
+  const mpx::FaultSpec a = faults;
+  const mpx::FaultSpec b = faults;
   faults.seed = 24;
-  const mpx::FaultPlan c(faults);
+  const mpx::FaultSpec c = faults;
   int differs_from_c = 0;
   for (int source = 0; source < 4; ++source) {
     for (int dest = 0; dest < 4; ++dest) {
       for (std::uint64_t seq = 1; seq <= 16; ++seq) {
-        const auto action = a.decide(source, dest, 3, seq);
-        EXPECT_EQ(action, b.decide(source, dest, 3, seq));
-        if (action != c.decide(source, dest, 3, seq)) ++differs_from_c;
+        const auto action = mpx::decide(a, source, dest, 3, seq);
+        EXPECT_EQ(action, mpx::decide(b, source, dest, 3, seq));
+        if (action != mpx::decide(c, source, dest, 3, seq)) ++differs_from_c;
         // Exempt tags are never faulted, whatever the seed.
-        EXPECT_EQ(a.decide(source, dest, 5, seq), mpx::FaultAction::kNone);
+        EXPECT_EQ(mpx::decide(a, source, dest, 5, seq),
+                  mpx::FaultAction::kNone);
       }
     }
   }

@@ -247,7 +247,7 @@ TEST_F(StoreChaosTest, CrashAtEveryOpLeavesOldArtifactOrNew) {
     try {
       dying.put(fv::store::ArtifactKind::kBlob, kKey,
                 [](auto& w) { w.scalar(kNew); });
-    } catch (const fv::store::StoreCrashed& crash) {
+    } catch (const fv::InjectedCrash& crash) {
       crashed = true;
       EXPECT_EQ(crash.op, n);
     }
@@ -275,13 +275,13 @@ TEST_F(StoreChaosTest, CrashAtEveryOpLeavesOldArtifactOrNew) {
 }
 
 TEST_F(StoreChaosTest, StoreCrashedPropagatesThroughTheLadder) {
-  // A simulated dead process must not "recover" — StoreCrashed is not an
+  // A simulated dead process must not "recover" — InjectedCrash is not an
   // fv::Error and flies straight through load_or_compute.
   fv::store::FaultSpec spec;
   spec.crash_at_op = 1;
   fv::store::ArtifactStore store(dir_, spec);
   EXPECT_THROW((void)serve_blob(store, kKey, kNew),
-               fv::store::StoreCrashed);
+               fv::InjectedCrash);
 }
 
 TEST_F(StoreChaosTest, SameSeedReproducesTheSameDamage) {

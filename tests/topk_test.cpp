@@ -626,11 +626,7 @@ TEST(ForEachTileTest, MeanPairwiseDistanceMatchesBruteForce) {
   }
   const double expected =
       total / static_cast<double>(fv::condensed_size(m.rows()));
-  fv::par::ThreadPool pool(3);
-  EXPECT_NEAR(engine.mean_pairwise_distance(pool), expected, 1e-9);
   EXPECT_NEAR(engine.mean_pairwise_distance(), expected, 1e-9);
-  EXPECT_EQ(engine.mean_pairwise_distance(pool),
-            engine.mean_pairwise_distance(pool));  // deterministic
 }
 
 // --- Float-accumulator dense kernel --------------------------------------

@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "mpx/fault.hpp"
+#include "serve/service.hpp"
+#include "store/fault.hpp"
 #include "util/error.hpp"
-#include "util/fault_hash.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/table_io.hpp"
@@ -276,11 +278,11 @@ TEST(TimerTest, MeasuresNonNegativeTime) {
 
 // ---- fault_hash --------------------------------------------------------
 //
-// The shared seeded fault-decision hash (util/fault_hash.hpp) was
-// extracted from mpx/fault.cpp; mpx decisions for any historical seed must
-// never change. The reference below is a verbatim copy of the ORIGINAL
-// mpx-local implementation — equivalence against it pins the extraction
-// bit-for-bit.
+// The seeded fault-decision hash (util/fault.hpp) was extracted from the
+// mpx transport's own fault code; mpx decisions for any historical seed
+// must never change. The reference below is a verbatim copy of the
+// ORIGINAL mpx-local implementation — equivalence against it pins the
+// extraction bit-for-bit.
 
 /// Verbatim pre-extraction splitmix64 finalizer from mpx/fault.cpp.
 std::uint64_t reference_mix64(std::uint64_t x) {
@@ -349,11 +351,10 @@ TEST(FaultHashTest, MpxFaultPlanDecisionsPinnedAfterExtraction) {
   fv::mpx::FaultSpec spec;
   spec.seed = 0x5eedULL;
   spec.drop_rate = 0.3;
-  const fv::mpx::FaultPlan plan(spec);
   std::size_t drops = 0;
   for (std::uint64_t sequence = 0; sequence < 500; ++sequence) {
-    const bool dropped =
-        plan.decide(0, 1, 4, sequence) == fv::mpx::FaultAction::kDrop;
+    const bool dropped = fv::mpx::decide(spec, 0, 1, 4, sequence) ==
+                         fv::mpx::FaultAction::kDrop;
     const bool reference_dropped =
         reference_uniform_draw(spec.seed, 0, 1, 4, sequence, 1) < 0.3;
     EXPECT_EQ(dropped, reference_dropped) << "sequence=" << sequence;
@@ -382,6 +383,129 @@ TEST(FaultHashTest, StreamsAreIndependent) {
     }
   }
   EXPECT_EQ(same, 0u);
+}
+
+// ---- fault replay ------------------------------------------------------
+//
+// Every injected fault of every layer, for a fixed seed, folded into one
+// XXH64 digest per layer. The expected digests were recorded from the
+// commit before the fault core was extracted (when mpx, store and serve
+// each drew on the hash chain themselves), so they pin that every decision
+// stream survived the extraction bit for bit.
+
+std::uint64_t digest(const std::vector<std::uint64_t>& trace) {
+  return fv::xxhash64_of(std::span<const std::uint64_t>(trace));
+}
+
+TEST(FaultReplayTest, MpxActionsAndCorruptIndicesArePinned) {
+  fv::mpx::FaultSpec spec;
+  spec.seed = 0x29;
+  spec.drop_rate = 0.1;
+  spec.delay_rate = 0.15;
+  spec.duplicate_rate = 0.05;
+  spec.corrupt_rate = 0.2;
+  spec.exempt_tags = {5};
+  std::vector<std::uint64_t> trace;
+  std::size_t corrupt = 0;
+  for (int source = 0; source < 4; ++source) {
+    for (int dest = 0; dest < 4; ++dest) {
+      for (const int tag : {2, 4, 5, 1000}) {
+        for (std::uint64_t sequence = 0; sequence < 256; ++sequence) {
+          const fv::mpx::FaultAction action =
+              fv::mpx::decide(spec, source, dest, tag, sequence);
+          const std::size_t payload = 1 + (sequence * 7 + tag) % 300;
+          trace.push_back(static_cast<std::uint64_t>(action));
+          trace.push_back(fv::mpx::corrupt_index(spec, sequence, payload));
+          corrupt += action == fv::mpx::FaultAction::kCorrupt ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(corrupt, 0u);
+  EXPECT_EQ(digest(trace), 0xc7676c7f8da7e2f5ull);
+}
+
+TEST(FaultReplayTest, StoreEffectsArePinned) {
+  fv::store::FaultSpec spec;
+  spec.seed = 0x29;
+  spec.torn_write_rate = 0.25;
+  spec.bitflip_rate = 0.25;
+  spec.truncate_rate = 0.25;
+  spec.enospc_rate = 0.25;
+  spec.crash_at_op = 41;
+  fv::store::FaultInjector faults(spec);
+  // One entry pair per op: an effect code and its value.
+  enum : std::uint64_t { kClean, kEnospc, kTorn, kFlip, kTruncate, kCrash };
+  std::vector<std::uint64_t> trace;
+  const auto record = [&](const auto& op) {
+    try {
+      op();
+    } catch (const fv::InjectedCrash& crash) {
+      trace.push_back(kCrash);
+      trace.push_back(crash.op);
+    }
+  };
+  for (std::size_t round = 0; round < 40; ++round) {
+    for (const std::string path : {"blob/a.tmp", "blob/b.tmp", "blob"}) {
+      record([&] {
+        try {
+          faults.on_allocate(path, 100 + round);
+          trace.insert(trace.end(), {kClean, 0});
+        } catch (const fv::IoError&) {
+          trace.insert(trace.end(), {kEnospc, 0});
+        }
+      });
+      record([&] {
+        const std::vector<std::byte> src(64 + round, std::byte{0x5a});
+        std::vector<std::byte> dst(src.size());
+        faults.copy(path, dst.data(), src.data(), src.size());
+        const auto diff = std::mismatch(dst.begin(), dst.end(), src.begin());
+        const auto at = static_cast<std::uint64_t>(diff.first - dst.begin());
+        if (diff.first == dst.end()) {
+          trace.insert(trace.end(), {kClean, 0});
+        } else {
+          trace.insert(trace.end(),
+                       {*diff.first == std::byte{0} ? kTorn : kFlip, at});
+        }
+      });
+      record([&] {
+        const auto cut = faults.on_sync(path, 100 + round);
+        trace.insert(trace.end(), {cut ? kTruncate : kClean, cut.value_or(0)});
+      });
+      record([&] {
+        faults.on_op();
+        trace.insert(trace.end(), {kClean, 0});
+      });
+    }
+  }
+  for (const std::uint64_t effect : {kEnospc, kTorn, kFlip, kTruncate}) {
+    std::size_t seen = 0;
+    for (std::size_t i = 0; i < trace.size(); i += 2) {
+      seen += trace[i] == effect ? 1 : 0;
+    }
+    EXPECT_GT(seen, 0u) << "effect " << effect;
+  }
+  EXPECT_EQ(faults.ops(), 480u);
+  EXPECT_EQ(faults.stats().crashes.load(), 1u);
+  EXPECT_EQ(digest(trace), 0xbf52c31ac765e1e7ull);
+}
+
+TEST(FaultReplayTest, ServeRejectAndDelayDecisionsArePinned) {
+  fv::serve::ServeFaultSpec spec;
+  spec.seed = 0x29;
+  spec.reject_rate = 0.3;
+  spec.delay_rate = 0.2;
+  std::vector<std::uint64_t> trace;
+  std::size_t rejects = 0;
+  for (std::uint64_t tick = 1; tick <= 10000; ++tick) {
+    const bool reject = spec.rejects(tick);
+    const bool delay = spec.delays(tick);
+    trace.push_back((reject ? 1u : 0u) | (delay ? 2u : 0u));
+    rejects += reject ? 1 : 0;
+  }
+  EXPECT_GT(rejects, 2800u);
+  EXPECT_LT(rejects, 3200u);
+  EXPECT_EQ(digest(trace), 0x1f041d7a847d8057ull);
 }
 
 // ---- xxhash64 ----------------------------------------------------------
