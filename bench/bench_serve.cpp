@@ -8,6 +8,9 @@
 //                             user pays on the mapped n=4000 engine
 //  * BM_ServeCachedTopkJob  — the same request against a warmed service:
 //                             the content-addressed cache path
+//  * BM_ServeSessionCreateDelete — POST /sessions then DELETE of that
+//                             session: what a session's lifetime costs
+//                             the service (and holds its lock for)
 //  * BM_ServeConcurrent8Users — 8 client threads round-tripping cached
 //                             jobs against one service; per-request
 //                             latencies feed a p99_ms counter so the tail
@@ -206,6 +209,17 @@ void BM_ServeCachedTopkJob(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeCachedTopkJob)->Unit(benchmark::kMicrosecond);
+
+void BM_ServeSessionCreateDelete(benchmark::State& state) {
+  sv::AnalysisService service(world().compendium, world().pool);
+  for (auto _ : state) {
+    const std::string sid = create_session(service);
+    const auto deleted =
+        service.handle(make_request("DELETE", "/sessions/" + sid));
+    if (deleted.status != 200) std::abort();
+  }
+}
+BENCHMARK(BM_ServeSessionCreateDelete)->Unit(benchmark::kMicrosecond);
 
 void BM_ServeConcurrent8Users(benchmark::State& state) {
   constexpr std::size_t kUsers = 8;

@@ -19,8 +19,18 @@ MergedDatasetInterface::MergedDatasetInterface(
   rebuild();
 }
 
+MergedDatasetInterface::MergedDatasetInterface(
+    const std::vector<expr::Dataset>* datasets,
+    std::shared_ptr<const GeneCatalog> catalog)
+    : datasets_(datasets), catalog_(std::move(catalog)) {
+  FV_REQUIRE(datasets != nullptr, "merged interface needs datasets");
+  FV_REQUIRE(catalog_ != nullptr, "merged interface needs a catalog");
+  FV_REQUIRE(catalog_->dataset_count() == datasets->size(),
+             "catalog was built from a different dataset vector");
+}
+
 void MergedDatasetInterface::rebuild() {
-  catalog_ = GeneCatalog(*datasets_);
+  catalog_ = std::make_shared<const GeneCatalog>(*datasets_);
 }
 
 const expr::Dataset& MergedDatasetInterface::dataset(
@@ -39,7 +49,7 @@ std::size_t MergedDatasetInterface::total_measurements() const {
 
 std::optional<float> MergedDatasetInterface::value(
     std::size_t dataset_index, GeneId gene, std::size_t condition) const {
-  const auto row = catalog_.row_in(dataset_index, gene);
+  const auto row = catalog_->row_in(dataset_index, gene);
   if (!row.has_value()) return std::nullopt;
   const expr::Dataset& ds = dataset(dataset_index);
   FV_REQUIRE(condition < ds.condition_count(), "condition out of range");
@@ -48,7 +58,7 @@ std::optional<float> MergedDatasetInterface::value(
 
 std::optional<std::span<const float>> MergedDatasetInterface::profile(
     std::size_t dataset_index, GeneId gene) const {
-  const auto row = catalog_.row_in(dataset_index, gene);
+  const auto row = catalog_->row_in(dataset_index, gene);
   if (!row.has_value()) return std::nullopt;
   return dataset(dataset_index).profile(*row);
 }
@@ -58,7 +68,7 @@ std::vector<std::optional<std::size_t>> MergedDatasetInterface::rows_for(
   std::vector<std::optional<std::size_t>> rows;
   rows.reserve(dataset_count());
   for (std::size_t d = 0; d < dataset_count(); ++d) {
-    rows.push_back(catalog_.row_in(d, gene));
+    rows.push_back(catalog_->row_in(d, gene));
   }
   return rows;
 }
@@ -68,7 +78,7 @@ std::vector<GeneId> MergedDatasetInterface::find_genes_by_name(
   std::vector<GeneId> ids;
   std::unordered_set<GeneId> seen;
   for (const std::string& name : names) {
-    const auto id = catalog_.find(name);
+    const auto id = catalog_->find(name);
     if (id.has_value() && seen.insert(*id).second) ids.push_back(*id);
   }
   return ids;
@@ -80,7 +90,7 @@ std::vector<GeneId> MergedDatasetInterface::search_annotation(
   std::unordered_set<GeneId> seen;
   for (std::size_t d = 0; d < dataset_count(); ++d) {
     for (const std::size_t row : dataset(d).search_annotation(query)) {
-      const GeneId id = catalog_.id_of_row(d, row);
+      const GeneId id = catalog_->id_of_row(d, row);
       if (seen.insert(id).second) ids.push_back(id);
     }
   }
@@ -99,7 +109,7 @@ std::vector<std::size_t> MergedDatasetInterface::order_datasets(
     relevance[d].dataset = d;
     std::vector<std::size_t> rows;
     for (const GeneId gene : genes) {
-      if (const auto row = catalog_.row_in(d, gene); row.has_value()) {
+      if (const auto row = catalog_->row_in(d, gene); row.has_value()) {
         rows.push_back(*row);
       }
     }
@@ -137,7 +147,7 @@ expr::GeneSet MergedDatasetInterface::export_gene_list(
   expr::GeneSet set;
   set.name = set_name;
   set.description = description;
-  for (const GeneId gene : genes) set.genes.push_back(catalog_.name(gene));
+  for (const GeneId gene : genes) set.genes.push_back(catalog_->name(gene));
   return set;
 }
 
@@ -158,9 +168,9 @@ expr::Dataset MergedDatasetInterface::export_merged(
   for (std::size_t g = 0; g < genes.size(); ++g) {
     // Use the richest available GeneInfo (first dataset measuring it).
     expr::GeneInfo info;
-    info.systematic_name = catalog_.name(genes[g]);
+    info.systematic_name = catalog_->name(genes[g]);
     for (std::size_t d = 0; d < dataset_count(); ++d) {
-      const auto row = catalog_.row_in(d, genes[g]);
+      const auto row = catalog_->row_in(d, genes[g]);
       if (!row.has_value()) continue;
       if (info.common_name.empty()) {
         info = dataset(d).gene(*row);

@@ -10,8 +10,14 @@
 // On top of the array live the Figure-1 analysis routines: find genes by
 // name, search annotations, order datasets, export gene lists and merged
 // datasets.
+//
+// The catalog is held by shared_ptr. An interface over datasets it may
+// grow (the desktop app's add_dataset) builds its own and rebuilds it; an
+// interface over an immutable shared compendium aliases the one catalog
+// built for that compendium, so N served sessions hold one copy.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,14 +29,19 @@ namespace fv::core {
 
 class MergedDatasetInterface {
  public:
-  /// Holds a reference; `datasets` must outlive the interface. Call
-  /// rebuild() after mutating the vector.
+  /// Holds a reference; `datasets` must outlive the interface. Builds its
+  /// own catalog; call rebuild() after mutating the vector.
   explicit MergedDatasetInterface(const std::vector<expr::Dataset>* datasets);
+
+  /// Aliases `catalog`, which must be non-null and built from `datasets`
+  /// (checked by dataset count; fv::InvalidArgument otherwise).
+  MergedDatasetInterface(const std::vector<expr::Dataset>* datasets,
+                         std::shared_ptr<const GeneCatalog> catalog);
 
   /// Re-derives the catalog after datasets were added/removed.
   void rebuild();
 
-  const GeneCatalog& catalog() const noexcept { return catalog_; }
+  const GeneCatalog& catalog() const noexcept { return *catalog_; }
   std::size_t dataset_count() const noexcept { return datasets_->size(); }
   const expr::Dataset& dataset(std::size_t index) const;
 
@@ -78,7 +89,7 @@ class MergedDatasetInterface {
 
  private:
   const std::vector<expr::Dataset>* datasets_;
-  GeneCatalog catalog_;
+  std::shared_ptr<const GeneCatalog> catalog_;
 };
 
 }  // namespace fv::core

@@ -16,9 +16,10 @@ Session::Session(std::vector<expr::Dataset> datasets)
   prefs_.resize(datasets_.size());
 }
 
-Session::Session(std::shared_ptr<const std::vector<expr::Dataset>> shared)
+Session::Session(std::shared_ptr<const std::vector<expr::Dataset>> shared,
+                 std::shared_ptr<const GeneCatalog> catalog)
     : shared_(std::move(shared)),
-      merged_(shared_.get()),
+      merged_(shared_.get(), std::move(catalog)),
       sync_(&merged_) {
   FV_REQUIRE(shared_ != nullptr && !shared_->empty(),
              "shared session needs a non-empty dataset vector");

@@ -2,6 +2,12 @@
 // per-dataset display preferences + the headless user-interface operations
 // of paper Figure 1's "User Interface" box.
 //
+// A session either owns its datasets and builds its own gene catalog (the
+// desktop app, which may add_dataset), or aliases a shared immutable
+// compendium AND the one catalog built for it. A shared session therefore
+// holds only per-session state: selection, sync, prefs, pane order and
+// event log. Creating or freeing one builds or frees no catalog.
+//
 // Every operation appends to an event log; the integrated-workflow bench
 // compares ForestView's operation counts against the baseline workflow the
 // paper describes ("launch over a dozen independent instances and
@@ -34,13 +40,16 @@ class Session {
 
   /// Shared-compendium session: the serving layer runs N concurrent
   /// sessions over ONE immutable dataset vector (typically reconstructed
-  /// from a mapped engine artifact) instead of copying it per session.
-  /// Per-session state (selection, sync, prefs, pane order, event log) is
-  /// private as always; the dataset payload is aliased. add_dataset() is
-  /// rejected on a shared session — the compendium is read-only by
-  /// construction, which is also what makes concurrent read-only access
-  /// from many sessions race-free.
-  explicit Session(std::shared_ptr<const std::vector<expr::Dataset>> shared);
+  /// from a mapped engine artifact) instead of copying it per session,
+  /// and over ONE catalog built from it instead of one per session.
+  /// `catalog` must be non-null with the same dataset_count() as `shared`
+  /// (fv::InvalidArgument otherwise). Per-session state (selection, sync,
+  /// prefs, pane order, event log) is private as always; the datasets and
+  /// catalog are aliased. add_dataset() is rejected on a shared session —
+  /// the compendium is read-only by construction, which is also what makes
+  /// concurrent read-only access from many sessions race-free.
+  Session(std::shared_ptr<const std::vector<expr::Dataset>> shared,
+          std::shared_ptr<const GeneCatalog> catalog);
 
   // Not copyable/movable: the merged interface holds a stable pointer to
   // the dataset vector.

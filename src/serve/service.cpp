@@ -211,6 +211,7 @@ AnalysisService::AnalysisService(SharedCompendium compendium,
              "AnalysisService needs a similarity engine");
   FV_REQUIRE(compendium_.datasets != nullptr && !compendium_.datasets->empty(),
              "AnalysisService needs a non-empty shared dataset vector");
+  catalog_ = std::make_shared<const core::GeneCatalog>(*compendium_.datasets);
   FV_REQUIRE(options_.job_workers >= 1, "job queue needs at least one worker");
   FV_REQUIRE(options_.max_active_jobs >= 1,
              "job admission bound must be at least 1");
@@ -303,17 +304,22 @@ HttpResponse AnalysisService::handle_session_create(const HttpRequest& request,
                                                     std::uint64_t tick) {
   // Body is optional; when present it must at least be valid JSON.
   if (!request.body.empty()) parse_json(request.body);
-  std::scoped_lock lock(mutex_);
-  if (sessions_.size() >= options_.max_sessions) {
-    throw OverloadedError("session table full (" +
-                          std::to_string(options_.max_sessions) +
-                          " sessions); retry later");
-  }
+  // Built before the lock, so no other request waits on it. A session the
+  // full table refuses is freed after the lock is released.
   auto serve_session = std::make_shared<ServeSession>();
-  serve_session->id = "s" + std::to_string(++session_seq_);
-  serve_session->session = std::make_unique<core::Session>(compendium_.datasets);
+  serve_session->session =
+      std::make_unique<core::Session>(compendium_.datasets, catalog_);
   serve_session->created_tick = tick;
-  sessions_[serve_session->id] = serve_session;
+  {
+    std::scoped_lock lock(mutex_);
+    if (sessions_.size() >= options_.max_sessions) {
+      throw OverloadedError("session table full (" +
+                            std::to_string(options_.max_sessions) +
+                            " sessions); retry later");
+    }
+    serve_session->id = "s" + std::to_string(++session_seq_);
+    sessions_[serve_session->id] = serve_session;
+  }
   JsonValue body = JsonValue::object();
   body["session"] = serve_session->id;
   body["datasets"] = serve_session->session->dataset_count();
@@ -349,21 +355,28 @@ HttpResponse AnalysisService::handle_session_get(const std::string& id) const {
 }
 
 HttpResponse AnalysisService::handle_session_delete(const std::string& id) {
-  std::scoped_lock lock(mutex_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return not_found("session");
-  // Drop the session's job records too: polls for them 404 from here on.
-  // Running jobs finish harmlessly on their own shared_ptr.
+  // Moved out of the table under the lock; unless a concurrent request
+  // still holds it, the session is freed when this goes out of scope,
+  // after the lock is released.
+  std::shared_ptr<ServeSession> removed;
   std::size_t jobs_dropped = 0;
-  for (auto job_it = jobs_.begin(); job_it != jobs_.end();) {
-    if (job_it->second->session_id == id) {
-      job_it = jobs_.erase(job_it);
-      ++jobs_dropped;
-    } else {
-      ++job_it;
+  {
+    std::scoped_lock lock(mutex_);
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) return not_found("session");
+    // Drop the session's job records too: polls for them 404 from here on.
+    // Running jobs finish harmlessly on their own shared_ptr.
+    for (auto job_it = jobs_.begin(); job_it != jobs_.end();) {
+      if (job_it->second->session_id == id) {
+        job_it = jobs_.erase(job_it);
+        ++jobs_dropped;
+      } else {
+        ++job_it;
+      }
     }
+    removed = std::move(it->second);
+    sessions_.erase(it);
   }
-  sessions_.erase(it);
   JsonValue body = JsonValue::object();
   body["deleted"] = id;
   body["jobs_dropped"] = jobs_dropped;

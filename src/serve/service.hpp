@@ -8,7 +8,10 @@
 //
 //  * sessions   — per-user core::Session state (selection, pane order,
 //                 prefs, event log) keyed by session id, created/read/
-//                 deleted over HTTP, each serialized by its own mutex;
+//                 deleted over HTTP, each serialized by its own mutex.
+//                 Every session aliases the compendium's datasets and the
+//                 one gene catalog the constructor builds, and is built
+//                 and freed outside the service lock;
 //  * jobs       — long-running analyses (hierarchical clustering, top-k
 //                 neighbors, SPELL search) submitted asynchronously:
 //                 submit → poll → fetch result. Jobs execute on a bounded
@@ -268,6 +271,9 @@ class AnalysisService {
                                       const std::string& job_id) const;
 
   SharedCompendium compendium_;
+  /// The gene catalog of compendium_.datasets, built once; every session
+  /// aliases it.
+  std::shared_ptr<const core::GeneCatalog> catalog_;
   par::ThreadPool& compute_pool_;
   Options options_;
 

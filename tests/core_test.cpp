@@ -2,6 +2,7 @@
 // selection/synchronization, session operations and frame rendering.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <set>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "spell/spell.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
@@ -289,11 +291,18 @@ TEST(SessionTest, PrefsPerDatasetAndAll) {
   EXPECT_EQ(session.prefs(1).scheme, fv::render::ColorScheme::kBlueYellow);
 }
 
+/// The one catalog a serving layer builds for a shared compendium.
+std::shared_ptr<const co::GeneCatalog> catalog_of(
+    const std::shared_ptr<const std::vector<ex::Dataset>>& shared) {
+  return std::make_shared<const co::GeneCatalog>(*shared);
+}
+
 TEST(SessionTest, SharedCompendiumSessionsAliasOneVector) {
   const auto shared =
       std::make_shared<const std::vector<ex::Dataset>>(tiny_datasets());
-  co::Session a(shared);
-  co::Session b(shared);
+  const auto catalog = catalog_of(shared);
+  co::Session a(shared, catalog);
+  co::Session b(shared, catalog);
   EXPECT_TRUE(a.shares_datasets());
   // Both sessions read the SAME vector — aliased, not copied.
   EXPECT_EQ(&a.datasets(), shared.get());
@@ -306,6 +315,90 @@ TEST(SessionTest, SharedCompendiumSessionsAliasOneVector) {
   EXPECT_THROW(a.add_dataset(tiny_datasets()[0]), fv::InvalidArgument);
 }
 
+// Shared sessions alias one catalog, and that catalog answers every lookup
+// exactly as the catalog a session over its own copy of the datasets
+// builds. The compendium is seeded with common-name aliases, plus the tiny
+// datasets and one dataset that measures a gene on two rows.
+TEST(SessionTest, SharedSessionsShareOneCatalog) {
+  ex::CompendiumSpec spec;
+  spec.genome = ex::GenomeSpec::yeast_like(200);
+  spec.seed = 17;
+  std::vector<ex::Dataset> datasets = ex::make_compendium(spec).datasets;
+  for (ex::Dataset& tiny : tiny_datasets()) datasets.push_back(std::move(tiny));
+  ex::ExpressionMatrix dup_values(3, 1);
+  datasets.emplace_back(
+      "dup",
+      std::vector<ex::GeneInfo>{{"YBR072W", "HSP26", "heat shock protein"},
+                                {"YDL229W", "SSB1", "chaperone"},
+                                {"ybr072w", "", "heat shock protein"}},
+      std::vector<std::string>{"d1"}, std::move(dup_values));
+  const auto shared =
+      std::make_shared<const std::vector<ex::Dataset>>(std::move(datasets));
+  const auto catalog = catalog_of(shared);
+
+  co::Session a(shared, catalog);
+  co::Session b(shared, catalog);
+  co::Session owned(*shared);
+  EXPECT_EQ(&a.merged().catalog(), &b.merged().catalog());
+  EXPECT_EQ(&a.merged().catalog(), catalog.get());
+  EXPECT_NE(&owned.merged().catalog(), catalog.get());
+
+  const co::GeneCatalog& own = owned.merged().catalog();
+  ASSERT_EQ(catalog->gene_count(), own.gene_count());
+  ASSERT_EQ(catalog->dataset_count(), own.dataset_count());
+
+  // Names: systematic and common, as stored, upper- and lower-cased, mixed
+  // case and padded; unknown names; duplicates.
+  std::vector<std::string> names{"nope", "", "  hsp26 ", "HsP26", "Ssb1",
+                                 "TFC3", "tfc3", "YBR072W", "YBR072W"};
+  for (const ex::Dataset& dataset : *shared) {
+    for (std::size_t row = 0; row < dataset.gene_count(); row += 7) {
+      const ex::GeneInfo& gene = dataset.gene(row);
+      names.push_back(gene.systematic_name);
+      names.push_back(fv::str::to_lower(gene.systematic_name));
+      if (!gene.common_name.empty()) {
+        names.push_back(gene.common_name);
+        std::string mixed = fv::str::to_lower(gene.common_name);
+        mixed[0] = static_cast<char>(std::toupper(mixed[0]));
+        names.push_back(mixed);
+      }
+    }
+  }
+  std::size_t aliases_found = 0;
+  for (const std::string& name : names) {
+    EXPECT_EQ(catalog->find(name), own.find(name)) << name;
+    if (catalog->find(name).has_value()) ++aliases_found;
+  }
+  EXPECT_GT(aliases_found, names.size() / 2);
+
+  for (std::size_t d = 0; d < shared->size(); ++d) {
+    for (co::GeneId id = 0; id < catalog->gene_count(); ++id) {
+      ASSERT_EQ(catalog->row_in(d, id), own.row_in(d, id));
+    }
+    for (std::size_t row = 0; row < (*shared)[d].gene_count(); ++row) {
+      ASSERT_EQ(catalog->id_of_row(d, row), own.id_of_row(d, row));
+    }
+  }
+  // The duplicate row maps to its gene, and the gene to its first row.
+  const std::size_t dup = shared->size() - 1;
+  EXPECT_EQ(catalog->id_of_row(dup, 2), *catalog->find("HSP26"));
+  EXPECT_EQ(catalog->row_in(dup, *catalog->find("HSP26")), std::size_t{0});
+
+  EXPECT_EQ(a.select_by_names(names), owned.select_by_names(names));
+  EXPECT_EQ(a.selection().ordered(), owned.selection().ordered());
+  EXPECT_TRUE(b.selection().empty());
+  for (std::size_t d = 0; d < shared->size(); ++d) {
+    a.select_region(d, 0, 40);
+    owned.select_region(d, 0, 40);
+    EXPECT_EQ(a.selection().ordered(), owned.selection().ordered()) << d;
+  }
+
+  // A catalog of another dataset vector, or none, is refused.
+  const auto fewer = std::make_shared<const co::GeneCatalog>(tiny_datasets());
+  EXPECT_THROW((co::Session{shared, fewer}), fv::InvalidArgument);
+  EXPECT_THROW((co::Session{shared, nullptr}), fv::InvalidArgument);
+}
+
 // The serving layer's aliasing pattern, pinned under TSan (this suite runs
 // in CI's tsan leg): two sessions over ONE shared dataset vector, one
 // thread rendering frames while the other runs SPELL over the same aliased
@@ -314,8 +407,9 @@ TEST(SessionTest, SharedCompendiumSessionsAliasOneVector) {
 TEST(SessionTest, SharedSessionsConcurrentRenderAndSpellAreRaceFree) {
   const auto shared =
       std::make_shared<const std::vector<ex::Dataset>>(tiny_datasets());
-  co::Session render_session(shared);
-  co::Session spell_session(shared);
+  const auto catalog = catalog_of(shared);
+  co::Session render_session(shared, catalog);
+  co::Session spell_session(shared, catalog);
   render_session.select_region(0, 0, 3);
 
   std::thread renderer([&render_session] {

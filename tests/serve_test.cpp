@@ -30,6 +30,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -695,6 +696,75 @@ TEST(Serve, FailedLeaderFailsItsFollowers) {
     EXPECT_EQ(service.active_jobs(), 0u);
   }
   fs::remove_all(dir);
+}
+
+// Sessions are built and freed outside the service lock. Eight clients
+// churning create → select → cached submit → result → delete must still
+// see sequential unique ids, the expected status at every step, the
+// primed result bytes, and an empty table at the end.
+TEST(Serve, ConcurrentSessionChurnKeepsTheTableConsistent) {
+  constexpr int kThreads = 8;
+  constexpr int kCycles = 20;
+  AnalysisService service(fixture().compendium, fixture().compute_pool);
+  const std::string job_body = "{\"type\":\"topk\",\"k\":3,\"rows\":6}";
+  const std::string primer = create_session(service);
+  const std::string primed = run_to_result(service, primer, job_body);
+  EXPECT_EQ(service.handle(make_request("DELETE", "/sessions/" + primer))
+                .status,
+            200);
+  const std::string select_body =
+      "{\"names\":[\"" + (*fixture().datasets)[0].gene(0).systematic_name +
+      "\"]}";
+
+  std::mutex ids_mutex;
+  std::set<std::string> ids;
+  std::atomic<int> completed{0};
+  std::atomic<int> unexpected{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&] {
+      const auto expect = [&](bool ok) {
+        if (!ok) unexpected.fetch_add(1);
+        return ok;
+      };
+      for (int c = 0; c < kCycles; ++c) {
+        const HttpResponse created =
+            service.handle(make_request("POST", "/sessions"));
+        if (!expect(created.status == 201)) continue;
+        const std::string sid = field(created, "session");
+        {
+          std::scoped_lock lock(ids_mutex);
+          expect(ids.insert(sid).second);
+        }
+        const HttpResponse select = service.handle(make_request(
+            "POST", "/sessions/" + sid + "/select", select_body));
+        expect(select.status == 200 && field(select, "found") == "1");
+        const HttpResponse submit = service.handle(
+            make_request("POST", "/sessions/" + sid + "/jobs", job_body));
+        expect(submit.status == 200 && field(submit, "state") == "done");
+        const HttpResponse result = service.handle(make_request(
+            "GET", "/sessions/" + sid + "/jobs/" + field(submit, "job") +
+                       "/result"));
+        expect(result.status == 200 && result.body == primed);
+        const HttpResponse deleted =
+            service.handle(make_request("DELETE", "/sessions/" + sid));
+        expect(deleted.status == 200 && field(deleted, "jobs_dropped") == "1");
+        completed.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_EQ(completed.load(), kThreads * kCycles);
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kCycles));
+  // Ids stay sequential: the primer took s1, the clients s2 onwards.
+  EXPECT_EQ(ids.count("s2"), 1u);
+  EXPECT_EQ(ids.count("s" + std::to_string(kThreads * kCycles + 1)), 1u);
+  EXPECT_EQ(service.session_count(), 0u);
+  EXPECT_EQ(service.stats().computes.load(), 1u);
+  EXPECT_EQ(service.stats().cache_hits.load(),
+            static_cast<std::uint64_t>(kThreads * kCycles));
 }
 
 TEST(Serve, HttpRoundTripOverSockets) {
